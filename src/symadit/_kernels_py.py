@@ -1,8 +1,4 @@
-"""Pure-numpy fallback for the periodic-distance kernels.
-
-Same contracts as the compiled extension (symadit/_kernels.pyx); selected
-automatically by symadit.kernels when the extension is not built.
-"""
+"""Vectorized numpy periodic-distance kernels, re-exported by symadit.kernels."""
 
 from __future__ import annotations
 

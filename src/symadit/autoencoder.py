@@ -221,37 +221,10 @@ class Autoencoder:
         out[..., 3:] = np.clip(out[..., 3:] * 180.0, 10.0, 170.0)
         return out
 
-    # -- layer norm parameter convention: g is an offset from 1 ---------------
-
-    @staticmethod
-    def _block_params(store: ParameterStore, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in store.names():
-            if name.startswith(prefix + "."):
-                key = name[len(prefix) + 1:]
-                out[prefix + "." + key] = store[name]
-        return out
-
     def _run_blocks(self, h: Tensor, side: str, mask) -> Tensor:
-        st = self.store
-        cfg = self.config
-        for i in range(cfg.n_layers):
-            prefix = f"{side}.block{i}"
-            params = {
-                f"{prefix}.wq": st[f"{prefix}.wq"],
-                f"{prefix}.wk": st[f"{prefix}.wk"],
-                f"{prefix}.wv": st[f"{prefix}.wv"],
-                f"{prefix}.wo": st[f"{prefix}.wo"],
-                f"{prefix}.ln1.g": st[f"{prefix}.ln1.g"] + 1.0,
-                f"{prefix}.ln1.b": st[f"{prefix}.ln1.b"],
-                f"{prefix}.ln2.g": st[f"{prefix}.ln2.g"] + 1.0,
-                f"{prefix}.ln2.b": st[f"{prefix}.ln2.b"],
-                f"{prefix}.ff1.w": st[f"{prefix}.ff1.w"],
-                f"{prefix}.ff1.b": st[f"{prefix}.ff1.b"],
-                f"{prefix}.ff2.w": st[f"{prefix}.ff2.w"],
-                f"{prefix}.ff2.b": st[f"{prefix}.ff2.b"],
-            }
-            h = attention_block(h, params, prefix, cfg.n_heads, pad_mask=mask)
+        for i in range(self.config.n_layers):
+            h = attention_block(h, self.store, f"{side}.block{i}",
+                                self.config.n_heads, pad_mask=mask)
         return h
 
     # -- encoder ----------------------------------------------------------------

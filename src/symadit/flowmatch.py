@@ -19,13 +19,16 @@ from .crystal import CrystalASU
 from .nncore import (
     ParameterStore,
     Tensor,
-    adaln,
     adam_step,
+    attention_block,
+    concat,
+    layer_norm,
     linear,
-    mhsa,
     no_grad,
     silu_mlp,
 )
+# perfbench/layers.py traces these names here; the blocks reach them via nncore
+from .nncore import adaln, mhsa  # noqa: F401
 
 __all__ = [
     "Denoiser",
@@ -218,29 +221,17 @@ class Denoiser:
         b, n, d = z_t.shape
         if self_cond is None:
             self_cond = Tensor(np.zeros((b, n, d)))
-        from .nncore import concat
-
         x = concat([z_t, self_cond], axis=-1)
         h = linear(x, st["in.w"], st["in.b"])
         t_feat = Tensor(time_embedding(t, cfg.time_features))
         cond = silu_mlp(t_feat, st["time.w1"], st["time.b1"],
                         st["time.w2"], st["time.b2"])
         cond = cond + st["group_emb"][np.asarray(cond_idx, dtype=np.int64)]
-        mask_f = Tensor(mask[:, :, None].astype(np.float64))
         for i in range(cfg.n_layers):
-            p = f"block{i}"
-            a = adaln(h, cond, st[f"{p}.ln1.w"], st[f"{p}.ln1.b"])
-            h = h + mhsa(a, st[f"{p}.wq"], st[f"{p}.wk"], st[f"{p}.wv"],
-                         st[f"{p}.wo"], cfg.n_heads, mask)
-            a = adaln(h, cond, st[f"{p}.ln2.w"], st[f"{p}.ln2.b"])
-            h = h + silu_mlp(a, st[f"{p}.ff1.w"], st[f"{p}.ff1.b"],
-                             st[f"{p}.ff2.w"], st[f"{p}.ff2.b"])
-            h = h * mask_f
-        from .nncore import layer_norm
-
+            h = attention_block(h, st, f"block{i}", cfg.n_heads, mask, cond)
         h = layer_norm(h, st["out.g"] + 1.0, st["out.b"])
         out = linear(h, st["out.w"], st["out.bias"])
-        return out * mask_f
+        return out * Tensor(mask[:, :, None].astype(np.float64))
 
     def save(self, path, seed: int | None = None) -> str:
         cfg = self.config.to_dict()

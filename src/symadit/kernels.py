@@ -1,20 +1,12 @@
-"""Kernel backend selection: compiled extension if built, numpy otherwise."""
+"""Periodic-distance kernels; the numpy implementation is the only one."""
 
 from __future__ import annotations
 
-try:
-    from . import _kernels as _impl
+from ._kernels_py import min_image_distance_matrix, min_pairwise_distance
 
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _impl
-
-    BACKEND = "numpy"
-
-min_pairwise_distance = _impl.min_pairwise_distance
-min_image_distance_matrix = _impl.min_image_distance_matrix
+__all__ = ["backend", "min_image_distance_matrix", "min_pairwise_distance"]
 
 
 def backend() -> str:
-    """Name of the active kernel implementation."""
-    return BACKEND
+    """Name of the kernel implementation (kept for run environments)."""
+    return "numpy"

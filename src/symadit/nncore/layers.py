@@ -4,6 +4,8 @@ stable softmax / cross-entropy."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .tensor import Tensor
@@ -191,19 +193,24 @@ def mhsa(
 
 def attention_block(
     x: Tensor,
-    params: dict[str, Tensor],
+    params: Mapping[str, Tensor],
     prefix: str,
     n_heads: int,
     pad_mask=None,
     cond: Tensor | None = None,
 ) -> Tensor:
-    """Pre-norm transformer block; with cond, the norms become adaptive."""
+    """Pre-norm transformer block; with cond, the norms become adaptive.
+
+    params maps names under `prefix` (e.g. a ParameterStore). A plain
+    layer-norm gain is stored as an offset from 1, so zero-initialised
+    gains start as the identity.
+    """
 
     def norm(t: Tensor, which: str) -> Tensor:
         if cond is not None:
             return adaln(t, cond, params[f"{prefix}.{which}.w"],
                          params[f"{prefix}.{which}.b"])
-        return layer_norm(t, params[f"{prefix}.{which}.g"],
+        return layer_norm(t, params[f"{prefix}.{which}.g"] + 1.0,
                           params[f"{prefix}.{which}.b"])
 
     h = x + mhsa(
