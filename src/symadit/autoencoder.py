@@ -471,11 +471,9 @@ def augment(asu: CrystalASU, catalog: SymmetryCatalog,
         if sigma_frac > 0 and w.dof > 0:
             u = symcat.free_parameters(w, f)
             for col in range(3):
-                if any(w.site_form.matrix[i][col] != 0 for i in range(3)):
+                if w.dof_mask[col]:
                     u[col] = (u[col] + _nonzero_normal(rng, sigma_frac)) % 1.0
-            mat = np.array([[float(e) for e in row] for row in w.site_form.matrix])
-            trans = np.array([float(t) for t in w.site_form.translation])
-            f = symcat.wrap_unit(mat @ u + trans)
+            f = symcat.site_from_parameters(w, u)
         sites.append(Site(element=site.element, wyckoff=site.wyckoff, frac=f))
     ell = asu.lattice.copy()
     lc = entry.lattice_class

@@ -143,7 +143,7 @@ def target_field(z_t: np.ndarray, z1: np.ndarray, t: float) -> np.ndarray:
 class DenoiserConfig:
     d_latent: int = 32
     d_model: int = 512
-    n_heads: int = 12
+    n_heads: int = 8           # head dim 64, as in the autoencoder
     n_layers: int = 12
     cond_drop: float = 0.1
     self_cond_prob: float = 0.5

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .triplet import AffineForm, TripletError, format_triplet, parse_triplet
+from .triplet import AffineForm, TripletError, parse_triplet
 
 __all__ = [
     "CatalogError",
@@ -36,6 +36,7 @@ __all__ = [
     "dof_info",
     "load_catalog",
     "orbit_expand",
+    "site_from_parameters",
     "symmetrize_lattice",
     "symmetrize_site",
     "wyckoff_mask",
@@ -388,10 +389,15 @@ def symmetrize_site(w: WyckoffPos, f_pred) -> np.ndarray:
     f_pred = np.asarray(f_pred, dtype=np.float64)
     if not np.all(np.isfinite(f_pred)):
         raise ValueError("fractional prediction contains non-finite values")
-    u = free_parameters(w, f_pred)
+    return site_from_parameters(w, free_parameters(w, f_pred))
+
+
+def site_from_parameters(w: WyckoffPos, u) -> np.ndarray:
+    """Evaluate the position's site form at free parameters u (one per
+    variable x, y, z), wrapped into [0, 1)."""
     mat = np.array([[float(e) for e in row] for row in w.site_form.matrix])
     trans = np.array([float(t) for t in w.site_form.translation])
-    return wrap_unit(mat @ u + trans)
+    return wrap_unit(mat @ np.asarray(u, dtype=np.float64) + trans)
 
 
 def symmetrize_lattice(lattice_class: LatticeClass, ell) -> np.ndarray:
@@ -455,7 +461,3 @@ def wyckoff_mask(catalog: SymmetryCatalog, group_number: int) -> np.ndarray:
     start, stop = catalog.mask_range(group_number)
     mask[start:stop] = True
     return mask
-
-
-def format_operation(op: AffineForm) -> str:
-    return format_triplet(op)

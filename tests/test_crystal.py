@@ -172,18 +172,37 @@ def test_min_distance_matches_oracle_random(catalog):
             brute_force_min_distance(frac, L), rel=1e-12)
 
 
-def test_kernel_backends_agree():
-    from symadit import _kernels_py
+def brute_force_image_matrix(frac_a, frac_b, lattice, reach=2):
+    """Independent oracle: every pair over a (2 reach + 1)^3 image sweep of
+    the unwrapped difference."""
+    lattice = np.asarray(lattice, float)
+    shifts = list(itertools.product(range(-reach, reach + 1), repeat=3))
+    out = np.empty((len(frac_a), len(frac_b)))
+    for i, fa in enumerate(np.asarray(frac_a, float)):
+        for j, fb in enumerate(np.asarray(frac_b, float)):
+            out[i, j] = min(
+                float(np.linalg.norm((fa - fb + np.array(s)) @ lattice))
+                for s in shifts)
+    return out
 
-    rng = np.random.default_rng(1)
-    L, _ = lattice_matrix([4, 5, 6, 80, 95, 100])
-    frac = rng.uniform(0, 1, (6, 3))
-    a = _kernels_py.min_pairwise_distance(frac, L)
-    b = kernels.min_pairwise_distance(frac, L)
-    assert a == pytest.approx(b, rel=1e-12)
-    da = _kernels_py.min_image_distance_matrix(frac[:3], frac[3:], L)
-    db = kernels.min_image_distance_matrix(frac[:3], frac[3:], L)
-    assert np.allclose(da, db, rtol=1e-12)
+
+def test_min_image_distance_matrix_matches_oracle():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 25:
+        ell = np.empty(6)
+        ell[:3] = rng.uniform(2, 8, 3)
+        ell[3:] = rng.uniform(70, 110, 3)
+        try:
+            L, _ = lattice_matrix(ell)
+        except ValueError:
+            continue
+        frac_a = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 3))
+        frac_b = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 3))
+        np.testing.assert_allclose(
+            kernels.min_image_distance_matrix(frac_a, frac_b, L),
+            brute_force_image_matrix(frac_a, frac_b, L), rtol=1e-12)
+        checked += 1
 
 
 def test_distance_invariant_under_translation_and_relabeling():

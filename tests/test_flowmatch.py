@@ -207,6 +207,18 @@ def test_self_conditioning_coin_rate(rng):
     assert abs(taken / n - 0.5) < 0.017
 
 
+def test_paper_profile_forward(catalog, rng):
+    # paper widths and heads; one layer per stack keeps the test cheap
+    ae = Autoencoder(AEConfig(n_layers=1), catalog)
+    den = Denoiser(DenoiserConfig(n_layers=1, d_latent=ae.config.d_latent))
+    asus = [random_asu(catalog, g, rng) for g in (2, 225)]
+    latent = ae.encode(asus)
+    pred = den.forward(Tensor(latent.z), np.array([0.3, 0.7]),
+                       latent.groups - 1, latent.mask)
+    assert pred.shape == latent.z.shape
+    assert np.all(np.isfinite(pred.data))
+
+
 # ---------------------------------------------------------------------------
 # Euler sampler
 # ---------------------------------------------------------------------------
