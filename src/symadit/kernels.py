@@ -8,5 +8,5 @@ __all__ = ["backend", "min_image_distance_matrix", "min_pairwise_distance"]
 
 
 def backend() -> str:
-    """Name of the kernel implementation (kept for run environments)."""
+    """Name of the kernel implementation, recorded in benchmark run environments."""
     return "numpy"
