@@ -197,14 +197,12 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _profile_ae(args) -> AEConfig:
+def _training_kwargs(args) -> dict:
     # paper-scale training defaults: batch 512, up to 7000 epochs
-    batch = args.batch_size or (32 if args.profile == "desk" else 512)
-    epochs = args.epochs or (200 if args.profile == "desk" else 7000)
-    kwargs = dict(seed=args.seed, lr=args.lr, batch_size=batch, epochs=epochs)
-    if args.profile == "desk":
-        return AEConfig.desk(**kwargs)
-    return AEConfig(**kwargs)
+    desk = args.profile == "desk"
+    return dict(seed=args.seed, lr=args.lr,
+                batch_size=args.batch_size or (32 if desk else 512),
+                epochs=args.epochs or (200 if desk else 7000))
 
 
 def _lattice_stats(asus: list[CrystalASU]) -> tuple[float, float]:
@@ -218,7 +216,9 @@ def cmd_train_ae(args) -> int:
     asus = cr.read_dataset_jsonl(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _profile_ae(args)
+    kwargs = _training_kwargs(args)
+    config = (AEConfig.desk(**kwargs) if args.profile == "desk"
+              else AEConfig(**kwargs))
     if args.resume:
         model = Autoencoder.load(args.resume, catalog)
         config = model.config
@@ -282,10 +282,7 @@ def cmd_train_fm(args) -> int:
         groups.append(asu.spacegroup)
     groups = np.array(groups, dtype=np.int64)
 
-    batch = args.batch_size or (32 if args.profile == "desk" else 512)
-    epochs = args.epochs or (200 if args.profile == "desk" else 7000)
-    kwargs = dict(seed=args.seed, lr=args.lr, batch_size=batch,
-                  epochs=epochs, d_latent=model.config.d_latent)
+    kwargs = dict(_training_kwargs(args), d_latent=model.config.d_latent)
     config = (DenoiserConfig.desk(**kwargs) if args.profile == "desk"
               else DenoiserConfig(**kwargs))
     denoiser = None

@@ -227,12 +227,6 @@ def assign_wyckoff(
     frac = symcat.wrap_unit(structure.frac)
     m = structure.n_atoms
 
-    ops = [
-        (np.array([[float(e) for e in row] for row in op.matrix]),
-         np.array([float(t) for t in op.translation]))
-        for op in entry.operations
-    ]
-
     # union-find over atoms related by a symmetry operation
     parent = list(range(m))
 
@@ -247,7 +241,7 @@ def assign_wyckoff(
         if ri != rj:
             parent[rj] = ri
 
-    for rot, trans in ops:
+    for rot, trans in zip(*entry.operation_arrays):
         mapped = symcat.wrap_unit(frac @ rot.T + trans)
         for i in range(m):
             d = _wrap_delta(mapped[i][None, :], frac)
@@ -370,20 +364,15 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
             a = -a
             continue
         A, B, C, xi, eta, zeta = params()
-        ln = sum(1 for v in (xi, eta, zeta) if v < -e)
-        lp = sum(1 for v in (xi, eta, zeta) if v > e)
+        signs = [1.0 if v > e else -1.0 if v < -e else 0.0
+                 for v in (xi, eta, zeta)]
+        lp, ln = signs.count(1.0), signs.count(-1.0)
         if lp == 3 or (lp == 1 and ln == 0) or (lp == 2 and ln == 1):
             # 3: make all angles acute
-            sx = 1.0 if xi > e else -1.0 if xi < -e else 0.0
-            sy = 1.0 if eta > e else -1.0 if eta < -e else 0.0
-            sz = 1.0 if zeta > e else -1.0 if zeta < -e else 0.0
-            flips = _sign_fix(sx, sy, sz, target=1.0)
+            flips = _sign_fix(*signs, target=1.0)
         else:
             # 4: make all angles obtuse or right
-            sx = 1.0 if xi > e else -1.0 if xi < -e else 0.0
-            sy = 1.0 if eta > e else -1.0 if eta < -e else 0.0
-            sz = 1.0 if zeta > e else -1.0 if zeta < -e else 0.0
-            flips = _sign_fix(sx, sy, sz, target=-1.0)
+            flips = _sign_fix(*signs, target=-1.0)
         if flips is not None:
             fa, fb, fc = flips
             a, b, c = fa * a, fb * b, fc * c

@@ -9,8 +9,9 @@ and is validated aggressively at load so a corrupted file fails fast:
     OP <triplet>                          (full operation list, identity first)
     WY <letter> <mult> <site-triplet> | <gen>;<gen>;...
 
-All arithmetic on operations is exact-rational; floats appear only when
-orbits are expanded to coordinates.
+The loader parses and validates every form in exact rational arithmetic.
+Per-call code reads read-only float copies of those forms, built once per
+position or group on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -67,6 +68,18 @@ def wrap_unit(values) -> np.ndarray:
 
 class DegenerateOrbitWarning(UserWarning):
     """Free parameters landed on a higher-symmetry point; orbit collapsed."""
+
+
+def _readonly(values, dtype=np.float64) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _stack(forms) -> tuple[np.ndarray, np.ndarray]:
+    """Float rotations (m, 3, 3) and translations (m, 3) of exact forms."""
+    return (_readonly([f.matrix for f in forms]),
+            _readonly([f.translation for f in forms]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,6 @@ class WyckoffPos:
     multiplicity: int
     site_form: AffineForm
     dof: int
-    dof_mask: tuple[bool, bool, bool]
     orbit_generators: tuple[AffineForm, ...]
     global_index: int
 
@@ -139,6 +151,32 @@ class WyckoffPos:
     def key(self) -> str:
         """Compound identifier; letters are not unique across groups."""
         return f"{self.group_number}_{self.multiplicity}{self.letter}"
+
+    @cached_property
+    def site_matrix(self) -> np.ndarray:
+        """Linear part (3, 3) of the site form."""
+        return _readonly(self.site_form.matrix)
+
+    @cached_property
+    def site_translation(self) -> np.ndarray:
+        """Translation (3,) of the site form."""
+        return _readonly(self.site_form.translation)
+
+    @cached_property
+    def dof_mask(self) -> tuple[bool, bool, bool]:
+        """Which of the variables x, y, z the site form uses."""
+        return tuple(bool(v) for v in self.site_matrix.any(axis=0))
+
+    @cached_property
+    def binding_slots(self) -> np.ndarray:
+        """Slot where each variable first occurs (0 where dof_mask is false);
+        the stored coordinate in that slot is the variable's value."""
+        return _readonly(np.argmax(self.site_matrix != 0, axis=0), np.intp)
+
+    @cached_property
+    def generator_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orbit generators as rotations (m, 3, 3) and translations (m, 3)."""
+        return _stack(self.orbit_generators)
 
 
 @dataclass(frozen=True)
@@ -155,6 +193,11 @@ class SpaceGroupEntry:
                 return w
         raise KeyError(f"group {self.number} has no Wyckoff letter {letter!r}")
 
+    @cached_property
+    def operation_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Operations as rotations (n, 3, 3) and translations (n, 3)."""
+        return _stack(self.operations)
+
 
 class SymmetryCatalog:
     """Immutable container over the 230 groups; safe to share across threads."""
@@ -165,11 +208,6 @@ class SymmetryCatalog:
         self.positions: tuple[WyckoffPos, ...] = tuple(
             w for g in groups for w in g.wyckoff
         )
-        self._mask_start = {}
-        idx = 0
-        for g in groups:
-            self._mask_start[g.number] = idx
-            idx += len(g.wyckoff)
 
     def group(self, number: int) -> SpaceGroupEntry:
         try:
@@ -181,8 +219,8 @@ class SymmetryCatalog:
         return self.group(group_number).position(letter)
 
     def mask_range(self, group_number: int) -> tuple[int, int]:
-        start = self._mask_start[group_number]
-        return start, start + len(self.group(group_number).wyckoff)
+        wyckoff = self.group(group_number).wyckoff
+        return wyckoff[0].global_index, wyckoff[-1].global_index + 1
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -224,16 +262,13 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
             raise CatalogError(f"group {cur['number']} has no operations")
         wyckoff = []
         for letter, mult, form, gens in cur["wy"]:
-            dof = form.rotation_rank()
-            mask = _pivot_mask(form)
             wyckoff.append(
                 WyckoffPos(
                     group_number=cur["number"],
                     letter=letter,
                     multiplicity=mult,
                     site_form=form,
-                    dof=dof,
-                    dof_mask=mask,
+                    dof=form.rotation_rank(),
                     orbit_generators=tuple(gens),
                     global_index=global_index,
                 )
@@ -310,16 +345,6 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
     return SymmetryCatalog(tuple(groups))
 
 
-def _pivot_mask(form: AffineForm) -> tuple[bool, bool, bool]:
-    """Slots whose stored coordinate is a free parameter (first occurrence)."""
-    mask = [False, False, False]
-    for col in range(3):
-        col_vals = [form.matrix[i][col] for i in range(3)]
-        if any(v != 0 for v in col_vals):
-            mask[col] = True
-    return tuple(mask)
-
-
 def _validate_group(entry: SpaceGroupEntry) -> None:
     ident = AffineForm.identity()
     if entry.operations[0] != ident and ident not in entry.operations:
@@ -362,9 +387,9 @@ def default_catalog() -> SymmetryCatalog:
 def dof_info(w: WyckoffPos):
     """(dof, dof_mask, bindings): free variable -> first-occurrence slot."""
     bindings = {
-        name: next(i for i in range(3) if w.site_form.matrix[i][col] != 0)
-        for col, name in enumerate("xyz")
-        if any(w.site_form.matrix[i][col] != 0 for i in range(3))
+        name: int(slot)
+        for name, slot, free in zip("xyz", w.binding_slots, w.dof_mask)
+        if free
     }
     return w.dof, w.dof_mask, bindings
 
@@ -372,12 +397,7 @@ def dof_info(w: WyckoffPos):
 def free_parameters(w: WyckoffPos, frac) -> np.ndarray:
     """Read the free-variable vector from stored coordinates (binding slots)."""
     frac = np.asarray(frac, dtype=np.float64)
-    u = np.zeros(3)
-    for col in range(3):
-        rows = [i for i in range(3) if w.site_form.matrix[i][col] != 0]
-        if rows:
-            u[col] = frac[rows[0]]
-    return u
+    return np.where(w.dof_mask, frac[w.binding_slots], 0.0)
 
 
 def symmetrize_site(w: WyckoffPos, f_pred) -> np.ndarray:
@@ -395,9 +415,8 @@ def symmetrize_site(w: WyckoffPos, f_pred) -> np.ndarray:
 def site_from_parameters(w: WyckoffPos, u) -> np.ndarray:
     """Evaluate the position's site form at free parameters u (one per
     variable x, y, z), wrapped into [0, 1)."""
-    mat = np.array([[float(e) for e in row] for row in w.site_form.matrix])
-    trans = np.array([float(t) for t in w.site_form.translation])
-    return wrap_unit(mat @ np.asarray(u, dtype=np.float64) + trans)
+    return wrap_unit(
+        w.site_matrix @ np.asarray(u, dtype=np.float64) + w.site_translation)
 
 
 def symmetrize_lattice(lattice_class: LatticeClass, ell) -> np.ndarray:
@@ -428,31 +447,24 @@ def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     parameters hit a special value the orbit collapses and a
     DegenerateOrbitWarning is issued (deduped points are returned).
     """
-    f = wrap_unit(f_free)
-    pts = []
-    for g in w.orbit_generators:
-        img = wrap_unit([float(x) for x in g.apply(tuple(f))])
-        pts.append(img)
-    pts = np.array(pts)
-    uniq: list[np.ndarray] = []
-    for p in pts:
-        dup = False
-        for q in uniq:
-            d = np.abs(p - q)
-            d = np.minimum(d, 1.0 - d)
-            if np.all(d < ORBIT_TOL):
-                dup = True
-                break
-        if not dup:
-            uniq.append(p)
-    if len(uniq) != w.multiplicity:
+    rot, trans = w.generator_arrays
+    pts = wrap_unit(rot @ wrap_unit(f_free) + trans)
+    d = np.abs(pts[:, None, :] - pts[None, :, :])
+    # close[i, j]: a later point j coincides with point i
+    close = np.triu(np.all(np.minimum(d, 1.0 - d) < ORBIT_TOL, axis=-1), 1)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        if keep[i]:  # the first kept point of a cluster drops the rest
+            keep[close[i]] = False
+    pts = pts[keep]
+    if len(pts) != w.multiplicity:
         warnings.warn(
-            f"orbit of {w.key} collapsed to {len(uniq)} of "
+            f"orbit of {w.key} collapsed to {len(pts)} of "
             f"{w.multiplicity} points (special parameter value)",
             DegenerateOrbitWarning,
             stacklevel=2,
         )
-    return np.array(uniq)
+    return pts
 
 
 def wyckoff_mask(catalog: SymmetryCatalog, group_number: int) -> np.ndarray:

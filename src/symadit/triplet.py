@@ -2,8 +2,8 @@
 
 Symmetry operations and Wyckoff site expressions are stored as affine maps
 with rational coefficients so that composition, idempotence and closure
-checks are exact; conversion to floating point happens only when points
-are actually expanded.
+checks are exact; `symcat` converts each form to floating point once, on
+first use.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class AffineForm:
         for t in self.translation:
             if not 0 <= t < 1:
                 raise TripletError(f"translation component {t} outside [0, 1)")
-            if (t.denominator % 1 != 0) or t.denominator > _MAX_DENOM:
+            if t.denominator > _MAX_DENOM:
                 raise TripletError(f"translation {t} has denominator > {_MAX_DENOM}")
 
 

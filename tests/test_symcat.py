@@ -266,6 +266,98 @@ def test_multiplicity_oracle_all_positions(catalog):
                 assert len(pts) == w.multiplicity, w.key
 
 
+def _orbit_expand_reference(w, f_free):
+    """Exact-form expansion: each generator applied by AffineForm.apply,
+    then a sequential periodic dedup in which the first kept point wins."""
+    f = symcat.wrap_unit(f_free)
+    pts = [symcat.wrap_unit([float(x) for x in g.apply(tuple(f))])
+           for g in w.orbit_generators]
+    uniq = []
+    for p in pts:
+        dup = False
+        for q in uniq:
+            d = np.abs(p - q)
+            d = np.minimum(d, 1.0 - d)
+            if np.all(d < symcat.ORBIT_TOL):
+                dup = True
+                break
+        if not dup:
+            uniq.append(p)
+    return np.array(uniq)
+
+
+def test_orbit_expand_matches_exact_reference_everywhere(catalog):
+    """Float-view expansion equals the exact-form oracle bitwise, with the
+    same collapse warning, for a uniform and a quarter-grid draw at every
+    position (the quarter grid lands on special values and collapses)."""
+    rng = np.random.default_rng(23)
+    collapsed = 0
+    for entry in catalog.groups:
+        for w in entry.wyckoff:
+            for draw in (rng.uniform(0.0, 1.0, 3), rng.integers(0, 4, 3) / 4):
+                f = symmetrize_site(w, draw)
+                want = _orbit_expand_reference(w, f)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = orbit_expand(entry, w, f)
+                assert got.shape == want.shape, w.key
+                assert got.tobytes() == want.tobytes(), w.key
+                degenerate = len(want) != w.multiplicity
+                assert [c.category for c in caught] == (
+                    [DegenerateOrbitWarning] if degenerate else []), w.key
+                collapsed += degenerate
+    assert collapsed > 0
+
+
+def test_float_views_are_read_only(catalog):
+    entry = catalog.group(229)
+    w = entry.wyckoff[-1]
+    arrays = (w.site_matrix, w.site_translation, w.binding_slots,
+              *w.generator_arrays, *entry.operation_arrays)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    rot, trans = w.generator_arrays
+    assert rot.shape == (w.multiplicity, 3, 3)
+    assert trans.shape == (w.multiplicity, 3)
+
+
+def test_per_call_paths_use_no_exact_arithmetic(catalog, monkeypatch):
+    """After the float views exist, expansion, symmetrization and ingestion
+    neither apply an exact form nor convert a Fraction."""
+    from fractions import Fraction
+
+    from symadit import crystal
+    from symadit.triplet import AffineForm
+
+    entry = catalog.group(225)
+    asu = crystal.CrystalASU(
+        spacegroup=225,
+        sites=[crystal.Site(element=8, wyckoff="e", frac=[0.2, 0.0, 0.0]),
+               crystal.Site(element=11, wyckoff="a", frac=np.zeros(3))],
+        lattice=np.array([5.0, 5.0, 5.0, 90.0, 90.0, 90.0]))
+    w = entry.wyckoff[-1]
+    draw = np.array([0.11, 0.23, 0.37])
+    # the first use of each position and group builds its float view
+    f = symmetrize_site(w, draw)
+    pts = orbit_expand(entry, w, f)
+    warm = crystal.assign_wyckoff(crystal.expand_asu(asu, catalog), 225,
+                                  catalog)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact arithmetic on a per-call path")
+
+    monkeypatch.setattr(AffineForm, "apply", forbidden)
+    monkeypatch.setattr(Fraction, "__float__", forbidden)
+    assert symmetrize_site(w, draw).tobytes() == f.tobytes()
+    assert orbit_expand(entry, w, f).tobytes() == pts.tobytes()
+    back = crystal.assign_wyckoff(crystal.expand_asu(asu, catalog), 225,
+                                  catalog)
+    assert [(s.wyckoff, s.element) for s in back.sites] == [
+        (s.wyckoff, s.element) for s in warm.sites]
+
+
 def test_load_failures(tmp_path, catalog):
     path = tmp_path / "bad.txt"
     path.write_text("SGCATALOG v1 groups=230 wyckoff=1731\nG 1 P1 triclinic\n")
