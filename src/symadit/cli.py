@@ -322,6 +322,7 @@ def cmd_train_fm(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    t0 = time.perf_counter()
     catalog = _load_catalog(args)
     ae_path, fm_path = Path(args.ae), Path(args.fm)
     for p in (ae_path, fm_path):
@@ -342,7 +343,9 @@ def cmd_generate(args) -> int:
 
     cfg = SamplerConfig(steps=args.steps, cfg_scale=args.cfg_scale,
                         seed=args.seed, condition=not args.no_condition)
+    t1 = time.perf_counter()
     asus, stats = sample(priors, cfg, denoiser, model, args.count)
+    t2 = time.perf_counter()
 
     out_dir = Path(args.out)
     cif_dir = out_dir / "cif"
@@ -355,6 +358,7 @@ def cmd_generate(args) -> int:
             full = cr.expand_asu(asu, catalog)
             (cif_dir / f"gen-{i:05d}.cif").write_text(
                 cifio.write_cif(full, name=f"gen-{i:05d}"))
+    t3 = time.perf_counter()
     _write_manifest(
         out_dir, "generate",
         {"steps": cfg.steps, "cfg_scale": cfg.cfg_scale,
@@ -363,6 +367,7 @@ def cmd_generate(args) -> int:
         rejections={"decode_rejections": stats.decode_rejections,
                     "lattice_clamps": stats.lattice_clamps,
                     "failures": stats.failures},
+        timings={"load_s": t1 - t0, "sample_s": t2 - t1, "write_s": t3 - t2},
         ae_checkpoint_hash=denoiser.ae_checkpoint_hash)
     print(f"generated {len(asus)}/{args.count} crystals "
           f"({stats.decode_rejections} decode rejections)")

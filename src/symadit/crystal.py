@@ -4,6 +4,7 @@ checks, and dataset JSONL I/O."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -367,8 +368,8 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
         signs = [1.0 if v > e else -1.0 if v < -e else 0.0
                  for v in (xi, eta, zeta)]
         lp, ln = signs.count(1.0), signs.count(-1.0)
-        if lp == 3 or (lp == 1 and ln == 0) or (lp == 2 and ln == 1):
-            # 3: make all angles acute
+        if lp == 3 or (lp == 1 and ln == 2):
+            # 3: cosine-sign product +1, make all angles acute
             flips = _sign_fix(*signs, target=1.0)
         else:
             # 4: make all angles obtuse or right
@@ -410,8 +411,6 @@ def _sign_fix(sx, sy, sz, target):
     Flipping a negates both eta and zeta, flipping b negates xi and zeta,
     flipping c negates xi and eta. Zero signs are free.
     """
-    import itertools
-
     best = None
     for fa, fb, fc in itertools.product((1.0, -1.0), repeat=3):
         nx = sx * fb * fc

@@ -365,30 +365,29 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
 
     t runs over {0, dt, ..., 1 - dt}; the last step lands exactly on the
     prediction, so the 1/(1 - t) singularity at t = 1 is never evaluated.
-    Self-conditioning feeds the previous combined prediction.
+    Self-conditioning feeds the previous combined prediction. Under
+    guidance each step makes one forward over 2B rows: the conditional
+    rows, then the unconditional rows.
     """
     t_steps = cfg.steps
     dt = 1.0 / t_steps
     b = z.shape[0]
-    cond = np.full(b, group - 1, dtype=np.int64)
-    uncond = np.full(b, NULL_CONDITION, dtype=np.int64)
+    guided = cfg.condition and cfg.cfg_scale != 1.0
+    labels = [group - 1 if cfg.condition else NULL_CONDITION] * b
+    if guided:
+        labels += [NULL_CONDITION] * b
+        mask = np.concatenate([mask, mask])
+    cond_idx = np.array(labels, dtype=np.int64)
     prev = np.zeros_like(z)
     for k in range(t_steps):
         t = k * dt
-        tv = np.full(b, t)
+        z_in, prev_in = ((np.concatenate([z, z]), np.concatenate([prev, prev]))
+                         if guided else (z, prev))
         with no_grad():
-            if cfg.condition and cfg.cfg_scale != 1.0:
-                pred_c = denoiser.forward(
-                    Tensor(z), tv, cond, mask, Tensor(prev)).data
-                pred_u = denoiser.forward(
-                    Tensor(z), tv, uncond, mask, Tensor(prev)).data
-                combined = (1.0 - cfg.cfg_scale) * pred_u + cfg.cfg_scale * pred_c
-            elif cfg.condition:
-                combined = denoiser.forward(
-                    Tensor(z), tv, cond, mask, Tensor(prev)).data
-            else:
-                combined = denoiser.forward(
-                    Tensor(z), tv, uncond, mask, Tensor(prev)).data
+            pred = denoiser.forward(Tensor(z_in), np.full(len(cond_idx), t),
+                                    cond_idx, mask, Tensor(prev_in)).data
+        combined = ((1.0 - cfg.cfg_scale) * pred[b:] + cfg.cfg_scale * pred[:b]
+                    if guided else pred)
         z = z + dt * (combined - z) / (1.0 - t)
         prev = combined
     return z

@@ -85,6 +85,9 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     produced = cr.read_dataset_jsonl(gen_path)
     assert produced
     assert len(list((work / "gen" / "cif").glob("*.cif"))) == len(produced)
+    manifest = json.loads((work / "gen" / "manifest.json").read_text())
+    assert set(manifest["timings"]) == {"load_s", "sample_s", "write_s"}
+    assert "timings" not in manifest["config"]
 
     rc = main(["evaluate", "--gen", str(gen_path),
                "--train", str(train_path),

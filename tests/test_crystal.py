@@ -286,6 +286,41 @@ def test_niggli_volume_preserved_random():
         count += 1
 
 
+def _assert_same_lattice_and_reduced(L, out):
+    """`out` spans the lattice of `L` and meets the Niggli main conditions."""
+    T = out @ np.linalg.inv(L)
+    assert np.allclose(T, np.rint(T), atol=1e-6)
+    assert abs(round(np.linalg.det(np.rint(T)))) == 1
+    G = out @ out.T
+    A, B, C = np.diag(G)
+    xi, eta, zeta = 2 * G[1, 2], 2 * G[0, 2], 2 * G[0, 1]
+    e = 1e-5 * np.cbrt(np.linalg.det(L)) ** 2
+    assert A <= B + e and B <= C + e
+    assert abs(xi) <= B + e and abs(eta) <= A + e and abs(zeta) <= A + e
+    # all cosines acute or all obtuse-or-right
+    signs = np.sign([xi, eta, zeta]) * (np.abs([xi, eta, zeta]) > e)
+    assert np.all(signs > 0) or np.all(signs <= 0)
+
+
+def test_niggli_sign_test_cell_converges():
+    # cosine signs (+, -, -) with |eta| at A: the old step-3/4 test cycled
+    L, _ = lattice_matrix([5.875, 19.635, 15.781, 94.885, 63.452, 98.604])
+    _assert_same_lattice_and_reduced(L, niggli_reduce(L))
+
+
+def test_niggli_reduces_random_cells_over_decoder_angle_range():
+    rng = np.random.default_rng(5)
+    count = 0
+    while count < 1320:
+        ell = np.concatenate([rng.uniform(1, 20, 3), rng.uniform(10, 170, 3)])
+        try:
+            L, _ = lattice_matrix(ell)
+        except ValueError:
+            continue
+        _assert_same_lattice_and_reduced(L, niggli_reduce(L))
+        count += 1
+
+
 # ---------------------------------------------------------------------------
 # assign_wyckoff
 # ---------------------------------------------------------------------------

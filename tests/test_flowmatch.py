@@ -257,6 +257,101 @@ def test_cfg_scale_one_equals_conditional(rng):
     assert np.array_equal(a, z)
 
 
+class CountingDenoiser:
+    """Wraps a real denoiser and records the rows and labels of each call."""
+
+    def __init__(self, den):
+        self.den = den
+        self.config = den.config
+        self.calls = []
+
+    def forward(self, z_t, t, cond_idx, mask, self_cond=None):
+        self.calls.append((z_t.shape[0], np.array(cond_idx)))
+        return self.den.forward(z_t, t, cond_idx, mask, self_cond)
+
+
+def _desk_denoiser(seed=0):
+    return Denoiser(DenoiserConfig.desk(d_latent=4, seed=seed))
+
+
+def _two_forward_trajectory(den, z, group, cfg, mask):
+    """The sampler before batching: separate conditional and unconditional
+    forwards per step."""
+    dt = 1.0 / cfg.steps
+    b = z.shape[0]
+    cond = np.full(b, group - 1, dtype=np.int64)
+    uncond = np.full(b, fm.NULL_CONDITION, dtype=np.int64)
+    prev = np.zeros_like(z)
+    for k in range(cfg.steps):
+        t = k * dt
+        tv = np.full(b, t)
+        pred_c = den.forward(Tensor(z), tv, cond, mask, Tensor(prev)).data
+        pred_u = den.forward(Tensor(z), tv, uncond, mask, Tensor(prev)).data
+        combined = (1.0 - cfg.cfg_scale) * pred_u + cfg.cfg_scale * pred_c
+        z = z + dt * (combined - z) / (1.0 - t)
+        prev = combined
+    return z
+
+
+def test_guided_trajectory_makes_one_forward_of_2b_rows(rng):
+    counting = CountingDenoiser(_desk_denoiser())
+    z0 = rng.normal(size=(2, 3, 4))
+    mask = np.array([[True, True, True], [True, True, False]])
+    euler_trajectory(counting, z0, 14, SamplerConfig(steps=5, cfg_scale=2.0),
+                     mask)
+    assert len(counting.calls) == 5
+    for rows, labels in counting.calls:
+        assert rows == 4
+        assert labels.tolist() == [13] * 2 + [fm.NULL_CONDITION] * 2
+
+
+@pytest.mark.parametrize("cfg", [SamplerConfig(steps=5, cfg_scale=1.0),
+                                 SamplerConfig(steps=5, condition=False)])
+def test_unguided_trajectory_makes_one_forward_of_b_rows(rng, cfg):
+    counting = CountingDenoiser(_desk_denoiser())
+    z0 = rng.normal(size=(2, 3, 4))
+    euler_trajectory(counting, z0, 14, cfg, np.ones((2, 3), dtype=bool))
+    label = 13 if cfg.condition else fm.NULL_CONDITION
+    assert len(counting.calls) == 5
+    for rows, labels in counting.calls:
+        assert rows == 2
+        assert labels.tolist() == [label, label]
+
+
+@pytest.mark.parametrize("b,n", [(1, 1), (1, 3), (1, 6), (2, 6)])
+def test_guided_trajectory_matches_two_forward_loop(rng, b, n):
+    den = _desk_denoiser(seed=3)
+    z0 = rng.normal(size=(b, n, 4))
+    mask = np.ones((b, n), dtype=bool)
+    if b == 2:
+        mask[1, 4:] = False
+        z0[1, 4:] = 0.0
+    cfg = SamplerConfig(steps=9, cfg_scale=2.0)
+    got = euler_trajectory(den, z0.copy(), 14, cfg, mask)
+    want = _two_forward_trajectory(den, z0.copy(), 14, cfg, mask)
+    rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert rel < 1e-12, rel
+
+
+def test_unconditional_trajectory_is_bitwise_the_null_label_loop(rng):
+    den = _desk_denoiser(seed=4)
+    z0 = rng.normal(size=(1, 3, 4))
+    mask = np.ones((1, 3), dtype=bool)
+    a = euler_trajectory(den, z0.copy(), 14,
+                         SamplerConfig(steps=7, condition=False), mask)
+    z = z0.copy()
+    prev = np.zeros_like(z)
+    dt = 1.0 / 7
+    for k in range(7):
+        t = k * dt
+        pred = den.forward(Tensor(z), np.array([t]),
+                           np.array([fm.NULL_CONDITION]), mask,
+                           Tensor(prev)).data
+        z = z + dt * (pred - z) / (1.0 - t)
+        prev = pred
+    assert np.array_equal(a, z)
+
+
 def test_cfg_algebra(rng):
     # combined = uncond + gamma (cond - uncond)
     cond = rng.normal(size=(2, 3))
