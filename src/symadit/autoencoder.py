@@ -18,11 +18,12 @@ import numpy as np
 
 from . import crystal as cr
 from . import symcat
-from .crystal import CrystalASU, Site
+from .crystal import MAX_ELEMENT, CrystalASU, Site
 from .nncore import (
     ParameterStore,
     Tensor,
     adam_step,
+    add_attention_block,
     attention_block,
     cross_entropy,
     embedding,
@@ -31,7 +32,7 @@ from .nncore import (
     silu_mlp,
 )
 from .nncore.layers import NEG_INF, token_sum
-from .symcat import SymmetryCatalog
+from .symcat import N_GROUPS, N_WYCKOFF, SymmetryCatalog
 
 __all__ = [
     "AEConfig",
@@ -43,11 +44,6 @@ __all__ = [
     "reconstruction_gate",
     "train_autoencoder",
 ]
-
-N_ELEMENTS = 100
-N_WYCKOFF = 1731
-N_GROUPS = 230
-
 
 @dataclass
 class AEConfig:
@@ -91,10 +87,6 @@ class LatentBatch:
     z: np.ndarray
     mask: np.ndarray            # (B, N) bool, True = real orbit
     groups: np.ndarray          # (B,) 1-based space group numbers
-
-    @property
-    def n_orbits(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
 
 
 @dataclass
@@ -157,7 +149,7 @@ class Autoencoder:
     def _build(cfg: AEConfig) -> ParameterStore:
         st = ParameterStore(seed=cfg.seed)
         dm, d = cfg.d_model, cfg.d_latent
-        st.add("enc.elem_emb", (N_ELEMENTS, dm), scale=0.02)
+        st.add("enc.elem_emb", (MAX_ELEMENT, dm), scale=0.02)
         st.add("enc.wyck_emb", (N_WYCKOFF, dm), scale=0.02)
         st.add("enc.group_emb", (N_GROUPS, dm), scale=0.02)
         st.add("enc.fmlp.w1", (6, dm))
@@ -170,15 +162,15 @@ class Autoencoder:
         st.add("enc.lmlp.b2", (dm,), scale=0.0)
         for side in ("enc", "dec"):
             for i in range(cfg.n_layers):
-                Autoencoder._add_block(st, f"{side}.block{i}", dm)
+                add_attention_block(st, f"{side}.block{i}", dm)
         st.add("enc.down.w", (dm, d))
         st.add("enc.down.b", (d,), scale=0.0)
         st.add("dec.up.w", (d, dm))
         st.add("dec.up.b", (dm,), scale=0.0)
         st.add("dec.wyck.w", (dm, N_WYCKOFF))
         st.add("dec.wyck.b", (N_WYCKOFF,), scale=0.0)
-        st.add("dec.atom.w", (dm, N_ELEMENTS))
-        st.add("dec.atom.b", (N_ELEMENTS,), scale=0.0)
+        st.add("dec.atom.w", (dm, MAX_ELEMENT))
+        st.add("dec.atom.b", (MAX_ELEMENT,), scale=0.0)
         st.add("dec.fmlp.w1", (dm, dm))
         st.add("dec.fmlp.b1", (dm,), scale=0.0)
         st.add("dec.fmlp.w2", (dm, 3))
@@ -188,19 +180,6 @@ class Autoencoder:
         st.add("dec.lmlp.w2", (dm, 6))
         st.add("dec.lmlp.b2", (6,), scale=0.0)
         return st
-
-    @staticmethod
-    def _add_block(st: ParameterStore, prefix: str, dm: int) -> None:
-        for nm in ("wq", "wk", "wv", "wo"):
-            st.add(f"{prefix}.{nm}", (dm, dm))
-        st.add(f"{prefix}.ln1.g", (dm,), scale=0.0)
-        st.add(f"{prefix}.ln1.b", (dm,), scale=0.0)
-        st.add(f"{prefix}.ln2.g", (dm,), scale=0.0)
-        st.add(f"{prefix}.ln2.b", (dm,), scale=0.0)
-        st.add(f"{prefix}.ff1.w", (dm, 2 * dm))
-        st.add(f"{prefix}.ff1.b", (2 * dm,), scale=0.0)
-        st.add(f"{prefix}.ff2.w", (2 * dm, dm))
-        st.add(f"{prefix}.ff2.b", (dm,), scale=0.0)
 
     # -- normalization --------------------------------------------------------
 
@@ -353,7 +332,7 @@ class Autoencoder:
             if mode == "argmax":
                 el = int(np.argmax(atom_logits[j])) + 1
             else:
-                el = int(rng.choice(N_ELEMENTS, p=_softmax_1d(atom_logits[j]))) + 1
+                el = int(rng.choice(MAX_ELEMENT, p=_softmax_1d(atom_logits[j]))) + 1
             f = symcat.symmetrize_site(w, frac[j])
             sites.append(Site(element=el, wyckoff=w.letter, frac=f))
         if counters is not None and symcat.lattice_was_clamped(

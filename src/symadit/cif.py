@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import symcat
 from .crystal import FullCrystal, lattice_matrix, lattice_params
 
 __all__ = ["CifError", "read_cif", "write_cif", "ELEMENT_SYMBOLS"]
@@ -28,9 +29,6 @@ ELEMENT_SYMBOLS = [
 ]
 
 _SYMBOL_TO_Z = {s: i + 1 for i, s in enumerate(ELEMENT_SYMBOLS)}
-
-# Hermann-Mauguin labels for the optional provenance tag, keyed by number.
-_HM_BY_NUMBER: dict[int, str] = {}
 
 
 class CifError(ValueError):
@@ -60,11 +58,12 @@ def write_cif(structure: FullCrystal, name: str = "generated") -> str:
         raise ValueError("refusing to write a CIF without atoms")
     ell = lattice_params(structure.lattice)
     lines = [f"data_{name}"]
-    if structure.spacegroup is not None:
-        label = _hm_label(structure.spacegroup)
-        if label:
+    sg = structure.spacegroup
+    if sg is not None:
+        if 1 <= sg <= symcat.N_GROUPS:
+            label = symcat.default_catalog().group(sg).label
             lines.append(f"_symmetry_space_group_name_H-M   '{label}'")
-        lines.append(f"_symmetry_Int_Tables_number      {structure.spacegroup}")
+        lines.append(f"_symmetry_Int_Tables_number      {sg}")
     for tag, val in zip(
         ("a", "b", "c"), ell[:3]):
         lines.append(f"_cell_length_{tag}   {val:.6f}")
@@ -184,20 +183,3 @@ def read_cif(text: str) -> FullCrystal:
         frac=np.array(frac),
         spacegroup=spacegroup,
     )
-
-
-def register_group_labels(labels: dict[int, str]) -> None:
-    """Install Hermann-Mauguin labels for the writer's provenance tag."""
-    _HM_BY_NUMBER.update(labels)
-
-
-def _hm_label(number: int) -> str | None:
-    if not _HM_BY_NUMBER:
-        try:
-            from .symcat import default_catalog
-
-            register_group_labels(
-                {g.number: g.label for g in default_catalog().groups})
-        except Exception:
-            return None
-    return _HM_BY_NUMBER.get(number)

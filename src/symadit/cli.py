@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import cif as cifio
 from . import crystal as cr
-from . import evalx, flowmatch, symcat
+from . import evalx, symcat
 from .autoencoder import (
     AEConfig,
     Autoencoder,
@@ -211,6 +212,19 @@ def _lattice_stats(asus: list[CrystalASU]) -> tuple[float, float]:
     return float(lengths.mean()), max(std, 1e-2)
 
 
+@contextmanager
+def _loss_log(path: Path, resume: bool, columns: list[str]):
+    """Yield a training callback that writes one CSV row per logged step;
+    a resumed run appends to the log it continues."""
+    mode = "a" if resume and path.exists() else "w"
+    with open(path, mode, newline="") as fh:
+        writer = csv.writer(fh)
+        if mode == "w":
+            writer.writerow(["step", *columns])
+        yield lambda step, row: writer.writerow(
+            [step] + [row[c] for c in columns])
+
+
 def cmd_train_ae(args) -> int:
     catalog = _load_catalog(args)
     asus = cr.read_dataset_jsonl(args.data)
@@ -227,18 +241,8 @@ def cmd_train_ae(args) -> int:
         config.length_log_mean, config.length_log_std = mu, sd
         model = None
 
-    log_path = out_dir / "loss_ae.csv"
-    mode = "a" if args.resume and log_path.exists() else "w"
-    with open(log_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["step", "total", "atom", "wyckoff", "frac",
-                             "lattice"])
-
-        def log(step, b):
-            writer.writerow([step, b["total"], b["atom"], b["wyckoff"],
-                             b["frac"], b["lattice"]])
-
+    with _loss_log(out_dir / "loss_ae.csv", args.resume,
+                   ["total", "atom", "wyckoff", "frac", "lattice"]) as log:
         model, _ = train_autoencoder(
             asus, config, catalog, max_steps=args.steps,
             log_every=args.log_every, callback=log, model=model)
@@ -296,14 +300,11 @@ def cmd_train_fm(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    denoiser, history = train_denoiser(
-        latents, groups, config, ae_checkpoint_hash=ae_hash,
-        max_steps=args.steps, denoiser=denoiser)
-    with open(out_dir / "loss_fm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for row in history:
-            writer.writerow([row["step"], row["loss"]])
+    with _loss_log(out_dir / "loss_fm.csv", args.resume, ["loss"]) as log:
+        denoiser, history = train_denoiser(
+            latents, groups, config, ae_checkpoint_hash=ae_hash,
+            max_steps=args.steps, log_every=args.log_every, callback=log,
+            denoiser=denoiser)
 
     priors = fit_priors(asus)
     (out_dir / "priors.json").write_text(priors.to_json() + "\n")

@@ -8,7 +8,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class CrystalASU:
                         f"zero-DOF position {w.key} occupied twice")
                 zero_dof_used.add(site.wyckoff)
 
-    def atom_count(self, catalog: SymmetryCatalog) -> int:
-        entry = catalog.group(self.spacegroup)
-        return sum(entry.position(s.wyckoff).multiplicity for s in self.sites)
-
 
 @dataclass
 class FullCrystal:
@@ -115,7 +111,6 @@ class FullCrystal:
     elements: np.ndarray           # (M,) atomic numbers
     frac: np.ndarray               # (M, 3) fractional coordinates in [0, 1)
     spacegroup: int | None = None
-    orbit_index: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.lattice = np.asarray(self.lattice, dtype=np.float64)
@@ -185,24 +180,21 @@ def lattice_params(L) -> np.ndarray:
 
 
 def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog) -> FullCrystal:
-    """Expand every orbit to the conventional cell (atoms keep provenance)."""
+    """Expand every orbit to the conventional cell."""
     entry = catalog.group(asu.spacegroup)
     L, _ = lattice_matrix(asu.lattice)
     elements: list[int] = []
     coords: list[np.ndarray] = []
-    orbit_idx: list[int] = []
-    for i, site in enumerate(asu.sites):
+    for site in asu.sites:
         w = entry.position(site.wyckoff)
         pts = symcat.orbit_expand(entry, w, site.frac)
         coords.append(pts)
         elements.extend([site.element] * len(pts))
-        orbit_idx.extend([i] * len(pts))
     return FullCrystal(
         lattice=L,
         elements=np.array(elements),
         frac=np.concatenate(coords, axis=0),
         spacegroup=asu.spacegroup,
-        orbit_index=np.array(orbit_idx),
     )
 
 

@@ -10,7 +10,7 @@ deterministic Euler sampler.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .nncore import (
     ParameterStore,
     Tensor,
     adam_step,
+    add_attention_block,
     attention_block,
     concat,
     layer_norm,
@@ -29,6 +30,7 @@ from .nncore import (
 )
 # perfbench/layers.py traces these names here; the blocks reach them via nncore
 from .nncore import adaln, mhsa  # noqa: F401
+from .symcat import N_GROUPS
 
 __all__ = [
     "Denoiser",
@@ -42,7 +44,6 @@ __all__ = [
     "train_step",
 ]
 
-N_GROUPS = 230
 NULL_CONDITION = N_GROUPS  # embedding row reserved for the unconditional path
 
 
@@ -196,17 +197,7 @@ class Denoiser:
         st.add("time.w2", (dm, dm))
         st.add("time.b2", (dm,), scale=0.0)
         for i in range(cfg.n_layers):
-            p = f"block{i}"
-            for nm in ("wq", "wk", "wv", "wo"):
-                st.add(f"{p}.{nm}", (dm, dm))
-            st.add(f"{p}.ln1.w", (dm, 2 * dm), scale=0.0)
-            st.add(f"{p}.ln1.b", (2 * dm,), scale=0.0)
-            st.add(f"{p}.ln2.w", (dm, 2 * dm), scale=0.0)
-            st.add(f"{p}.ln2.b", (2 * dm,), scale=0.0)
-            st.add(f"{p}.ff1.w", (dm, 2 * dm))
-            st.add(f"{p}.ff1.b", (2 * dm,), scale=0.0)
-            st.add(f"{p}.ff2.w", (2 * dm, dm))
-            st.add(f"{p}.ff2.b", (dm,), scale=0.0)
+            add_attention_block(st, f"block{i}", dm, adaptive=True)
         st.add("out.g", (dm,), scale=0.0)
         st.add("out.b", (dm,), scale=0.0)
         st.add("out.w", (dm, d))
@@ -296,9 +287,11 @@ def train_denoiser(
     ae_checkpoint_hash: str | None = None,
     max_steps: int | None = None,
     log_every: int = 50,
+    callback=None,
     denoiser: Denoiser | None = None,
 ) -> tuple[Denoiser, list[dict]]:
-    """Train on encoder outputs (one (N_i, d) array per crystal).
+    """Train on encoder outputs (one (N_i, d) array per crystal); returns
+    (denoiser, loss log), and calls callback(step, row) per logged row.
 
     Per-step randomness derives from (seed, step); resuming a loaded
     denoiser continues the exact same sequence.
@@ -317,7 +310,10 @@ def train_denoiser(
         z1, mask = _pad_latents([latents[i] for i in idx], config.d_latent)
         loss = train_step(denoiser, z1, groups[idx], mask, rng)
         if step % log_every == 0 or step == budget:
-            history.append({"step": step, "loss": loss})
+            row = {"step": step, "loss": loss}
+            history.append(row)
+            if callback is not None:
+                callback(step, row)
     return denoiser, history
 
 
@@ -399,7 +395,6 @@ def sample(
     denoiser: Denoiser,
     autoencoder: Autoencoder,
     count: int,
-    decode_mode: str = "sample",
 ) -> tuple[list[CrystalASU], SampleStats]:
     """Draw crystals: (G, O) from the priors, latents from the flow, the
     asymmetric unit from the decoder. Decode failures are resampled with a
@@ -420,7 +415,7 @@ def sample(
             latent = LatentBatch(z=z1, mask=mask,
                                  groups=np.array([group], dtype=np.int64))
             try:
-                _, asus = autoencoder.decode(latent, mode=decode_mode,
+                _, asus = autoencoder.decode(latent, mode="sample",
                                              rng=rng, counters=counters)
             except DecodeError:
                 stats.decode_rejections += 1

@@ -2,6 +2,7 @@
 
 from .layers import (
     adaln,
+    add_attention_block,
     attention_block,
     cross_entropy,
     embedding,
@@ -10,16 +11,16 @@ from .layers import (
     log_softmax,
     mhsa,
     silu_mlp,
-    softmax,
 )
 from .params import ParameterStore, adam_step, checkpoint_hash
-from .tensor import Tensor, concat, no_grad, parameter, stack
+from .tensor import Tensor, concat, no_grad
 
 __all__ = [
     "ParameterStore",
     "Tensor",
     "adaln",
     "adam_step",
+    "add_attention_block",
     "attention_block",
     "checkpoint_hash",
     "concat",
@@ -30,8 +31,5 @@ __all__ = [
     "log_softmax",
     "mhsa",
     "no_grad",
-    "parameter",
     "silu_mlp",
-    "softmax",
-    "stack",
 ]

@@ -1,6 +1,6 @@
 """Layer set: embeddings, affine maps, SiLU feed-forward blocks, layer norm,
-adaptive layer norm, multi-head self-attention (no positional signal), and
-stable softmax / cross-entropy."""
+adaptive layer norm, multi-head self-attention (no positional signal), the
+pre-norm transformer block, and stable log-softmax / cross-entropy."""
 
 from __future__ import annotations
 
@@ -8,10 +8,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from .params import ParameterStore
 from .tensor import Tensor
 
 __all__ = [
     "adaln",
+    "add_attention_block",
     "attention_block",
     "cross_entropy",
     "embedding",
@@ -20,7 +22,6 @@ __all__ = [
     "log_softmax",
     "mhsa",
     "silu_mlp",
-    "softmax",
 ]
 
 NEG_INF = -1e30  # representable stand-in for -infinity in masked logits
@@ -96,12 +97,6 @@ def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
     scale = params[:, :d].reshape(params.shape[0], 1, d)
     shift = params[:, d:].reshape(params.shape[0], 1, d)
     return layer_norm(x) * (1.0 + scale) + shift
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -189,6 +184,28 @@ def mhsa(
     if pad_mask is not None:
         out = out * Tensor(pm[:, :, None].astype(np.float64))
     return out
+
+
+def add_attention_block(store: ParameterStore, prefix: str, d_model: int,
+                        adaptive: bool = False) -> None:
+    """Register the parameters attention_block reads under `prefix`.
+
+    Norm parameters start at zero and draw no random numbers. A plain gain
+    is stored as an offset from 1 and an adaptive norm's scale/shift map
+    outputs zero, so either kind starts as plain layer_norm.
+    """
+    dm = d_model
+    for name in ("wq", "wk", "wv", "wo"):
+        store.add(f"{prefix}.{name}", (dm, dm))
+    norm = ((("w", (dm, 2 * dm)), ("b", (2 * dm,))) if adaptive
+            else (("g", (dm,)), ("b", (dm,))))
+    for ln in ("ln1", "ln2"):
+        for name, shape in norm:
+            store.add(f"{prefix}.{ln}.{name}", shape, scale=0.0)
+    store.add(f"{prefix}.ff1.w", (dm, 2 * dm))
+    store.add(f"{prefix}.ff1.b", (2 * dm,), scale=0.0)
+    store.add(f"{prefix}.ff2.w", (2 * dm, dm))
+    store.add(f"{prefix}.ff2.b", (dm,), scale=0.0)
 
 
 def attention_block(

@@ -70,11 +70,6 @@ class ParameterStore:
         for p in self.params.values():
             p.grad = None
 
-    def grad_check(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise FloatingPointError(f"non-finite gradient in {name}")
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path, config: dict | None = None, seed: int | None = None) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "no_grad", "parameter", "stack"]
+__all__ = ["Tensor", "concat", "no_grad"]
 
 _grad_enabled = True
 
@@ -220,18 +220,6 @@ class Tensor:
 
         return Tensor._make(self.data.reshape(shape), (self,), backward)
 
-    def transpose(self, *axes):
-        axes = axes or None
-
-        def backward(g):
-            if axes is None:
-                self._accumulate(g.transpose())
-            else:
-                inv = np.argsort(axes)
-                self._accumulate(g.transpose(inv))
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
-
     def swapaxes(self, a: int, b: int):
         def backward(g):
             self._accumulate(np.swapaxes(g, a, b))
@@ -262,28 +250,12 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def silu(self):
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out_data = self.data * sig
 
         def backward(g):
             self._accumulate(g * (sig + self.data * sig * (1.0 - sig)))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accumulate(g * (1.0 - out_data**2))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -300,10 +272,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
 
-def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-
-
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
     sizes = [d.shape[axis] for d in datas]
@@ -317,13 +285,3 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                 t._accumulate(g[tuple(sl)])
 
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), backward)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
-
-    return Tensor._make(
-        np.stack([t.data for t in tensors], axis=axis), tuple(tensors), backward)

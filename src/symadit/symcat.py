@@ -8,6 +8,8 @@ and is validated aggressively at load so a corrupted file fails fast:
     G <number> <label> <family>
     OP <triplet>                          (full operation list, identity first)
     WY <letter> <mult> <site-triplet> | <gen>;<gen>;...
+                                          (each gen repeats an OP triplet
+                                           of its group above it verbatim)
 
 The loader parses and validates every form in exact rational arithmetic.
 Per-call code reads read-only float copies of those forms, built once per
@@ -277,7 +279,7 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
         entry = SpaceGroupEntry(
             number=cur["number"],
             label=cur["label"],
-            operations=tuple(cur["ops"]),
+            operations=tuple(cur["ops"].values()),
             wyckoff=tuple(wyckoff),
             lattice_class=LatticeClass.for_family(cur["family"]),
         )
@@ -298,11 +300,13 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
                     "number": int(num_s),
                     "label": label,
                     "family": family,
-                    "ops": [],
+                    "ops": {},
                     "wy": [],
                 }
             elif tag == "OP":
-                current["ops"].append(parse_triplet(rest))
+                if rest in current["ops"]:
+                    raise CatalogError(f"duplicate operation {rest!r}")
+                current["ops"][rest] = parse_triplet(rest)
             elif tag == "WY":
                 head, _, gen_part = rest.partition("|")
                 letter, mult_s, site = head.split()
@@ -310,10 +314,13 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
                 if key in seen_keys:
                     raise CatalogError(f"duplicate Wyckoff key {key}")
                 seen_keys.add(key)
-                gens = [
-                    parse_triplet(t, validate_rotation=True)
-                    for t in gen_part.strip().split(";")
-                ]
+                gens = []
+                for t in gen_part.strip().split(";"):
+                    if t not in current["ops"]:
+                        raise CatalogError(
+                            f"orbit generator {t!r} is not an operation of "
+                            f"group {current['number']}")
+                    gens.append(current["ops"][t])
                 form = parse_triplet(site, validate_rotation=False)
                 current["wy"].append((letter, int(mult_s), form, gens))
             else:

@@ -170,6 +170,22 @@ def test_resume_training_identical_losses(dataset, tmp_path):
     assert rows_a[-1].split(",")[1] == rows_b[-1].split(",")[1]
 
 
+def test_train_fm_streams_loss_log_across_resume(dataset, tmp_path):
+    train_path, _ = dataset
+    ae, fm = tmp_path / "ae", tmp_path / "fm"
+    assert main(["train-ae", "--data", str(train_path), "--out", str(ae),
+                 "--steps", "2", "--batch-size", "4"]) == 0
+    train_fm = ["train-fm", "--data", str(train_path),
+                "--ae", str(ae / "ae.ckpt"), "--out", str(fm),
+                "--batch-size", "4", "--log-every", "1"]
+    assert main(train_fm + ["--steps", "3"]) == 0
+    assert main(train_fm + ["--steps", "5",
+                            "--resume", str(fm / "fm.ckpt")]) == 0
+    rows = (fm / "loss_fm.csv").read_text().splitlines()
+    assert rows[0] == "step,loss"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
+
+
 def test_same_seed_same_outputs(dataset, tmp_path):
     train_path, _ = dataset
     work = tmp_path

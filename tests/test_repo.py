@@ -1,5 +1,6 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -16,3 +17,82 @@ def test_no_ignored_file_is_tracked():
         ["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
         capture_output=True, text=True, check=True).stdout.split()
     assert listed == []
+
+
+PACKAGE = ROOT / "src" / "symadit"
+
+
+def _modules():
+    return sorted(PACKAGE.rglob("*.py"))
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level, including inside if/try blocks."""
+    names: set[str] = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack += node.body + node.orelse
+            stack += getattr(node, "finalbody", [])
+            for handler in getattr(node, "handlers", []):
+                stack += handler.body
+    return names
+
+
+def _bound_names(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    return [a.asname or a.name for a in node.names]
+
+
+def _declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        defined = _top_level_names(tree)
+        stale += [f"{path.relative_to(PACKAGE)}: {name}"
+                  for name in _declared_all(tree) if name not in defined]
+    assert stale == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_declared_all(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa" in lines[node.lineno - 1]:
+                continue
+            unused += [f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
+                       for name in _bound_names(node) if name not in used]
+    assert unused == []

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +366,32 @@ def test_load_failures(tmp_path, catalog):
         symcat.load_catalog(path)
     path.write_text("not a catalog\n")
     with pytest.raises(CatalogError):
+        symcat.load_catalog(path)
+
+
+def _edited_catalog(tmp_path, old: str, new: str) -> tuple:
+    """Copy of the vendored catalog with group 3's `old` line replaced;
+    returns the copy's path and the 1-based number of the edited line."""
+    vendored = Path(symcat.__file__).parent / "data" / "sg_catalog.txt"
+    lines = vendored.read_text().splitlines()
+    index = lines.index(old, lines.index("G 3 P2 monoclinic"))
+    lines[index] = new
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path, index + 1
+
+
+def test_orbit_generator_outside_its_group_is_rejected(tmp_path):
+    path, lineno = _edited_catalog(
+        tmp_path, "WY e 2 x,y,z | x,y,z;-x,y,-z",
+        "WY e 2 x,y,z | x,y,z;-x,y+1/2,-z")
+    with pytest.raises(CatalogError, match=f"line {lineno}: .*-x,y\\+1/2,-z"):
+        symcat.load_catalog(path)
+
+
+def test_duplicate_operation_is_rejected(tmp_path):
+    path, lineno = _edited_catalog(tmp_path, "OP -x,y,-z", "OP x,y,z")
+    with pytest.raises(CatalogError, match=f"line {lineno}: duplicate"):
         symcat.load_catalog(path)
 
 
