@@ -29,6 +29,7 @@ from .nncore import (
     embedding,
     linear,
     no_grad,
+    run_steps,
     silu_mlp,
 )
 from .nncore.layers import NEG_INF, token_sum
@@ -41,7 +42,6 @@ __all__ = [
     "LatentBatch",
     "augment",
     "batchify",
-    "reconstruction_gate",
     "train_autoencoder",
 ]
 
@@ -238,6 +238,13 @@ class Autoencoder:
             _, latent = self.encode_batch(batchify(asus, self.catalog))
         return latent
 
+    def encode_dataset(self, asus: list[CrystalASU]) -> list[np.ndarray]:
+        """Frozen-encoder latents, one (orbits, d_latent) array per crystal.
+
+        Each crystal is encoded on its own, so its latents do not depend on
+        the rest of the data set."""
+        return [self.encode([asu]).z[0] for asu in asus]
+
     # -- decoder ----------------------------------------------------------------
 
     def decode_heads(self, z: Tensor, groups: np.ndarray, mask: np.ndarray
@@ -387,8 +394,7 @@ class Autoencoder:
     @classmethod
     def load(cls, path, catalog: SymmetryCatalog) -> "Autoencoder":
         store, manifest = ParameterStore.load(path)
-        cfg = AEConfig(**manifest.get("config", {}))
-        return cls(cfg, catalog, store=store)
+        return cls(AEConfig(**manifest["config"]), catalog, store=store)
 
 
 class DecodeError(RuntimeError):
@@ -420,7 +426,7 @@ def _softmax_1d(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Augmentation and validity gate
+# Augmentation
 # ---------------------------------------------------------------------------
 
 
@@ -464,16 +470,6 @@ def augment(asu: CrystalASU, catalog: SymmetryCatalog,
             ell[i] += _nonzero_normal(rng, sigma_angle)
     ell = symcat.symmetrize_lattice(lc, ell)
     return CrystalASU(spacegroup=asu.spacegroup, sites=sites, lattice=ell)
-
-
-def reconstruction_gate(asu: CrystalASU, catalog: SymmetryCatalog) -> bool:
-    """Expanded structure passes the 0.5 Angstrom interatomic threshold."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", symcat.DegenerateOrbitWarning)
-        full = cr.expand_asu(asu, catalog)
-    return cr.min_pairwise_distance(full) >= cr.MIN_DISTANCE
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +539,9 @@ def train_autoencoder(
     """
     if model is None:
         model = Autoencoder(config, catalog)
-    history: list[dict] = []
     budget = max_steps if max_steps is not None else config.epochs * max(
         1, len(asus) // config.batch_size)
-    while model.store.step_count < budget:
-        step = model.store.step_count + 1
-        breakdown = ae_train_step(model, asus, step)
-        if step % log_every == 0 or step == budget:
-            breakdown["step"] = step
-            history.append(breakdown)
-            if callback is not None:
-                callback(step, breakdown)
+    history = run_steps(model.store, budget,
+                        lambda step: ae_train_step(model, asus, step),
+                        log_every, callback)
     return model, history

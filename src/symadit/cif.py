@@ -3,14 +3,14 @@
 The writer emits the small tag set common toolchains accept: cell
 parameters, a P1 symmetry loop (atoms are written fully expanded), and the
 fractional atom_site loop. Space-group tags are added when the structure
-carries provenance. The reader ignores unknown tags.
+carries provenance: the number, and the H-M symbol of the catalog it was
+expanded with. The reader ignores unknown tags.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import symcat
 from .crystal import FullCrystal, lattice_matrix, lattice_params
 
 __all__ = ["CifError", "read_cif", "write_cif", "ELEMENT_SYMBOLS"]
@@ -58,12 +58,11 @@ def write_cif(structure: FullCrystal, name: str = "generated") -> str:
         raise ValueError("refusing to write a CIF without atoms")
     ell = lattice_params(structure.lattice)
     lines = [f"data_{name}"]
-    sg = structure.spacegroup
-    if sg is not None:
-        if 1 <= sg <= symcat.N_GROUPS:
-            label = symcat.default_catalog().group(sg).label
-            lines.append(f"_symmetry_space_group_name_H-M   '{label}'")
-        lines.append(f"_symmetry_Int_Tables_number      {sg}")
+    if structure.label is not None:
+        lines.append(f"_symmetry_space_group_name_H-M   '{structure.label}'")
+    if structure.spacegroup is not None:
+        lines.append(
+            f"_symmetry_Int_Tables_number      {structure.spacegroup}")
     for tag, val in zip(
         ("a", "b", "c"), ell[:3]):
         lines.append(f"_cell_length_{tag}   {val:.6f}")

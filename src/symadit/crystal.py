@@ -111,6 +111,7 @@ class FullCrystal:
     elements: np.ndarray           # (M,) atomic numbers
     frac: np.ndarray               # (M, 3) fractional coordinates in [0, 1)
     spacegroup: int | None = None
+    label: str | None = None       # H-M symbol from the expanding catalog
 
     def __post_init__(self):
         self.lattice = np.asarray(self.lattice, dtype=np.float64)
@@ -195,6 +196,7 @@ def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog) -> FullCrystal:
         elements=np.array(elements),
         frac=np.concatenate(coords, axis=0),
         spacegroup=asu.spacegroup,
+        label=entry.label,
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .autoencoder import Autoencoder, DecodeError, LatentBatch
 from .crystal import CrystalASU
 from .nncore import (
+    CheckpointError,
     ParameterStore,
     Tensor,
     adam_step,
@@ -26,6 +27,7 @@ from .nncore import (
     layer_norm,
     linear,
     no_grad,
+    run_steps,
     silu_mlp,
 )
 # perfbench/layers.py traces these names here; the blocks reach them via nncore
@@ -119,12 +121,15 @@ def fit_priors(asus: list[CrystalASU]) -> EmpiricalPriors:
 # ---------------------------------------------------------------------------
 
 
-def interpolate(z0: np.ndarray, z1: np.ndarray, t: float) -> np.ndarray:
-    """Convex combination (1 - t) z0 + t z1."""
+def interpolate(z0: np.ndarray, z1: np.ndarray, t) -> np.ndarray:
+    """Convex combination (1 - t) z0 + t z1; t is a scalar or one time per
+    row (leading axis) of z0."""
     if z0.shape != z1.shape:
         raise ValueError(f"shape mismatch {z0.shape} vs {z1.shape}")
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError(f"t={t} outside [0, 1]")
+    t = t.reshape(t.shape + (1,) * (z0.ndim - t.ndim))
     return (1.0 - t) * z0 + t * z1
 
 
@@ -232,10 +237,19 @@ class Denoiser:
     @classmethod
     def load(cls, path) -> "Denoiser":
         store, manifest = ParameterStore.load(path)
-        cfg_dict = dict(manifest.get("config", {}))
+        cfg_dict = dict(manifest["config"])
         ae_hash = cfg_dict.pop("ae_checkpoint_hash", None)
         return cls(DenoiserConfig(**cfg_dict), store=store,
                    ae_checkpoint_hash=ae_hash)
+
+    def check_pair(self, autoencoder: Autoencoder) -> None:
+        """Refuse a stage-1 model other than the checkpoint this denoiser was
+        trained against, or one with another latent width."""
+        if self.ae_checkpoint_hash != autoencoder.store.checkpoint_hash:
+            raise CheckpointError("the denoiser was trained against another "
+                                  "stage-1 checkpoint; refusing")
+        if self.config.d_latent != autoencoder.config.d_latent:
+            raise CheckpointError("latent dimension mismatch between stages")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +270,7 @@ def train_step(denoiser: Denoiser, z1: np.ndarray, groups: np.ndarray,
     b, n, d = z1.shape
     z0 = rng.standard_normal(z1.shape)
     t = rng.uniform(0.0, 1.0, size=b)
-    z_t = (1.0 - t)[:, None, None] * z0 + t[:, None, None] * z1
+    z_t = interpolate(z0, z1, t)
 
     cond_idx = groups.astype(np.int64) - 1
     drop = rng.uniform(size=b) < cfg.cond_drop
@@ -298,22 +312,18 @@ def train_denoiser(
     """
     if denoiser is None:
         denoiser = Denoiser(config, ae_checkpoint_hash=ae_checkpoint_hash)
-    history = []
     n_data = len(latents)
     budget = max_steps if max_steps is not None else config.epochs * max(
         1, n_data // config.batch_size)
-    while denoiser.store.step_count < budget:
-        step = denoiser.store.step_count + 1
+
+    def one_step(step: int) -> dict:
         rng = np.random.default_rng((config.seed, step))
         take = min(config.batch_size, n_data)
         idx = rng.choice(n_data, size=take, replace=False)
         z1, mask = _pad_latents([latents[i] for i in idx], config.d_latent)
-        loss = train_step(denoiser, z1, groups[idx], mask, rng)
-        if step % log_every == 0 or step == budget:
-            row = {"step": step, "loss": loss}
-            history.append(row)
-            if callback is not None:
-                callback(step, row)
+        return {"loss": train_step(denoiser, z1, groups[idx], mask, rng)}
+
+    history = run_steps(denoiser.store, budget, one_step, log_every, callback)
     return denoiser, history
 
 

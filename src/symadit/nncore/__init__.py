@@ -12,10 +12,12 @@ from .layers import (
     mhsa,
     silu_mlp,
 )
-from .params import ParameterStore, adam_step, checkpoint_hash
+from .params import (CheckpointError, ParameterStore, adam_step,
+                     checkpoint_hash, run_steps)
 from .tensor import Tensor, concat, no_grad
 
 __all__ = [
+    "CheckpointError",
     "ParameterStore",
     "Tensor",
     "adaln",
@@ -31,5 +33,6 @@ __all__ = [
     "log_softmax",
     "mhsa",
     "no_grad",
+    "run_steps",
     "silu_mlp",
 ]

@@ -10,8 +10,9 @@ Checkpoint layout (little-endian):
     if set: uint64 step count, then per parameter the first- and
             second-moment arrays (same order and shapes as the parameters)
 
-A JSON manifest (same path + ".json") records config, seed and a content
-hash so downstream stages can detect a modified checkpoint.
+A JSON manifest (same path + ".json") records config, seed and the sha256
+of the checkpoint bytes; a load requires it and refuses bytes that do not
+match it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["ParameterStore", "adam_step", "checkpoint_hash"]
+__all__ = ["CheckpointError", "ParameterStore", "adam_step",
+           "checkpoint_hash", "run_steps"]
 
 _MAGIC = b"CKPT v1\n"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint lacks its manifest, does not match the hash the manifest
+    records, or belongs to another stage-1 model."""
 
 
 class ParameterStore:
@@ -39,6 +46,7 @@ class ParameterStore:
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
         self.step_count = 0
+        self.checkpoint_hash: str | None = None   # of the last save or load
 
     def add(self, name: str, shape: tuple[int, ...], scale: str | float = "auto") -> Tensor:
         if name in self.params:
@@ -94,7 +102,7 @@ class ParameterStore:
             blobs.append(struct.pack("<B", 0))
         payload = b"".join(blobs)
         path.write_bytes(payload)
-        digest = hashlib.sha256(payload).hexdigest()
+        self.checkpoint_hash = digest = hashlib.sha256(payload).hexdigest()
         manifest = {
             "hash": digest,
             "n_parameters": self.n_parameters(),
@@ -109,12 +117,21 @@ class ParameterStore:
     def load(cls, path) -> tuple["ParameterStore", dict]:
         path = Path(path)
         raw = path.read_bytes()
+        manifest_path = path.with_suffix(path.suffix + ".json")
+        if not manifest_path.exists():
+            raise CheckpointError(f"{path}: manifest {manifest_path} is missing")
+        manifest = json.loads(manifest_path.read_text())
+        digest = hashlib.sha256(raw).hexdigest()
+        if manifest.get("hash") != digest:
+            raise CheckpointError(
+                f"{path}: contents do not match the hash in {manifest_path}")
         if not raw.startswith(_MAGIC):
             raise ValueError(f"{path}: not a checkpoint file")
         off = len(_MAGIC)
         (count,) = struct.unpack_from("<I", raw, off)
         off += 4
         store = cls()
+        store.checkpoint_hash = digest
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", raw, off)
             off += 2
@@ -144,10 +161,6 @@ class ParameterStore:
                     raw, dtype="<f8", count=size, offset=off
                 ).reshape(p.data.shape).copy()
                 off += 8 * size
-        manifest_path = path.with_suffix(path.suffix + ".json")
-        manifest = {}
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
         return store, manifest
 
 
@@ -180,6 +193,26 @@ def adam_step(
         denom = np.sqrt(v)
         denom += eps_hat
         p.data -= alpha * m / denom
+
+
+def run_steps(store: ParameterStore, budget: int, step_fn, log_every: int,
+              callback=None) -> list[dict]:
+    """Resume-aware training loop: `step_fn(step)` runs one optimizer step
+    and returns its row, from the store's step count + 1 up to `budget`.
+
+    Every `log_every`-th row and the last one get their "step", go to the
+    returned history and to `callback(step, row)` when given.
+    """
+    history: list[dict] = []
+    while store.step_count < budget:
+        step = store.step_count + 1
+        row = step_fn(step)
+        if step % log_every == 0 or step == budget:
+            row["step"] = step
+            history.append(row)
+            if callback is not None:
+                callback(step, row)
+    return history
 
 
 def checkpoint_hash(path) -> str:

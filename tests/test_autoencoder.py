@@ -9,7 +9,6 @@ from symadit.autoencoder import (
     Autoencoder,
     augment,
     batchify,
-    reconstruction_gate,
     reconstruction_metrics,
     train_autoencoder,
 )
@@ -164,6 +163,16 @@ def test_permutation_equivariance(catalog, desk_model):
     assert np.array_equal(latent_p.z[0], latent.z[0][perm])
 
 
+def test_encode_dataset_is_per_crystal(catalog, desk_model):
+    asus = small_dataset(catalog, n=5)
+    latents = desk_model.encode_dataset(asus)
+    reversed_latents = desk_model.encode_dataset(asus[::-1])
+    for asu, z, z_rev in zip(asus, latents, reversed_latents[::-1]):
+        assert z.shape == (len(asu.sites), desk_model.config.d_latent)
+        assert np.array_equal(z, z_rev)
+        assert np.array_equal(z, desk_model.encode([asu]).z[0])
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -273,25 +282,8 @@ def test_augment_respects_site_form(catalog):
 
 
 # ---------------------------------------------------------------------------
-# gate, metrics, training
+# metrics, training
 # ---------------------------------------------------------------------------
-
-
-def test_reconstruction_gate(catalog, nacl):
-    assert reconstruction_gate(nacl, catalog)
-    crowded = CrystalASU(
-        spacegroup=1,
-        sites=[Site(element=6, wyckoff="a", frac=[0.5, 0.5, 0.5]),
-               Site(element=6, wyckoff="a", frac=[0.5, 0.5, 0.508])],
-        lattice=[5, 5, 5, 90, 90, 90],
-    )
-    assert not reconstruction_gate(crowded, catalog)
-    lone = CrystalASU(
-        spacegroup=1,
-        sites=[Site(element=6, wyckoff="a", frac=[0.1, 0.1, 0.1])],
-        lattice=[5, 5, 5, 90, 90, 90],
-    )
-    assert reconstruction_gate(lone, catalog)
 
 
 def test_training_reduces_loss(catalog):
@@ -327,3 +319,4 @@ def test_checkpoint_roundtrip_preserves_model(catalog, tmp_path, desk_model):
     b = loaded.encode(asus)
     assert np.array_equal(a.z, b.z)
     assert len(digest) == 64
+    assert loaded.store.checkpoint_hash == digest

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_asu
 from symadit import cif as cifio
 from symadit import crystal as cr
+from symadit import symcat
 from symadit.cif import CifError, read_cif, write_cif
 from symadit.crystal import FullCrystal
 
@@ -16,6 +19,27 @@ def test_nacl_cif_golden(catalog, nacl):
     assert "_symmetry_Int_Tables_number      225" in text
     assert "_symmetry_space_group_name_H-M   'Fm-3m'" in text
     assert "'x, y, z'" in text
+
+
+def test_label_comes_from_the_expanding_catalog(tmp_path, nacl, monkeypatch):
+    vendored = Path(symcat.__file__).parent / "data" / "sg_catalog.txt"
+    text = vendored.read_text()
+    assert text.count("\nG 225 Fm-3m cubic\n") == 1
+    edited = tmp_path / "edited.txt"
+    edited.write_text(text.replace("\nG 225 Fm-3m cubic\n",
+                                   "\nG 225 Xm-3m cubic\n"))
+    copy = symcat.load_catalog(edited)
+
+    def no_load(*args):
+        raise AssertionError("write_cif loaded a catalog")
+
+    monkeypatch.setattr(symcat, "load_catalog", no_load)
+    monkeypatch.setattr(symcat, "default_catalog", no_load)
+    written = write_cif(cr.expand_asu(nacl, copy))
+    assert "_symmetry_space_group_name_H-M   'Xm-3m'" in written
+    back = write_cif(read_cif(written))
+    assert "_symmetry_space_group_name_H-M" not in back
+    assert "_symmetry_Int_Tables_number      225" in back
 
 
 def test_empty_structure_rejected():

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from conftest import random_asu
 from symadit import cif as cifio
 from symadit import crystal as cr
+from symadit import symcat
 from symadit.cli import main
+from symadit.flowmatch import Denoiser, DenoiserConfig
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,18 @@ def test_catalog_command(capsys):
     assert main(["catalog", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "230 groups, 1731 positions, OK" in out
+
+
+def test_catalog_command_reports_a_collapsed_orbit(tmp_path):
+    vendored = Path(symcat.__file__).parent / "data" / "sg_catalog.txt"
+    lines = vendored.read_text().splitlines()
+    index = lines.index("WY a 1 0,0,0 | x,y,z",
+                        lines.index("G 2 P-1 triclinic"))
+    lines[index] = "WY a 2 0,0,0 | x,y,z;-x,-y,-z"
+    edited = tmp_path / "edited.txt"
+    edited.write_text("\n".join(lines) + "\n")
+    symcat.load_catalog(edited)
+    assert main(["--catalog", str(edited), "catalog", "--seed", "1"]) == 2
 
 
 def test_usage_error_exit_code():
@@ -203,3 +219,75 @@ def test_same_seed_same_outputs(dataset, tmp_path):
                      "--steps", "4", "--seed", "21"]) == 0
     assert (work / "g1" / "generated.jsonl").read_text() == \
         (work / "g2" / "generated.jsonl").read_text()
+
+
+@pytest.fixture(scope="module")
+def trained_pair(dataset, tmp_path_factory):
+    """Directory with a 3-step stage-1 and stage-2 pair; tests copy it."""
+    train_path, _ = dataset
+    root = tmp_path_factory.mktemp("pair")
+    assert main(["train-ae", "--data", str(train_path),
+                 "--out", str(root / "ae"), "--steps", "3",
+                 "--batch-size", "4"]) == 0
+    assert main(["train-fm", "--data", str(train_path),
+                 "--ae", str(root / "ae" / "ae.ckpt"),
+                 "--out", str(root / "fm"), "--steps", "3",
+                 "--batch-size", "4"]) == 0
+    return root
+
+
+def _copy_pair(trained_pair, tmp_path):
+    work = tmp_path / "pair"
+    shutil.copytree(trained_pair, work)
+    return work
+
+
+def _generate(work, ae=None):
+    return main(["generate", "--fm", str(work / "fm" / "fm.ckpt"),
+                 "--ae", str(ae or work / "ae" / "ae.ckpt"),
+                 "--out", str(work / "gen"), "--count", "1", "--steps", "2"])
+
+
+def _train_fm(dataset, work, *extra):
+    return main(["train-fm", "--data", str(dataset[0]),
+                 "--ae", str(work / "ae" / "ae.ckpt"),
+                 "--out", str(work / "fm2"), "--steps", "4",
+                 "--batch-size", "4", *extra])
+
+
+def test_missing_sidecar_is_a_validation_failure(dataset, trained_pair,
+                                                 tmp_path, capsys):
+    work = _copy_pair(trained_pair, tmp_path)
+    assert _generate(work) == 0
+    (work / "ae" / "ae.ckpt.json").unlink()
+    assert _generate(work) == 2
+    assert _train_fm(dataset, work) == 2
+    assert "ae.ckpt.json is missing" in capsys.readouterr().err
+
+
+def test_generate_refuses_tampered_denoiser(trained_pair, tmp_path):
+    work = _copy_pair(trained_pair, tmp_path)
+    ckpt = work / "fm" / "fm.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    raw[-8:] = b"\x00" * 8
+    ckpt.write_bytes(bytes(raw))
+    assert _generate(work) == 2
+
+
+def test_train_fm_resume_refuses_latent_width_mismatch(dataset, trained_pair,
+                                                       tmp_path, capsys):
+    work = _copy_pair(trained_pair, tmp_path)
+    ae_hash = json.loads((work / "ae" / "ae.ckpt.json").read_text())["hash"]
+    narrow = Denoiser(DenoiserConfig.desk(d_latent=8),
+                      ae_checkpoint_hash=ae_hash)
+    narrow.save(work / "narrow.ckpt")
+    assert _train_fm(dataset, work, "--resume", str(work / "narrow.ckpt")) == 2
+    assert "latent dimension mismatch" in capsys.readouterr().err
+
+
+def test_missing_checkpoint_is_a_runtime_failure(dataset, trained_pair,
+                                                 tmp_path):
+    work = _copy_pair(trained_pair, tmp_path)
+    assert _generate(work, ae=work / "none.ckpt") == 3
+    (work / "ae" / "ae.ckpt").unlink()
+    assert _train_fm(dataset, work) == 3

@@ -228,6 +228,9 @@ def test_validity_thresholds():
     tiny = FullCrystal(lattice=0.4 * np.eye(3), elements=[1], frac=[[0, 0, 0]])
     assert tiny.volume < 0.1
     assert not structural_validity(tiny)
+    lone = FullCrystal(lattice=5 * np.eye(3), elements=[6],
+                       frac=[[0.1, 0.1, 0.1]])
+    assert structural_validity(lone)
 
 
 def test_validity_invariant_under_site_permutation(catalog, nacl):

@@ -18,7 +18,7 @@ from symadit.flowmatch import (
     target_field,
     train_step,
 )
-from symadit.nncore import Tensor
+from symadit.nncore import CheckpointError, Tensor
 
 
 @pytest.fixture
@@ -43,8 +43,17 @@ def test_interpolate_validation(rng):
     z = rng.normal(size=(2, 3))
     with pytest.raises(ValueError):
         interpolate(z, rng.normal(size=(3, 2)), 0.5)
-    with pytest.raises(ValueError):
-        interpolate(z, z, 1.5)
+    for bad in (1.5, np.array([0.5, 1.5]), np.array([np.nan, 0.5])):
+        with pytest.raises(ValueError):
+            interpolate(z, z, bad)
+
+
+def test_interpolate_per_row_times(rng):
+    z0, z1 = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+    t = np.array([0.0, 0.3, 1.0])
+    out = interpolate(z0, z1, t)
+    for i in range(3):
+        assert np.array_equal(out[i], interpolate(z0[i], z1[i], t[i]))
 
 
 def test_target_field_on_path_is_z1_minus_z0(rng):
@@ -407,3 +416,20 @@ def test_checkpoint_hash_guard(catalog, tmp_path):
     den.save(tmp_path / "fm.ckpt")
     loaded = Denoiser.load(tmp_path / "fm.ckpt")
     assert loaded.ae_checkpoint_hash == ae_digest
+
+
+def test_check_pair_refuses_other_stage_one(catalog, tmp_path):
+    small = dict(n_layers=1, d_model=32, n_heads=2)
+    ae = Autoencoder(AEConfig.desk(d_latent=4, seed=1, **small), catalog)
+    ae.save(tmp_path / "ae.ckpt")
+    paired = Autoencoder.load(tmp_path / "ae.ckpt", catalog)
+    den = Denoiser(DenoiserConfig.desk(d_latent=4, **small),
+                   ae_checkpoint_hash=paired.store.checkpoint_hash)
+    den.check_pair(paired)
+    fresh = Autoencoder(AEConfig.desk(d_latent=4, seed=1, **small), catalog)
+    with pytest.raises(CheckpointError, match="another stage-1"):
+        den.check_pair(fresh)
+    wide = Denoiser(DenoiserConfig.desk(d_latent=8, **small),
+                    ae_checkpoint_hash=paired.store.checkpoint_hash)
+    with pytest.raises(CheckpointError, match="latent dimension"):
+        wide.check_pair(paired)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symadit.nncore import (
+    CheckpointError,
     ParameterStore,
     Tensor,
     adaln,
@@ -13,6 +14,7 @@ from symadit.nncore import (
     layer_norm,
     linear,
     mhsa,
+    run_steps,
     silu_mlp,
 )
 from symadit.nncore.layers import token_sum
@@ -341,3 +343,41 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         ParameterStore.load(path)
+
+
+def test_checkpoint_load_requires_matching_sidecar(tmp_path):
+    store = ParameterStore(seed=1)
+    store.add("w", (2, 3))
+    path = tmp_path / "model.ckpt"
+    sidecar = tmp_path / "model.ckpt.json"
+    digest = store.save(path, config={"d": 3})
+    assert store.checkpoint_hash == digest
+    assert ParameterStore.load(path)[0].checkpoint_hash == digest
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="do not match"):
+        ParameterStore.load(path)
+    path.write_bytes(raw)
+    sidecar.unlink()
+    with pytest.raises(CheckpointError, match="missing"):
+        ParameterStore.load(path)
+    with pytest.raises(FileNotFoundError):
+        ParameterStore.load(tmp_path / "absent.ckpt")
+
+
+def test_run_steps_logs_every_nth_and_last_step_and_resumes():
+    store = ParameterStore()
+    seen, logged = [], []
+
+    def step_fn(step):
+        seen.append(step)
+        store.step_count += 1
+        return {"value": 10 * step}
+
+    history = run_steps(store, 7, step_fn, 3,
+                        lambda step, row: logged.append((step, row["value"])))
+    assert seen == list(range(1, 8))
+    assert [r["step"] for r in history] == [3, 6, 7]
+    assert logged == [(3, 30), (6, 60), (7, 70)]
+    assert run_steps(store, 9, step_fn, 5) == [{"value": 90, "step": 9}]
+    assert seen[7:] == [8, 9]

@@ -1,6 +1,11 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked, every
+export resolves, no import goes unused, and every package name the
+benchmark reaches exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import shutil
 import subprocess
 from pathlib import Path
@@ -96,3 +101,63 @@ def test_no_module_imports_a_name_it_never_uses():
             unused += [f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
                        for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+PERFBENCH = ROOT / "perfbench"
+
+
+def _resolve_from(module: str, name: str):
+    """`from module import name` as the interpreter resolves it."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def test_benchmark_reach_into_the_package_resolves():
+    """Every `from symadit... import`, every attribute read off a package
+    module, and every traced (owner, attribute) in perfbench must exist,
+    including names only a traced run touches."""
+    checked, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "symadit":
+                        checked += 1
+                        module = importlib.import_module(alias.name)
+                        modules[alias.asname or "symadit"] = (
+                            module if alias.asname
+                            else importlib.import_module("symadit"))
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "symadit"):
+                for alias in node.names:
+                    checked += 1
+                    try:
+                        obj = _resolve_from(node.module, alias.name)
+                    except ImportError:
+                        missing.append(f"{path.name}: {node.module}."
+                                       f"{alias.name}")
+                        continue
+                    if inspect.ismodule(obj):
+                        modules[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                checked += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}:{node.lineno}: "
+                                   f"{node.value.id}.{node.attr}")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for owner, attr, *_ in layers.SPAN_POINTS:
+        checked += 1
+        if not hasattr(owner, attr):
+            missing.append(f"layers.py SPAN_POINTS: {owner.__name__}.{attr}")
+    assert checked > 100
+    assert missing == []
