@@ -16,6 +16,7 @@ def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray) -> float:
 
     frac: (M, 3) fractional coordinates; lattice: (3, 3) row-vector cell.
     A single atom yields its shortest self-image distance in the sweep.
+    Pairs i < j only; sqrt of the minimum square equals the minimum sqrt.
     """
     frac = np.asarray(frac, dtype=np.float64)
     lattice = np.asarray(lattice, dtype=np.float64)
@@ -24,12 +25,10 @@ def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray) -> float:
     best = float(np.min(lattice_norms[lattice_norms > 1e-12]))
     m = frac.shape[0]
     if m >= 2:
-        diff = frac[:, None, :] - frac[None, :, :]     # (M, M, 3)
-        cart = diff @ lattice
-        d = cart[:, :, None, :] + shift_cart[None, None, :, :]
-        dist = np.sqrt(np.sum(d * d, axis=-1))        # (M, M, 27)
-        iu = np.triu_indices(m, k=1)
-        best = min(best, float(np.min(dist[iu])))
+        i, j = np.triu_indices(m, k=1)
+        cart = (frac[i] - frac[j]) @ lattice           # (P, 3)
+        d = cart[:, None, :] + shift_cart[None, :, :]  # (P, 27, 3)
+        best = min(best, float(np.sqrt(np.min(np.sum(d * d, axis=-1)))))
     return best
 
 

@@ -33,6 +33,7 @@ from .nncore import (
     silu_mlp,
 )
 from .nncore.layers import NEG_INF, token_sum
+from .nncore.params import config_from
 from .symcat import N_GROUPS, N_WYCKOFF, SymmetryCatalog
 
 __all__ = [
@@ -394,7 +395,8 @@ class Autoencoder:
     @classmethod
     def load(cls, path, catalog: SymmetryCatalog) -> "Autoencoder":
         store, manifest = ParameterStore.load(path)
-        return cls(AEConfig(**manifest["config"]), catalog, store=store)
+        return cls(config_from(AEConfig, manifest["config"], path), catalog,
+                   store=store)
 
 
 class DecodeError(RuntimeError):

@@ -339,22 +339,30 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    t0 = time.perf_counter()
     catalog = _load_catalog(args)
     gen = cr.read_dataset_jsonl(args.gen)
     train = cr.read_dataset_jsonl(args.train)
     params = MatchParams(ltol=args.ltol, stol=args.stol,
                          angle_tol=args.angle_tol)
+    t1 = time.perf_counter()
+    counters: dict = {}
     report = evalx.evaluate_pipeline(
         gen, train, catalog, params=params,
-        n_novelty=args.n_novelty, seed=args.seed)
+        n_novelty=args.n_novelty, seed=args.seed, counters=counters)
+    t2 = time.perf_counter()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json() + "\n")
+    t3 = time.perf_counter()
     _write_manifest(out.parent, "evaluate",
                     {"ltol": args.ltol, "stol": args.stol,
                      "angle_tol": args.angle_tol,
                      "n_novelty": args.n_novelty},
                     args.seed,
+                    timings={"load_s": t1 - t0, "evaluate_s": t2 - t1,
+                             "write_s": t3 - t2},
+                    counters=counters,
                     gen_hash=checkpoint_hash(args.gen),
                     train_hash=checkpoint_hash(args.train))
     print(report.to_table())

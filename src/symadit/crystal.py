@@ -335,9 +335,9 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
     L = np.asarray(L, dtype=np.float64)
     if np.linalg.det(L) <= 0:
         raise ValueError("lattice matrix must have positive determinant")
-    a, b, c = L[0].copy(), L[1].copy(), L[2].copy()
     scale = float(np.cbrt(abs(np.linalg.det(L))))
     e = eps * scale**2
+    a, b, c = _size_reduce(L, e)   # else steps 5-7 crawl on long cells
 
     def params():
         return (
@@ -397,6 +397,20 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
             out = -out
         return out
     raise RuntimeError(f"Niggli reduction did not converge in {max_iter} steps")
+
+
+def _size_reduce(L: np.ndarray, e: float) -> list:
+    """Subtract from a row the nearest multiple of another while it shortens."""
+    rows = [row.copy() for row in L]
+    while True:   # each subtraction cuts the sum of squared lengths by > e
+        for i, j in itertools.permutations(range(3), 2):
+            dot, norm2 = float(rows[i] @ rows[j]), float(rows[j] @ rows[j])
+            k = round(dot / norm2)
+            if k * (2.0 * dot - k * norm2) > e:
+                rows[i] = rows[i] - k * rows[j]
+                break
+        else:
+            return rows
 
 
 def _sign_fix(sx, sy, sz, target):

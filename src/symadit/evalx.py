@@ -1,7 +1,9 @@
 """Evaluation harness: validity rate, a simplified tolerance-based structure
 matcher for uniqueness/novelty, distribution distances (base-2 JSD over
 space groups, sample-weighted JSD over Wyckoff occupancies, exact W1 over
-atom counts), the trivial-symmetry rate, and composition statistics."""
+atom counts), the trivial-symmetry rate, and composition statistics.
+Uniqueness and novelty match only pairs with an equal atom count and reduced
+composition; the matcher refuses all others, so no decision changes."""
 
 from __future__ import annotations
 
@@ -186,21 +188,43 @@ def structure_match(a: FullCrystal, b: FullCrystal,
     return _one_way_match(a, b, params) or _one_way_match(b, a, params)
 
 
+def _match_key(s: FullCrystal) -> tuple:
+    """The parts of a structure that `structure_match` requires to be equal."""
+    return s.n_atoms, _reduced_composition(s.elements)
+
+
 def uniqueness_and_novelty(
     gen: list[FullCrystal],
     train: list[FullCrystal],
     params: MatchParams = MatchParams(),
     n_novelty: int = 1000,
     seed: int = 0,
+    counters: dict | None = None,
 ) -> tuple[float, float, dict]:
     """Percent unique among the (pre-filtered valid) generations, then
-    percent of a subsample of the unique set absent from training."""
+    percent of a subsample of the unique set absent from training. Only
+    pairs with equal `_match_key` reach `structure_match`, in all-pairs
+    order; the pairs compared and pruned are tallied into `counters`."""
+    tally = counters if counters is not None else {}
+    for name in ("match_pairs_compared", "match_pairs_pruned"):
+        tally.setdefault(name, 0)
+
+    def seen(s, key, buckets, pool_size):
+        tally["match_pairs_pruned"] += pool_size - len(buckets.get(key, ()))
+        for other in buckets.get(key, ()):
+            tally["match_pairs_compared"] += 1
+            if structure_match(s, other, params):
+                return True
+        return False
+
     flags = {}
-    unique: list[FullCrystal] = []
+    unique: list[tuple[tuple, FullCrystal]] = []
+    unique_buckets: dict[tuple, list[FullCrystal]] = {}
     for s in gen:
-        if any(structure_match(s, u, params) for u in unique):
-            continue
-        unique.append(s)
+        key = _match_key(s)
+        if not seen(s, key, unique_buckets, len(unique)):
+            unique.append((key, s))
+            unique_buckets.setdefault(key, []).append(s)
     uniqueness = 100.0 * len(unique) / len(gen) if gen else 0.0
 
     rng = np.random.default_rng(seed)
@@ -211,10 +235,11 @@ def uniqueness_and_novelty(
         subsample = list(unique)
         if n_novelty > len(unique):
             flags["novelty_subsample_truncated"] = len(unique)
-    novel = sum(
-        0 if any(structure_match(s, t, params) for t in train) else 1
-        for s in subsample
-    )
+    train_buckets: dict[tuple, list[FullCrystal]] = {}
+    for t in train:
+        train_buckets.setdefault(_match_key(t), []).append(t)
+    novel = sum(not seen(s, key, train_buckets, len(train))
+                for key, s in subsample)
     novelty = 100.0 * novel / len(subsample) if subsample else 0.0
     return uniqueness, novelty, flags
 
@@ -306,13 +331,14 @@ def evaluate_pipeline(
     seed: int = 0,
     validity_hook=None,
     rejections: dict | None = None,
+    counters: dict | None = None,
 ) -> GenerationReport:
     """Full pipeline: validity filter, uniqueness, novelty subsample, then
     the distribution metrics and composition statistics.
 
     validity_hook: optional predicate on CrystalASU implementing an external
     compositional-validity check; when given, its pass rate is reported but
-    not used for filtering.
+    not used for filtering. counters: see `uniqueness_and_novelty`.
     """
     if not gen:
         raise ValueError("empty generation set")
@@ -328,7 +354,7 @@ def evaluate_pipeline(
 
     validity_rate = 100.0 * len(valid_asus) / len(gen)
     uniq, novel, flags = uniqueness_and_novelty(
-        valid_structs, train_structs, params, n_novelty, seed)
+        valid_structs, train_structs, params, n_novelty, seed, counters)
 
     gen_groups = Counter(a.spacegroup for a in valid_asus)
     ref_groups = Counter(a.spacegroup for a in train)

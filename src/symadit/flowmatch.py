@@ -32,6 +32,7 @@ from .nncore import (
 )
 # perfbench/layers.py traces these names here; the blocks reach them via nncore
 from .nncore import adaln, mhsa  # noqa: F401
+from .nncore.params import config_from
 from .symcat import N_GROUPS
 
 __all__ = [
@@ -239,7 +240,7 @@ class Denoiser:
         store, manifest = ParameterStore.load(path)
         cfg_dict = dict(manifest["config"])
         ae_hash = cfg_dict.pop("ae_checkpoint_hash", None)
-        return cls(DenoiserConfig(**cfg_dict), store=store,
+        return cls(config_from(DenoiserConfig, cfg_dict, path), store=store,
                    ae_checkpoint_hash=ae_hash)
 
     def check_pair(self, autoencoder: Autoencoder) -> None:

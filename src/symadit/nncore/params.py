@@ -17,6 +17,7 @@ match it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -27,7 +28,7 @@ import numpy as np
 from .tensor import Tensor
 
 __all__ = ["CheckpointError", "ParameterStore", "adam_step",
-           "checkpoint_hash", "run_steps"]
+           "checkpoint_hash", "config_from", "run_steps"]
 
 _MAGIC = b"CKPT v1\n"
 
@@ -162,6 +163,14 @@ class ParameterStore:
                 ).reshape(p.data.shape).copy()
                 off += 8 * size
         return store, manifest
+
+
+def config_from(config_cls, config: dict, path):
+    """`config_cls(**config)`; a key the class lacks is a CheckpointError."""
+    unknown = set(config) - {f.name for f in dataclasses.fields(config_cls)}
+    if unknown:
+        raise CheckpointError(f"{path}: unknown config keys {sorted(unknown)}")
+    return config_cls(**config)
 
 
 def adam_step(

@@ -112,6 +112,11 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     assert rc == 0
     report = json.loads((work / "report.json").read_text())
     assert 0 <= report["structural_validity_rate"] <= 100
+    manifest = json.loads((work / "manifest.json").read_text())
+    assert manifest["command"] == "evaluate"
+    assert set(manifest["timings"]) == {"load_s", "evaluate_s", "write_s"}
+    assert set(manifest["counters"]) == {"match_pairs_compared",
+                                         "match_pairs_pruned"}
     table = capsys.readouterr().out
     assert "JSD_G" in table
 
@@ -291,3 +296,26 @@ def test_missing_checkpoint_is_a_runtime_failure(dataset, trained_pair,
     assert _generate(work, ae=work / "none.ckpt") == 3
     (work / "ae" / "ae.ckpt").unlink()
     assert _train_fm(dataset, work) == 3
+
+
+def _add_config_key(sidecar: Path) -> str:
+    original = sidecar.read_text()
+    manifest = json.loads(original)
+    manifest["config"]["renamed_field"] = 1   # the hash still matches
+    sidecar.write_text(json.dumps(manifest))
+    return original
+
+
+def test_unknown_config_key_is_a_validation_failure(dataset, trained_pair,
+                                                    tmp_path, capsys):
+    work = _copy_pair(trained_pair, tmp_path)
+    ae_sidecar = work / "ae" / "ae.ckpt.json"
+    original = _add_config_key(ae_sidecar)
+    assert main(["export-latents", "--ae", str(work / "ae" / "ae.ckpt"),
+                 "--data", str(dataset[0]),
+                 "--out", str(work / "latents.csv")]) == 2
+    assert "renamed_field" in capsys.readouterr().err
+    ae_sidecar.write_text(original)
+    _add_config_key(work / "fm" / "fm.ckpt.json")
+    assert _generate(work) == 2
+    assert "renamed_field" in capsys.readouterr().err

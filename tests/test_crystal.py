@@ -205,6 +205,38 @@ def test_min_image_distance_matrix_matches_oracle():
         checked += 1
 
 
+def full_sweep_min_distance(frac, lattice):
+    """Oracle: every ordered pair over all 27 images as an (M, M, 27)
+    array, then the minimum distance over the upper triangle."""
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=3)), float)
+    shift_cart = shifts @ lattice
+    norms = np.linalg.norm(shift_cart, axis=1)
+    best = float(np.min(norms[norms > 1e-12]))
+    m = len(frac)
+    if m >= 2:
+        cart = (frac[:, None, :] - frac[None, :, :]) @ lattice
+        d = cart[:, :, None, :] + shift_cart[None, None, :, :]
+        dist = np.sqrt(np.sum(d * d, axis=-1))
+        best = min(best, float(np.min(dist[np.triu_indices(m, k=1)])))
+    return best
+
+
+def test_triangle_kernel_bitwise_equals_full_sweep():
+    rng = np.random.default_rng(13)
+    L, _ = lattice_matrix([4.0, 5.0, 6.0, 80.0, 95.0, 105.0])
+    cases = [(rng.uniform(0, 1, (1, 3)), L), (rng.uniform(0, 1, (2, 3)), L)]
+    while len(cases) < 202:
+        ell = np.concatenate([rng.uniform(1, 20, 3), rng.uniform(20, 160, 3)])
+        try:
+            L, _ = lattice_matrix(ell)
+        except ValueError:
+            continue
+        cases.append((rng.uniform(0, 1, (int(rng.integers(1, 61)), 3)), L))
+    for frac, L in cases:
+        assert kernels.min_pairwise_distance(frac, L) == \
+            full_sweep_min_distance(frac, L)
+
+
 def test_distance_invariant_under_translation_and_relabeling():
     rng = np.random.default_rng(9)
     L, _ = lattice_matrix([4, 6, 5, 85, 95, 75])
@@ -316,6 +348,27 @@ def test_niggli_reduces_random_cells_over_decoder_angle_range():
     count = 0
     while count < 1320:
         ell = np.concatenate([rng.uniform(1, 20, 3), rng.uniform(10, 170, 3)])
+        try:
+            L, _ = lattice_matrix(ell)
+        except ValueError:
+            continue
+        _assert_same_lattice_and_reduced(L, niggli_reduce(L))
+        count += 1
+
+
+def test_niggli_elongated_cell_within_default_budget():
+    # unit steps 5-7 took over 100 iterations on this cell
+    L, _ = lattice_matrix([48.7, 33.6, 1.01, 116.6, 110.0, 132.6])
+    _assert_same_lattice_and_reduced(L, niggli_reduce(L))
+
+
+def test_niggli_reduces_elongated_cells_within_default_budget():
+    # lengths log-uniform over 0.5-50 A, angles over 10-170 deg
+    rng = np.random.default_rng(17)
+    count = 0
+    while count < 1300:
+        ell = np.concatenate([np.exp(rng.uniform(np.log(0.5), np.log(50), 3)),
+                              rng.uniform(10, 170, 3)])
         try:
             L, _ = lattice_matrix(ell)
         except ValueError:

@@ -286,6 +286,103 @@ def test_unique_count_permutation_invariant(catalog):
         assert count_unique([corpus[i] for i in perm]) == base
 
 
+def all_pairs_uniqueness_and_novelty(gen, train, params=MatchParams(),
+                                     n_novelty=1000, seed=0):
+    """Oracle: `structure_match` on every generated x unique and subsample
+    x reference pair, with no bucketing."""
+    flags = {}
+    unique = []
+    for s in gen:
+        if any(structure_match(s, u, params) for u in unique):
+            continue
+        unique.append(s)
+    uniqueness = 100.0 * len(unique) / len(gen) if gen else 0.0
+    rng = np.random.default_rng(seed)
+    if n_novelty < len(unique):
+        idx = rng.choice(len(unique), size=n_novelty, replace=False)
+        subsample = [unique[i] for i in idx]
+    else:
+        subsample = list(unique)
+        if n_novelty > len(unique):
+            flags["novelty_subsample_truncated"] = len(unique)
+    novel = sum(0 if any(structure_match(s, t, params) for t in train) else 1
+                for s in subsample)
+    novelty = 100.0 * novel / len(subsample) if subsample else 0.0
+    return uniqueness, novelty, flags
+
+
+def _rock_salt(catalog, anion=17, length=5.65, shift=(0.0, 0.0, 0.0)):
+    full = cr.expand_asu(CrystalASU(
+        spacegroup=225,
+        sites=[Site(element=11, wyckoff="a", frac=np.zeros(3)),
+               Site(element=anion, wyckoff="b", frac=np.full(3, 0.5))],
+        lattice=[length] * 3 + [90.0] * 3), catalog)
+    return FullCrystal(lattice=full.lattice, elements=full.elements,
+                       frac=(full.frac + np.array(shift)) % 1.0)
+
+
+def _mixed_key_corpus(catalog):
+    """Exact and shifted duplicates, one reduced composition at 2 and 8
+    atoms, and 8-atom cells of other compositions."""
+    nacl = _rock_salt(catalog)
+    shifted = _rock_salt(catalog, shift=(0.25, 0.1, 0.6))
+    wide = _rock_salt(catalog, length=7.5)            # same key, no match
+    nabr = _rock_salt(catalog, anion=35)              # same count, other key
+    pair = FullCrystal(lattice=4.0 * np.eye(3), elements=[11, 17],
+                       frac=[[0, 0, 0], [0.5, 0.5, 0.5]])  # same composition
+    rest = _random_corpus(catalog, n=8, seed=5)
+    gen = [nacl, pair, rest[0], nabr, shifted, rest[1], nacl, wide, pair,
+           rest[2], rest[0], rest[3], nabr]
+    train = [wide, rest[3], pair, rest[4], nabr, rest[5], rest[6], rest[7]]
+    return gen, train
+
+
+def test_bucketed_matcher_agrees_with_all_pairs_oracle(catalog):
+    gen, train = _mixed_key_corpus(catalog)
+    for n_novelty, seed in ((1000, 0), (len(gen), 0), (3, 1), (5, 7)):
+        assert uniqueness_and_novelty(gen, train, n_novelty=n_novelty,
+                                      seed=seed) == \
+            all_pairs_uniqueness_and_novelty(gen, train, n_novelty=n_novelty,
+                                             seed=seed)
+    for items in (gen[::-1], train + gen):
+        assert uniqueness_and_novelty(items, gen) == \
+            all_pairs_uniqueness_and_novelty(items, gen)
+
+
+def _counting_matcher(monkeypatch):
+    calls = []
+
+    def counted(a, b, params=MatchParams()):
+        calls.append((a, b))
+        return structure_match(a, b, params)
+
+    monkeypatch.setattr(evalx, "structure_match", counted)
+    return calls
+
+
+def test_matcher_runs_only_on_equal_key_pairs(catalog, monkeypatch):
+    gen, train = _mixed_key_corpus(catalog)
+    calls = _counting_matcher(monkeypatch)
+    counters = {}
+    uniqueness_and_novelty(gen, train, counters=counters)
+    assert calls
+    assert all(evalx._match_key(a) == evalx._match_key(b) for a, b in calls)
+    assert counters["match_pairs_compared"] == len(calls)
+    assert counters["match_pairs_pruned"] > 0
+
+
+def test_matcher_never_runs_on_distinct_compositions(catalog, monkeypatch):
+    distinct = [_rock_salt(catalog, anion=anion) for anion in (9, 17, 35, 53)]
+    calls = _counting_matcher(monkeypatch)
+    counters = {}
+    uniq, novel, _ = uniqueness_and_novelty(distinct[:3], distinct[3:],
+                                            counters=counters)
+    assert calls == []
+    assert (uniq, novel) == (100.0, 100.0)
+    # 3 generated against each other, then 3 unique against 1 reference
+    assert counters == {"match_pairs_compared": 0, "match_pairs_pruned": 6}
+
+
 # ---------------------------------------------------------------------------
 # composition stats and P1 rate
 # ---------------------------------------------------------------------------
