@@ -288,7 +288,8 @@ class Autoencoder:
         draws from the categorical heads. Zero-DOF positions are never
         chosen twice within one crystal (already-used slots are masked out,
         orbit by orbit). Raises DecodeError when a crystal exhausts its
-        admissible Wyckoff slots. Pathology events (length clamps) are
+        admissible Wyckoff slots or the head picks another group's
+        position. Pathology events (length clamps, closing-cell pulls) are
         tallied into `counters` when given.
         """
         if mode not in ("argmax", "sample"):
@@ -325,7 +326,8 @@ class Autoencoder:
                 logits[gi] = NEG_INF
             if np.max(logits) <= NEG_INF / 2:
                 raise DecodeError(
-                    f"group {group}: admissible Wyckoff slots exhausted")
+                    f"group {group}: admissible Wyckoff slots exhausted",
+                    "slots_exhausted")
             if mode == "argmax":
                 pick = int(np.argmax(logits))
             else:
@@ -334,7 +336,8 @@ class Autoencoder:
             w = self.catalog.positions[pick]
             if not start <= pick < stop:
                 raise DecodeError(
-                    f"group {group}: head chose foreign position {w.key}")
+                    f"group {group}: head chose foreign position {w.key}",
+                    "foreign_position")
             if w.dof == 0:
                 used_zero_dof.add(pick)
             if mode == "argmax":
@@ -347,8 +350,11 @@ class Autoencoder:
                 entry.lattice_class, ell_pred):
             counters["lattice_clamps"] = counters.get("lattice_clamps", 0) + 1
         ell = symcat.symmetrize_lattice(entry.lattice_class, ell_pred)
-        ell = _ensure_closing_cell(ell, entry.lattice_class)
-        return CrystalASU(spacegroup=group, sites=sites, lattice=ell)
+        closed = _ensure_closing_cell(ell, entry.lattice_class)
+        if counters is not None and not np.array_equal(closed, ell):
+            counters["closing_cell_pulls"] = counters.get(
+                "closing_cell_pulls", 0) + 1
+        return CrystalASU(spacegroup=group, sites=sites, lattice=closed)
 
     # -- loss ---------------------------------------------------------------
 
@@ -400,7 +406,16 @@ class Autoencoder:
 
 
 class DecodeError(RuntimeError):
-    """A crystal could not be decoded under the no-repeat constraint."""
+    """A crystal could not be decoded; `reason` is one of DECODE_REJECTIONS."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
+
+
+# Why a decode is rejected: the no-repeat constraint left no admissible
+# Wyckoff slot, or the head chose a position of another group.
+DECODE_REJECTIONS = ("slots_exhausted", "foreign_position")
 
 
 def _ensure_closing_cell(ell: np.ndarray, lattice_class) -> np.ndarray:

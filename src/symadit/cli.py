@@ -332,6 +332,9 @@ def cmd_generate(args) -> int:
                     "lattice_clamps": stats.lattice_clamps,
                     "failures": stats.failures},
         timings={"load_s": t1 - t0, "sample_s": t2 - t1, "write_s": t3 - t2},
+        counters={"decode_rejections": stats.rejection_reasons,
+                  "lattice_clamps": stats.lattice_clamps,
+                  "closing_cell_pulls": stats.closing_cell_pulls},
         ae_checkpoint_hash=denoiser.ae_checkpoint_hash)
     print(f"generated {len(asus)}/{args.count} crystals "
           f"({stats.decode_rejections} decode rejections)")

@@ -173,6 +173,10 @@ def structure_match(a: FullCrystal, b: FullCrystal,
         return False
     if _reduced_composition(a.elements) != _reduced_composition(b.elements):
         return False
+    if a.n_atoms != b.n_atoms:
+        # same reduced composition but different cell content: compare at
+        # matching formula-unit counts only
+        return False
     ra = cr.lattice_params(cr.niggli_reduce(a.lattice))
     rb = cr.lattice_params(cr.niggli_reduce(b.lattice))
     la, lb = np.sort(ra[:3]), np.sort(rb[:3])
@@ -180,10 +184,6 @@ def structure_match(a: FullCrystal, b: FullCrystal,
         return False
     aa, ab = np.sort(ra[3:]), np.sort(rb[3:])
     if np.any(np.abs(aa - ab) > params.angle_tol):
-        return False
-    if a.n_atoms != b.n_atoms:
-        # same reduced composition but different cell content: compare at
-        # matching formula-unit counts only
         return False
     return _one_way_match(a, b, params) or _one_way_match(b, a, params)
 

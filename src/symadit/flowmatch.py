@@ -4,17 +4,20 @@ Straight-line interpolation between Gaussian noise and clean latents, a
 clean-sample-predicting transformer denoiser with time/group conditioning
 through adaptive layer norm, self-conditioning, classifier-free guidance
 on the space group, empirical priors over (group, orbit count), and a
-deterministic Euler sampler.
+deterministic Euler sampler. The conditioning depends on (t, label) only:
+`Denoiser.condition` computes it apart from the latent trunk, once per
+training step and once per sampled trajectory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autoencoder import Autoencoder, DecodeError, LatentBatch
+from .autoencoder import (DECODE_REJECTIONS, Autoencoder, DecodeError,
+                          LatentBatch)
 from .crystal import CrystalASU
 from .nncore import (
     CheckpointError,
@@ -23,6 +26,7 @@ from .nncore import (
     adam_step,
     add_attention_block,
     attention_block,
+    block_modulations,
     concat,
     layer_norm,
     linear,
@@ -32,6 +36,7 @@ from .nncore import (
 )
 # perfbench/layers.py traces these names here; the blocks reach them via nncore
 from .nncore import adaln, mhsa  # noqa: F401
+from .nncore.layers import Modulation
 from .nncore.params import config_from
 from .symcat import N_GROUPS
 
@@ -48,6 +53,14 @@ __all__ = [
 ]
 
 NULL_CONDITION = N_GROUPS  # embedding row reserved for the unconditional path
+
+# Bound on the bytes of adaLN modulations the sampler holds at once; a
+# trajectory's conditioning is computed in blocks of steps under it.
+CONDITION_BLOCK_BYTES = 8 * 2**20
+
+# Per row, every block's ln1/ln2 modulations: a list over blocks of pairs of
+# (gain, shift), each (R, 1, d_model).
+Conditioning = list[tuple[Modulation, Modulation]]
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +223,36 @@ class Denoiser:
         st.add("out.bias", (d,), scale=0.0)
         return st
 
-    def forward(self, z_t: Tensor, t: np.ndarray, cond_idx: np.ndarray,
-                mask: np.ndarray, self_cond: Tensor | None = None) -> Tensor:
-        """Predict the clean latents; cond_idx uses NULL_CONDITION for the
-        unconditional path. Shapes: z_t (B, N, d), t (B,), mask (B, N)."""
+    def condition(self, t: np.ndarray, cond_idx: np.ndarray) -> Conditioning:
+        """Every block's adaLN modulations for times t (R,) and labels
+        cond_idx (R,); cond_idx uses NULL_CONDITION for the unconditional
+        path. Time embedding, time MLP, group embedding and the blocks'
+        modulation maps all live here, so `forward` runs the latent trunk
+        only."""
         st, cfg = self.store, self.config
-        b, n, d = z_t.shape
-        if self_cond is None:
-            self_cond = Tensor(np.zeros((b, n, d)))
-        x = concat([z_t, self_cond], axis=-1)
-        h = linear(x, st["in.w"], st["in.b"])
         t_feat = Tensor(time_embedding(t, cfg.time_features))
         cond = silu_mlp(t_feat, st["time.w1"], st["time.b1"],
                         st["time.w2"], st["time.b2"])
         cond = cond + st["group_emb"][np.asarray(cond_idx, dtype=np.int64)]
+        return [block_modulations(cond, st, f"block{i}")
+                for i in range(cfg.n_layers)]
+
+    def forward(self, z_t: Tensor, cond: Conditioning, mask: np.ndarray,
+                self_cond: Tensor | None = None) -> Tensor:
+        """Predict the clean latents of z_t (B, N, d) under `condition`'s
+        output for the same B rows; mask (B, N)."""
+        st, cfg = self.store, self.config
+        b, n, d = z_t.shape
+        if cond[0][0][0].shape[0] != b:   # block 0, ln1, gain
+            raise ValueError(f"conditioning for {cond[0][0][0].shape[0]} "
+                             f"rows, latents for {b}")
+        if self_cond is None:
+            self_cond = Tensor(np.zeros((b, n, d)))
+        x = concat([z_t, self_cond], axis=-1)
+        h = linear(x, st["in.w"], st["in.b"])
         for i in range(cfg.n_layers):
-            h = attention_block(h, st, f"block{i}", cfg.n_heads, mask, cond)
+            h = attention_block(h, st, f"block{i}", cfg.n_heads, mask,
+                                cond[i])
         h = layer_norm(h, st["out.g"] + 1.0, st["out.b"])
         out = linear(h, st["out.w"], st["out.bias"])
         return out * Tensor(mask[:, :, None].astype(np.float64))
@@ -277,14 +304,15 @@ def train_step(denoiser: Denoiser, z1: np.ndarray, groups: np.ndarray,
     drop = rng.uniform(size=b) < cfg.cond_drop
     cond_idx = np.where(drop, NULL_CONDITION, cond_idx)
 
+    cond = denoiser.condition(t, cond_idx)
     self_cond = None
     if rng.uniform() < cfg.self_cond_prob:
         with no_grad():
-            first = denoiser.forward(Tensor(z_t), t, cond_idx, mask)
+            first = denoiser.forward(Tensor(z_t), cond, mask)
         self_cond = Tensor(first.data.copy())
 
     denoiser.store.zero_grad()
-    pred = denoiser.forward(Tensor(z_t), t, cond_idx, mask, self_cond)
+    pred = denoiser.forward(Tensor(z_t), cond, mask, self_cond)
     diff = pred - Tensor(z1)
     m = Tensor(mask[:, :, None].astype(np.float64))
     denom = max(float(mask.sum()) * d, 1.0)
@@ -363,7 +391,10 @@ class SampleStats:
     requested: int = 0
     decode_rejections: int = 0
     lattice_clamps: int = 0
+    closing_cell_pulls: int = 0
     failures: int = 0
+    rejection_reasons: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(DECODE_REJECTIONS, 0))
 
 
 def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
@@ -375,6 +406,11 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
     Self-conditioning feeds the previous combined prediction. Under
     guidance each step makes one forward over 2B rows: the conditional
     rows, then the unconditional rows.
+
+    The conditioning depends only on the step's time and the labels, so it
+    is computed once per trajectory, in blocks of steps whose modulations
+    fit CONDITION_BLOCK_BYTES; each step's forward runs the latent trunk
+    on its slice of the table.
     """
     t_steps = cfg.steps
     dt = 1.0 / t_steps
@@ -385,19 +421,36 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
         labels += [NULL_CONDITION] * b
         mask = np.concatenate([mask, mask])
     cond_idx = np.array(labels, dtype=np.int64)
+    r = len(cond_idx)
+    # per row and block, a (gain, shift) pair of d_model floats for each norm
+    step_bytes = r * denoiser.config.n_layers * 4 * denoiser.config.d_model * 8
+    per_block = max(1, CONDITION_BLOCK_BYTES // step_bytes)
     prev = np.zeros_like(z)
     for k in range(t_steps):
+        if k % per_block == 0:
+            steps = np.arange(k, min(k + per_block, t_steps))
+            with no_grad():
+                table = denoiser.condition(np.repeat(steps * dt, r),
+                                           np.tile(cond_idx, len(steps)))
+        row = k % per_block * r
         t = k * dt
         z_in, prev_in = ((np.concatenate([z, z]), np.concatenate([prev, prev]))
                          if guided else (z, prev))
         with no_grad():
-            pred = denoiser.forward(Tensor(z_in), np.full(len(cond_idx), t),
-                                    cond_idx, mask, Tensor(prev_in)).data
+            pred = denoiser.forward(Tensor(z_in), _rows(table, row, row + r),
+                                    mask, Tensor(prev_in)).data
         combined = ((1.0 - cfg.cfg_scale) * pred[b:] + cfg.cfg_scale * pred[:b]
                     if guided else pred)
         z = z + dt * (combined - z) / (1.0 - t)
         prev = combined
     return z
+
+
+def _rows(cond: Conditioning, start: int, stop: int) -> Conditioning:
+    """Rows start:stop of a conditioning table, off the tape."""
+    return [tuple((Tensor(gain.data[start:stop]),
+                   Tensor(shift.data[start:stop])) for gain, shift in block)
+            for block in cond]
 
 
 def sample(
@@ -428,8 +481,9 @@ def sample(
             try:
                 _, asus = autoencoder.decode(latent, mode="sample",
                                              rng=rng, counters=counters)
-            except DecodeError:
+            except DecodeError as exc:
                 stats.decode_rejections += 1
+                stats.rejection_reasons[exc.reason] += 1
                 continue
             produced = asus[0]
             break
@@ -438,4 +492,5 @@ def sample(
         else:
             out.append(produced)
     stats.lattice_clamps = counters.get("lattice_clamps", 0)
+    stats.closing_cell_pulls = counters.get("closing_cell_pulls", 0)
     return out, stats

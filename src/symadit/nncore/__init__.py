@@ -4,6 +4,7 @@ from .layers import (
     adaln,
     add_attention_block,
     attention_block,
+    block_modulations,
     cross_entropy,
     embedding,
     layer_norm,
@@ -24,6 +25,7 @@ __all__ = [
     "adam_step",
     "add_attention_block",
     "attention_block",
+    "block_modulations",
     "checkpoint_hash",
     "concat",
     "cross_entropy",

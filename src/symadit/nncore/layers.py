@@ -1,6 +1,8 @@
 """Layer set: embeddings, affine maps, SiLU feed-forward blocks, layer norm,
-adaptive layer norm, multi-head self-attention (no positional signal), the
-pre-norm transformer block, and stable log-softmax / cross-entropy."""
+adaptive layer norm (split into the conditioning-only modulation and its
+application to the activations), multi-head self-attention (no positional
+signal), the pre-norm transformer block, and stable log-softmax /
+cross-entropy."""
 
 from __future__ import annotations
 
@@ -12,15 +14,19 @@ from .params import ParameterStore
 from .tensor import Tensor
 
 __all__ = [
+    "Modulation",
     "adaln",
+    "adaln_modulation",
     "add_attention_block",
     "attention_block",
+    "block_modulations",
     "cross_entropy",
     "embedding",
     "layer_norm",
     "linear",
     "log_softmax",
     "mhsa",
+    "modulate",
     "silu_mlp",
 ]
 
@@ -89,14 +95,30 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None,
     return normed
 
 
+Modulation = tuple[Tensor, Tensor]  # adaLN (1 + scale, shift), each (B, 1, D)
+
+
+def adaln_modulation(cond: Tensor, w: Tensor, b: Tensor) -> Modulation:
+    """The half of adaptive layer norm that depends on the conditioning
+    only: cond (B, C) maps to a gain 1 + scale and a shift, each (B, 1, D)."""
+    params = linear(cond, w, b)           # (B, 2D)
+    d = w.shape[-1] // 2
+    scale = params[:, :d].reshape(params.shape[0], 1, d)
+    shift = params[:, d:].reshape(params.shape[0], 1, d)
+    return 1.0 + scale, shift
+
+
+def modulate(x: Tensor, modulation: Modulation) -> Tensor:
+    """The half of adaptive layer norm that reads the activations
+    x (B, N, D)."""
+    gain, shift = modulation
+    return layer_norm(x) * gain + shift
+
+
 def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Adaptive layer norm: scale/shift of the normalized activations are
     produced from the conditioning vector. cond is (B, C); x is (B, N, D)."""
-    params = linear(cond, w, b)           # (B, 2D)
-    d = x.shape[-1]
-    scale = params[:, :d].reshape(params.shape[0], 1, d)
-    shift = params[:, d:].reshape(params.shape[0], 1, d)
-    return layer_norm(x) * (1.0 + scale) + shift
+    return modulate(x, adaln_modulation(cond, w, b))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -208,35 +230,44 @@ def add_attention_block(store: ParameterStore, prefix: str, d_model: int,
     store.add(f"{prefix}.ff2.b", (dm,), scale=0.0)
 
 
+def block_modulations(cond: Tensor, params: Mapping[str, Tensor],
+                      prefix: str) -> tuple[Modulation, Modulation]:
+    """The ln1 and ln2 modulations of the adaptive block under `prefix`,
+    from the conditioning vectors cond (B, C)."""
+    return tuple(adaln_modulation(cond, params[f"{prefix}.{ln}.w"],
+                                  params[f"{prefix}.{ln}.b"])
+                 for ln in ("ln1", "ln2"))
+
+
 def attention_block(
     x: Tensor,
     params: Mapping[str, Tensor],
     prefix: str,
     n_heads: int,
     pad_mask=None,
-    cond: Tensor | None = None,
+    cond: tuple[Modulation, Modulation] | None = None,
 ) -> Tensor:
     """Pre-norm transformer block; with cond, the norms become adaptive.
 
     params maps names under `prefix` (e.g. a ParameterStore). A plain
     layer-norm gain is stored as an offset from 1, so zero-initialised
-    gains start as the identity.
+    gains start as the identity. cond holds the block's precomputed ln1
+    and ln2 modulations (see `block_modulations`).
     """
 
-    def norm(t: Tensor, which: str) -> Tensor:
+    def norm(t: Tensor, which: int) -> Tensor:
         if cond is not None:
-            return adaln(t, cond, params[f"{prefix}.{which}.w"],
-                         params[f"{prefix}.{which}.b"])
-        return layer_norm(t, params[f"{prefix}.{which}.g"] + 1.0,
-                          params[f"{prefix}.{which}.b"])
+            return modulate(t, cond[which])
+        ln = f"{prefix}.ln{which + 1}"
+        return layer_norm(t, params[f"{ln}.g"] + 1.0, params[f"{ln}.b"])
 
     h = x + mhsa(
-        norm(x, "ln1"),
+        norm(x, 0),
         params[f"{prefix}.wq"], params[f"{prefix}.wk"],
         params[f"{prefix}.wv"], params[f"{prefix}.wo"],
         n_heads, pad_mask)
     h = h + silu_mlp(
-        norm(h, "ln2"),
+        norm(h, 1),
         params[f"{prefix}.ff1.w"], params[f"{prefix}.ff1.b"],
         params[f"{prefix}.ff2.w"], params[f"{prefix}.ff2.b"])
     if pad_mask is not None:

@@ -282,7 +282,10 @@ def test_criterion_5_flow_oracles():
             self.target = target
             self.config = DenoiserConfig.desk(d_latent=target.shape[-1])
 
-        def forward(self, z_t, t, cond, mask, self_cond=None):
+        def condition(self, t, cond_idx):
+            return []
+
+        def forward(self, z_t, cond, mask, self_cond=None):
             return Tensor(self.target.copy())
 
     from symadit.flowmatch import euler_trajectory
@@ -315,8 +318,8 @@ def test_criterion_5_flow_oracles():
     for k in range(9):
         t = k * dt
         with no_grad():
-            pred = den.forward(Tensor(z), np.full(1, t), np.array([13]),
-                               mask, Tensor(prev)).data
+            cond = den.condition(np.full(1, t), np.array([13]))
+            pred = den.forward(Tensor(z), cond, mask, Tensor(prev)).data
         z = z + dt * (pred - z) / (1.0 - t)
         prev = pred
     report("5b guidance scale 1 bit-identical to conditional path",

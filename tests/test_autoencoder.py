@@ -5,15 +5,18 @@ from conftest import random_asu
 from symadit import crystal as cr
 from symadit import symcat
 from symadit.autoencoder import (
+    DECODE_REJECTIONS,
     AEConfig,
     Autoencoder,
+    DecodeError,
     augment,
     batchify,
     reconstruction_metrics,
     train_autoencoder,
 )
-from symadit.crystal import CrystalASU, Site
+from symadit.crystal import MAX_ELEMENT, CrystalASU, Site
 from symadit.nncore import Tensor
+from symadit.nncore.layers import NEG_INF
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,45 @@ def test_decode_no_repeat_zero_dof(catalog, desk_model):
         zero_dof = [s.wyckoff for s in decoded[0].sites
                     if catalog.group(225).position(s.wyckoff).dof == 0]
         assert len(zero_dof) == len(set(zero_dof))
+
+
+def _assemble(model, catalog, group, picks, ell_pred, counters):
+    """Decode one crystal whose Wyckoff head allows only `picks[j]` (global
+    position indices) at orbit j."""
+    n = len(picks)
+    wy = np.full((n, len(catalog.positions)), NEG_INF)
+    for j, allowed in enumerate(picks):
+        wy[j, allowed] = 0.0
+    return model._assemble(group, wy, np.zeros((n, MAX_ELEMENT)),
+                           np.full((n, 3), 0.3), np.asarray(ell_pred, float),
+                           np.ones(n, dtype=bool), "argmax", None, counters)
+
+
+def test_decode_rejections_carry_their_reason(catalog, desk_model):
+    start, _ = catalog.mask_range(2)       # P-1: 1a, zero DOF
+    cubic = [5.0] * 3 + [90.0] * 3
+    with pytest.raises(DecodeError) as exhausted:
+        _assemble(desk_model, catalog, 2, [[start], [start]], cubic, {})
+    assert exhausted.value.reason == "slots_exhausted"
+    with pytest.raises(DecodeError) as foreign:
+        _assemble(desk_model, catalog, 2, [[start - 1]], cubic, {})
+    assert foreign.value.reason == "foreign_position"
+    assert {exhausted.value.reason, foreign.value.reason} == set(
+        DECODE_REJECTIONS)
+
+
+def test_decode_counts_closing_cell_pulls(catalog, desk_model):
+    start, _ = catalog.mask_range(2)
+    counters = {}
+    closes = _assemble(desk_model, catalog, 2, [[start]],
+                       [5.0, 6.0, 7.0, 80.0, 95.0, 100.0], counters)
+    assert counters == {}
+    assert np.array_equal(closes.lattice, [5.0, 6.0, 7.0, 80.0, 95.0, 100.0])
+    pulled = _assemble(desk_model, catalog, 2, [[start]],
+                       [5.0, 5.0, 5.0, 150.0, 150.0, 150.0], counters)
+    assert counters == {"closing_cell_pulls": 1}
+    assert np.all(pulled.lattice[3:] < 150.0)
+    cr.lattice_matrix(pulled.lattice)
 
 
 def test_permutation_equivariance(catalog, desk_model):

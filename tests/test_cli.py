@@ -104,6 +104,15 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     manifest = json.loads((work / "gen" / "manifest.json").read_text())
     assert set(manifest["timings"]) == {"load_s", "sample_s", "write_s"}
     assert "timings" not in manifest["config"]
+    counters = manifest["counters"]
+    assert set(counters) == {"decode_rejections", "lattice_clamps",
+                             "closing_cell_pulls"}
+    assert set(counters["decode_rejections"]) == {"slots_exhausted",
+                                                  "foreign_position"}
+    assert sum(counters["decode_rejections"].values()) == \
+        manifest["rejections"]["decode_rejections"]
+    assert counters["lattice_clamps"] == \
+        manifest["rejections"]["lattice_clamps"]
 
     rc = main(["evaluate", "--gen", str(gen_path),
                "--train", str(train_path),

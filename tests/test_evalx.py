@@ -383,6 +383,25 @@ def test_matcher_never_runs_on_distinct_compositions(catalog, monkeypatch):
     assert counters == {"match_pairs_compared": 0, "match_pairs_pruned": 6}
 
 
+def test_unequal_atom_counts_are_refused_before_niggli(catalog, monkeypatch):
+    reductions = []
+    real = cr.niggli_reduce
+
+    def counted(lattice, *args, **kwargs):
+        reductions.append(lattice)
+        return real(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(cr, "niggli_reduce", counted)
+    nacl = _rock_salt(catalog)                          # 8 atoms
+    pair = FullCrystal(lattice=4.0 * np.eye(3), elements=[11, 17],
+                       frac=[[0, 0, 0], [0.5, 0.5, 0.5]])
+    assert not structure_match(nacl, pair)
+    assert not structure_match(pair, nacl)
+    assert reductions == []
+    assert structure_match(nacl, nacl)                  # the double is live
+    assert len(reductions) == 2
+
+
 # ---------------------------------------------------------------------------
 # composition stats and P1 rate
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from symadit.flowmatch import (
     target_field,
     train_step,
 )
-from symadit.nncore import CheckpointError, Tensor
+from symadit.nncore import CheckpointError, Tensor, no_grad
 
 
 @pytest.fixture
@@ -149,7 +149,10 @@ class OracleDenoiser:
         self.target = target
         self.config = DenoiserConfig.desk(d_latent=d_latent)
 
-    def forward(self, z_t, t, cond_idx, mask, self_cond=None):
+    def condition(self, t, cond_idx):
+        return []
+
+    def forward(self, z_t, cond, mask, self_cond=None):
         reps = np.broadcast_to(
             self.target, z_t.shape if self.target.ndim < 3 else self.target.shape)
         return Tensor(reps.copy())
@@ -161,14 +164,14 @@ def test_oracle_denoiser_zero_loss(rng):
     mask = np.ones((2, 3), dtype=bool)
 
     class Perfect(OracleDenoiser):
-        def forward(self, z_t, t, cond_idx, mask, self_cond=None):
+        def forward(self, z_t, cond, mask, self_cond=None):
             return Tensor(z1.copy())
 
     oracle = Perfect(z1, 4)
     oracle.store = None
     loss_val = None
     # reimplement the loss exactly as train_step computes it, oracle pred
-    pred = oracle.forward(None, None, None, None).data
+    pred = oracle.forward(None, None, None).data
     loss_val = float(((pred - z1) ** 2).sum())
     assert loss_val == 0.0
 
@@ -204,6 +207,54 @@ def test_loss_excludes_padding(rng):
     assert base == again
 
 
+def _reference_train_step(den, z1, groups, mask, rng):
+    """train_step with the conditioning rebuilt for each forward."""
+    cfg = den.config
+    z0 = rng.standard_normal(z1.shape)
+    t = rng.uniform(0.0, 1.0, size=z1.shape[0])
+    z_t = fm.interpolate(z0, z1, t)
+    drop = rng.uniform(size=z1.shape[0]) < cfg.cond_drop
+    cond_idx = np.where(drop, fm.NULL_CONDITION, groups - 1)
+    self_cond = None
+    if rng.uniform() < cfg.self_cond_prob:
+        with no_grad():
+            first = den.forward(Tensor(z_t), den.condition(t, cond_idx), mask)
+        self_cond = Tensor(first.data.copy())
+    den.store.zero_grad()
+    pred = den.forward(Tensor(z_t), den.condition(t, cond_idx), mask,
+                       self_cond)
+    diff = pred - Tensor(z1)
+    m = Tensor(mask[:, :, None].astype(np.float64))
+    loss = (diff * diff * m).sum() / max(float(mask.sum()) * z1.shape[-1], 1.0)
+    loss.backward()
+    fm.adam_step(den.store, lr=cfg.lr, warmup=cfg.warmup)
+    return loss.item()
+
+
+def test_train_step_conditions_once_and_matches_per_forward_conditioning(
+        rng):
+    cfg = DenoiserConfig.desk(d_latent=4, n_layers=2, d_model=32, n_heads=2)
+    z1 = rng.normal(size=(3, 4, 4))
+    mask = np.ones((3, 4), dtype=bool)
+    mask[2, 2:] = False
+    groups = np.array([14, 225, 2], dtype=np.int64)
+    forwards_per_step = set()
+    for seed in (5, 6):   # the self-conditioning coin lands on each side
+        got, want = Denoiser(cfg), Denoiser(cfg)
+        counting = CountingDenoiser(got)
+        counting.store = got.store
+        loss = train_step(counting, z1, groups, mask,
+                          np.random.default_rng(seed))
+        assert len(counting.conditions) == 1
+        forwards_per_step.add(len(counting.forwards))
+        ref = _reference_train_step(want, z1, groups, mask,
+                                    np.random.default_rng(seed))
+        assert loss == ref
+        for name in got.store.names():
+            assert np.array_equal(got.store[name].data, want.store[name].data)
+    assert forwards_per_step == {1, 2}   # both self-conditioning branches
+
+
 def test_self_conditioning_coin_rate(rng):
     # the 50% coin drives the double forward pass; count over many draws
     cfg = DenoiserConfig.desk(d_latent=2, n_layers=1, d_model=16, n_heads=2)
@@ -222,8 +273,8 @@ def test_paper_profile_forward(catalog, rng):
     den = Denoiser(DenoiserConfig(n_layers=1, d_latent=ae.config.d_latent))
     asus = [random_asu(catalog, g, rng) for g in (2, 225)]
     latent = ae.encode(asus)
-    pred = den.forward(Tensor(latent.z), np.array([0.3, 0.7]),
-                       latent.groups - 1, latent.mask)
+    cond = den.condition(np.array([0.3, 0.7]), latent.groups - 1)
+    pred = den.forward(Tensor(latent.z), cond, latent.mask)
     assert pred.shape == latent.z.shape
     assert np.all(np.isfinite(pred.data))
 
@@ -259,24 +310,30 @@ def test_cfg_scale_one_equals_conditional(rng):
     dt = 1.0 / 7
     for k in range(7):
         t = k * dt
-        pred = den.forward(Tensor(z), np.array([t]),
-                           np.array([13]), mask, Tensor(prev)).data
+        pred = den.forward(Tensor(z), den.condition(np.array([t]), [13]),
+                           mask, Tensor(prev)).data
         z = z + dt * (pred - z) / (1.0 - t)
         prev = pred
     assert np.array_equal(a, z)
 
 
 class CountingDenoiser:
-    """Wraps a real denoiser and records the rows and labels of each call."""
+    """Wraps a real denoiser; records the times and labels of each
+    `condition` call and the rows of each `forward` call."""
 
     def __init__(self, den):
         self.den = den
         self.config = den.config
-        self.calls = []
+        self.conditions = []
+        self.forwards = []
 
-    def forward(self, z_t, t, cond_idx, mask, self_cond=None):
-        self.calls.append((z_t.shape[0], np.array(cond_idx)))
-        return self.den.forward(z_t, t, cond_idx, mask, self_cond)
+    def condition(self, t, cond_idx):
+        self.conditions.append((np.array(t), np.array(cond_idx)))
+        return self.den.condition(t, cond_idx)
+
+    def forward(self, z_t, cond, mask, self_cond=None):
+        self.forwards.append(z_t.shape[0])
+        return self.den.forward(z_t, cond, mask, self_cond)
 
 
 def _desk_denoiser(seed=0):
@@ -294,12 +351,23 @@ def _two_forward_trajectory(den, z, group, cfg, mask):
     for k in range(cfg.steps):
         t = k * dt
         tv = np.full(b, t)
-        pred_c = den.forward(Tensor(z), tv, cond, mask, Tensor(prev)).data
-        pred_u = den.forward(Tensor(z), tv, uncond, mask, Tensor(prev)).data
+        pred_c = den.forward(Tensor(z), den.condition(tv, cond), mask,
+                             Tensor(prev)).data
+        pred_u = den.forward(Tensor(z), den.condition(tv, uncond), mask,
+                             Tensor(prev)).data
         combined = (1.0 - cfg.cfg_scale) * pred_u + cfg.cfg_scale * pred_c
         z = z + dt * (combined - z) / (1.0 - t)
         prev = combined
     return z
+
+
+def _assert_one_condition_of_tiled_rows(counting, steps, labels):
+    """One `condition` call: per step k, time k / steps on each label."""
+    assert len(counting.conditions) == 1
+    t, cond_idx = counting.conditions[0]
+    assert t.tolist() == [k * (1.0 / steps) for k in range(steps)
+                          for _ in labels]
+    assert cond_idx.tolist() == labels * steps
 
 
 def test_guided_trajectory_makes_one_forward_of_2b_rows(rng):
@@ -308,10 +376,9 @@ def test_guided_trajectory_makes_one_forward_of_2b_rows(rng):
     mask = np.array([[True, True, True], [True, True, False]])
     euler_trajectory(counting, z0, 14, SamplerConfig(steps=5, cfg_scale=2.0),
                      mask)
-    assert len(counting.calls) == 5
-    for rows, labels in counting.calls:
-        assert rows == 4
-        assert labels.tolist() == [13] * 2 + [fm.NULL_CONDITION] * 2
+    assert counting.forwards == [4] * 5
+    _assert_one_condition_of_tiled_rows(
+        counting, 5, [13] * 2 + [fm.NULL_CONDITION] * 2)
 
 
 @pytest.mark.parametrize("cfg", [SamplerConfig(steps=5, cfg_scale=1.0),
@@ -321,10 +388,8 @@ def test_unguided_trajectory_makes_one_forward_of_b_rows(rng, cfg):
     z0 = rng.normal(size=(2, 3, 4))
     euler_trajectory(counting, z0, 14, cfg, np.ones((2, 3), dtype=bool))
     label = 13 if cfg.condition else fm.NULL_CONDITION
-    assert len(counting.calls) == 5
-    for rows, labels in counting.calls:
-        assert rows == 2
-        assert labels.tolist() == [label, label]
+    assert counting.forwards == [2] * 5
+    _assert_one_condition_of_tiled_rows(counting, 5, [label, label])
 
 
 @pytest.mark.parametrize("b,n", [(1, 1), (1, 3), (1, 6), (2, 6)])
@@ -353,12 +418,97 @@ def test_unconditional_trajectory_is_bitwise_the_null_label_loop(rng):
     dt = 1.0 / 7
     for k in range(7):
         t = k * dt
-        pred = den.forward(Tensor(z), np.array([t]),
-                           np.array([fm.NULL_CONDITION]), mask,
-                           Tensor(prev)).data
+        cond = den.condition(np.array([t]), [fm.NULL_CONDITION])
+        pred = den.forward(Tensor(z), cond, mask, Tensor(prev)).data
         z = z + dt * (pred - z) / (1.0 - t)
         prev = pred
     assert np.array_equal(a, z)
+
+
+def _per_step_trajectory(den, z, group, cfg, mask):
+    """The oracle: the sampler's loop, conditioning each step's forward on
+    that step's time only."""
+    dt = 1.0 / cfg.steps
+    b = z.shape[0]
+    guided = cfg.condition and cfg.cfg_scale != 1.0
+    labels = [group - 1 if cfg.condition else fm.NULL_CONDITION] * b
+    if guided:
+        labels += [fm.NULL_CONDITION] * b
+        mask = np.concatenate([mask, mask])
+    prev = np.zeros_like(z)
+    for k in range(cfg.steps):
+        t = k * dt
+        z_in, prev_in = ((np.concatenate([z, z]), np.concatenate([prev, prev]))
+                         if guided else (z, prev))
+        with no_grad():
+            cond = den.condition(np.full(len(labels), t), labels)
+            pred = den.forward(Tensor(z_in), cond, mask, Tensor(prev_in)).data
+        combined = ((1.0 - cfg.cfg_scale) * pred[b:] + cfg.cfg_scale * pred[:b]
+                    if guided else pred)
+        z = z + dt * (combined - z) / (1.0 - t)
+        prev = combined
+    return z
+
+
+SAMPLING_MODES = {
+    "guided": dict(cfg_scale=2.0),
+    "unguided": dict(cfg_scale=1.0),
+    "unconditional": dict(condition=False),
+}
+
+
+def _padded_batch(rng, b, n=5):
+    z0 = rng.normal(size=(b, n, 4))
+    mask = np.ones((b, n), dtype=bool)
+    if b == 2:
+        mask[1, 3:] = False
+        z0[1, 3:] = 0.0
+    return z0, mask
+
+
+@pytest.mark.parametrize("steps", [1, 9])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("mode", sorted(SAMPLING_MODES))
+def test_trajectory_is_bitwise_the_per_step_conditioning_loop(rng, mode, b,
+                                                              steps):
+    den = _desk_denoiser(seed=6)
+    z0, mask = _padded_batch(rng, b)
+    cfg = SamplerConfig(steps=steps, **SAMPLING_MODES[mode])
+    got = euler_trajectory(den, z0.copy(), 14, cfg, mask)
+    want = _per_step_trajectory(den, z0.copy(), 14, cfg, mask)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("steps_per_block,blocks", [(4, [4, 4, 1]),
+                                                    (1, [1] * 9)])
+@pytest.mark.parametrize("mode", sorted(SAMPLING_MODES))
+def test_trajectory_conditions_in_blocks_under_the_byte_budget(
+        rng, monkeypatch, mode, steps_per_block, blocks):
+    den = _desk_denoiser(seed=7)
+    z0, mask = _padded_batch(rng, 2)
+    cfg = SamplerConfig(steps=9, **SAMPLING_MODES[mode])
+    r = 4 if mode == "guided" else 2
+    step_bytes = r * den.config.n_layers * 4 * den.config.d_model * 8
+    # a budget just under the next whole step still holds steps_per_block
+    monkeypatch.setattr(fm, "CONDITION_BLOCK_BYTES",
+                        (steps_per_block + 1) * step_bytes - 1)
+    counting = CountingDenoiser(den)
+    got = euler_trajectory(counting, z0.copy(), 14, cfg, mask)
+    assert counting.forwards == [r] * 9
+    assert [len(t) for t, _ in counting.conditions] == [r * s for s in blocks]
+    times = np.concatenate([t for t, _ in counting.conditions])
+    assert times.tolist() == [k * (1.0 / 9) for k in range(9)
+                              for _ in range(r)]
+    want = _per_step_trajectory(den, z0.copy(), 14, cfg, mask)
+    assert np.array_equal(got, want)
+
+
+def test_forward_refuses_conditioning_for_other_rows(rng):
+    den = _desk_denoiser()
+    cond = den.condition(np.array([0.5]), [13])
+    with pytest.raises(ValueError, match="conditioning for 1 rows"):
+        den.forward(Tensor(rng.normal(size=(2, 3, 4))), cond,
+                    np.ones((2, 3), dtype=bool))
 
 
 def test_cfg_algebra(rng):

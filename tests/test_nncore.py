@@ -9,6 +9,7 @@ from symadit.nncore import (
     adam_step,
     add_attention_block,
     attention_block,
+    block_modulations,
     cross_entropy,
     embedding,
     layer_norm,
@@ -170,6 +171,25 @@ def test_adaln_grads(rng):
                     [x, cond, w, b])
 
 
+def test_adaptive_block_grads_reach_the_conditioning(rng):
+    # the modulations are built apart from the block, as the denoiser does
+    store = ParameterStore(seed=1)
+    add_attention_block(store, "blk", 4, adaptive=True)
+    for ln in ("ln1", "ln2"):
+        for name in ("w", "b"):
+            p = store[f"blk.{ln}.{name}"]
+            p.data[...] = rng.normal(size=p.shape) * 0.3
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    cond = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    mask = np.array([[True, True, False], [True, True, True]])
+
+    def loss():
+        mods = block_modulations(cond, store, "blk")
+        return (attention_block(x, store, "blk", 2, mask, mods) ** 2.0).sum()
+
+    check_gradients(loss, [x, cond, store["blk.ln1.w"], store["blk.ln2.b"]])
+
+
 def test_cross_entropy_grads(rng):
     logits = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
     targets = rng.integers(0, 6, size=(2, 3))
@@ -252,13 +272,14 @@ def test_add_attention_block_layout(rng):
     mask = np.array([[True, True, False], [True, True, True]])
     cond = Tensor(rng.normal(size=(2, d)))
     plain = attention_block(x, stores[False], "blk", 2, mask)
-    adaptive = attention_block(x, stores[True], "blk", 2, mask, cond)
+    adaptive = attention_block(x, stores[True], "blk", 2, mask,
+                               block_modulations(cond, stores[True], "blk"))
     assert plain.shape == adaptive.shape == (2, 3, d)
     assert not plain.data[0, 2].any() and not adaptive.data[0, 2].any()
     # both norms start as plain layer_norm: gain 1 + 0, scale 1 + 0
     assert np.array_equal(plain.data, adaptive.data)
     with pytest.raises(KeyError):
-        attention_block(x, stores[False], "blk", 2, mask, cond)
+        block_modulations(cond, stores[False], "blk")
     with pytest.raises(KeyError):
         attention_block(x, stores[True], "blk", 2, mask)
 

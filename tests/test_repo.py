@@ -161,3 +161,64 @@ def test_benchmark_reach_into_the_package_resolves():
             missing.append(f"layers.py SPAN_POINTS: {owner.__name__}.{attr}")
     assert checked > 100
     assert missing == []
+
+
+def _benchmark_calls():
+    """(file:line, callable, call) for each call perfbench makes to a package
+    name it imported, or to an attribute of such a name (a module function
+    or a class's alternate constructor)."""
+    out = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "symadit"):
+                for alias in node.names:
+                    names[alias.asname or alias.name] = _resolve_from(
+                        node.module, alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                target = names[func.id]
+            elif (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in names):
+                target = getattr(names[func.value.id], func.attr, None)
+            else:
+                continue
+            if callable(target) and not inspect.ismodule(target):
+                out.append((f"{path.name}:{node.lineno}", target, node))
+    return out
+
+
+def test_benchmark_calls_bind_to_the_package_signatures():
+    """Each perfbench call's positional count and keywords must bind to the
+    signature it reaches, not just name something that exists."""
+    checked, unbound = 0, []
+    for where, target, call in _benchmark_calls():
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords):
+            continue
+        checked += 1
+        try:
+            inspect.signature(target).bind(
+                *range(len(call.args)), **{kw.arg: 0 for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert checked > 20
+    assert unbound == []
+
+
+def test_benchmark_reaches_the_layers_in_the_shapes_it_traces():
+    from symadit.flowmatch import Denoiser
+    from symadit.nncore import adaln, attention_block
+
+    inspect.signature(adaln).bind("x", "cond", "w", "b")
+    inspect.signature(attention_block).bind("x", "params", "prefix",
+                                            "n_heads", "mask")
+    # perfbench counts a forward's rows from its first argument after self
+    params = list(inspect.signature(Denoiser.forward).parameters)
+    assert params[:2] == ["self", "z_t"]
