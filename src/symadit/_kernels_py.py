@@ -1,14 +1,38 @@
-"""Vectorized numpy periodic-distance kernels, re-exported by symadit.kernels."""
+"""Vectorized numpy periodic-distance kernels, re-exported by symadit.kernels.
+
+Each fractional difference is wrapped into [-0.5, 0.5) and the shortest of
+its 27 images in the 3x3x3 sweep is taken: exact on a reduced cell."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-# 27 lattice image shifts of the 3x3x3 supercell sweep
-_SHIFTS = np.array(
-    [[i, j, k] for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)],
-    dtype=np.float64,
-)
+# the 3x3x3 image sweep as s = 0 and one shift s of each pair +-s
+_SHIFTS = np.array(list(itertools.product((-1, 0, 1), repeat=3))[13:],
+                   dtype=np.float64)
+_BLOCK = 1024  # pairs per sweep block: no temporary exceeds (1024, 14)
+
+
+def _min_image_sq(diff: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """(P,) least squared length over the 27 images of each fractional
+    difference, in Gram form: |c +- s|^2 = |c|^2 + |s|^2 +- 2 c.s, so each
+    pair +-s gives |c|^2 + |s|^2 - 2|c.s|, and s = 0 gives |c|^2. The
+    products c.s are formed elementwise."""
+    shift_cart = _SHIFTS @ lattice                     # (14, 3)
+    shift_sq = np.einsum("sk,sk->s", shift_cart, shift_cart)
+    two_s = 2.0 * shift_cart
+    out = np.empty(len(diff))
+    for lo in range(0, len(diff), _BLOCK):
+        d = diff[lo:lo + _BLOCK]
+        cart = (d - np.round(d)) @ lattice             # wrap into [-0.5, 0.5)
+        cross = cart[:, :1] * two_s[:, 0]              # 2 c.s, (P, 14)
+        cross += cart[:, 1:2] * two_s[:, 1]
+        cross += cart[:, 2:] * two_s[:, 2]
+        np.subtract(shift_sq, np.abs(cross, out=cross), out=cross)
+        out[lo:lo + _BLOCK] = np.einsum("pk,pk->p", cart, cart) + cross.min(1)
+    return np.maximum(out, 0.0)
 
 
 def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray) -> float:
@@ -20,16 +44,11 @@ def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray) -> float:
     """
     frac = np.asarray(frac, dtype=np.float64)
     lattice = np.asarray(lattice, dtype=np.float64)
-    shift_cart = _SHIFTS @ lattice                     # (27, 3)
-    lattice_norms = np.linalg.norm(shift_cart, axis=1)
-    best = float(np.min(lattice_norms[lattice_norms > 1e-12]))
-    m = frac.shape[0]
-    if m >= 2:
-        i, j = np.triu_indices(m, k=1)
-        cart = (frac[i] - frac[j]) @ lattice           # (P, 3)
-        d = cart[:, None, :] + shift_cart[None, :, :]  # (P, 27, 3)
-        best = min(best, float(np.sqrt(np.min(np.sum(d * d, axis=-1)))))
-    return best
+    self_images = _SHIFTS[1:] @ lattice
+    best = float(np.min(np.einsum("sk,sk->s", self_images, self_images)))
+    i, j = np.triu_indices(frac.shape[0], k=1)
+    best = np.min(_min_image_sq(frac[i] - frac[j], lattice), initial=best)
+    return float(np.sqrt(best))
 
 
 def min_image_distance_matrix(
@@ -39,9 +58,6 @@ def min_image_distance_matrix(
     frac_a = np.asarray(frac_a, dtype=np.float64)
     frac_b = np.asarray(frac_b, dtype=np.float64)
     lattice = np.asarray(lattice, dtype=np.float64)
-    shift_cart = _SHIFTS @ lattice
-    diff = frac_a[:, None, :] - frac_b[None, :, :]
-    diff -= np.round(diff)                             # wrap into [-0.5, 0.5)
-    cart = diff @ lattice
-    d = cart[:, :, None, :] + shift_cart[None, None, :, :]
-    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=-1)
+    diff = (frac_a[:, None, :] - frac_b[None, :, :]).reshape(-1, 3)
+    return np.sqrt(_min_image_sq(diff, lattice)).reshape(len(frac_a),
+                                                          len(frac_b))

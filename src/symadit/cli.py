@@ -133,11 +133,8 @@ def cmd_ingest(args) -> int:
 
     asus: list[CrystalASU] = []
     ids: list[str] = []
-    skipped: dict[str, int] = {}
-
-    def note_skip(reason: str):
-        skipped[reason] = skipped.get(reason, 0) + 1
-
+    skipped = dict.fromkeys(("cif_parse", "missing_space_group",
+                             "wyckoff_assignment", "invalid_record"), 0)
     if in_path.is_dir():
         files = sorted(in_path.glob("*.cif"))
         if not files:
@@ -145,18 +142,18 @@ def cmd_ingest(args) -> int:
         for f in files:
             try:
                 structure = cifio.read_cif(f.read_text())
-            except cifio.CifError as exc:
-                note_skip(f"cif parse: {exc}")
+            except cifio.CifError:
+                skipped["cif_parse"] += 1
                 continue
             sg = structure.spacegroup or sg_table.get(f.name)
             if sg is None:
-                note_skip("missing space group")
+                skipped["missing_space_group"] += 1
                 continue
             try:
                 asu = cr.assign_wyckoff(structure, int(sg), catalog,
                                         tol=args.tol)
-            except cr.IngestError as exc:
-                note_skip(str(exc))
+            except cr.IngestError:
+                skipped["wyckoff_assignment"] += 1
                 continue
             asus.append(asu)
             ids.append(f.stem)
@@ -164,8 +161,8 @@ def cmd_ingest(args) -> int:
         for rec_idx, asu in enumerate(cr.read_dataset_jsonl(in_path)):
             try:
                 asu.validate(catalog)
-            except ValueError as exc:
-                note_skip(str(exc))
+            except ValueError:
+                skipped["invalid_record"] += 1
                 continue
             asus.append(asu)
             ids.append(str(rec_idx))

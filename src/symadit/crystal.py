@@ -4,6 +4,7 @@ checks, and dataset JSONL I/O."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -105,7 +106,8 @@ class CrystalASU:
 
 @dataclass
 class FullCrystal:
-    """Expanded conventional cell."""
+    """Expanded conventional cell. Periodic distances are measured on its
+    Niggli cell (`reduced`), where the kernels' image sweep is exact."""
 
     lattice: np.ndarray            # (3, 3) row basis vectors, Angstrom
     elements: np.ndarray           # (M,) atomic numbers
@@ -131,6 +133,14 @@ class FullCrystal:
     @property
     def volume(self) -> float:
         return float(np.linalg.det(self.lattice))
+
+    @functools.cached_property
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, M): the Niggli cell R of `lattice`, reduced once, and the
+        integer basis change M with lattice = M @ R, so `frac @ M` are the
+        coordinates in R."""
+        R = niggli_reduce(self.lattice)
+        return R, np.round(self.lattice @ np.linalg.inv(R))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +323,10 @@ def assign_wyckoff(
 
 
 def min_pairwise_distance(structure: FullCrystal) -> float:
-    """Shortest interatomic distance including periodic self-images."""
-    return float(
-        kernels.min_pairwise_distance(structure.frac, structure.lattice))
+    """Shortest interatomic distance including periodic self-images,
+    measured on the Niggli cell."""
+    R, M = structure.reduced
+    return float(kernels.min_pairwise_distance(structure.frac @ M, R))
 
 
 def structural_validity(structure: FullCrystal) -> bool:

@@ -136,10 +136,11 @@ def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
     cutoff = params.stol * scale ** (1.0 / 3.0)
     anchor_el = a.elements[0]
     anchor = a.frac[0]
-    lattice = b.lattice
+    lattice, basis = b.reduced        # exact image search in b's Niggli cell
+    target = b.frac @ basis
     for j in np.where(b.elements == anchor_el)[0]:
         shift = b.frac[j] - anchor
-        shifted = (a.frac + shift) % 1.0
+        shifted = ((a.frac + shift) % 1.0) @ basis
         used = np.zeros(b.n_atoms, dtype=bool)
         ok = True
         for i in range(a.n_atoms):
@@ -148,7 +149,7 @@ def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
                 ok = False
                 break
             d = min_image_distance_matrix(
-                shifted[i][None, :], b.frac[cand], lattice)[0]
+                shifted[i][None, :], target[cand], lattice)[0]
             best = int(np.argmin(d))
             if d[best] > cutoff:
                 ok = False
@@ -177,8 +178,8 @@ def structure_match(a: FullCrystal, b: FullCrystal,
         # same reduced composition but different cell content: compare at
         # matching formula-unit counts only
         return False
-    ra = cr.lattice_params(cr.niggli_reduce(a.lattice))
-    rb = cr.lattice_params(cr.niggli_reduce(b.lattice))
+    ra = cr.lattice_params(a.reduced[0])
+    rb = cr.lattice_params(b.reduced[0])
     la, lb = np.sort(ra[:3]), np.sort(rb[:3])
     if np.any(np.abs(la - lb) > params.ltol * np.maximum(la, lb)):
         return False
@@ -338,23 +339,38 @@ def evaluate_pipeline(
 
     validity_hook: optional predicate on CrystalASU implementing an external
     compositional-validity check; when given, its pass rate is reported but
-    not used for filtering. counters: see `uniqueness_and_novelty`.
+    not used for filtering. counters: `degenerate_orbits` (collapsed
+    generated orbits), `invalid_volume`, `invalid_distance`, and the
+    matcher tallies of `uniqueness_and_novelty`.
     """
     if not gen:
         raise ValueError("empty generation set")
+    tally = counters if counters is not None else {}
+    for name in ("degenerate_orbits", "invalid_volume", "invalid_distance"):
+        tally.setdefault(name, 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateOrbitWarning)
+        expanded = [cr.expand_asu(a, catalog) for a in gen]
+    for w in caught:
+        if issubclass(w.category, DegenerateOrbitWarning):
+            tally["degenerate_orbits"] += 1
+        else:   # pass every other warning on
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    valid_mask = [cr.structural_validity(s) for s in expanded]
+    n_volume = sum(s.volume < cr.MIN_VOLUME for s in expanded)
+    tally["invalid_volume"] += n_volume
+    tally["invalid_distance"] += valid_mask.count(False) - n_volume
+    valid_asus = [a for a, ok in zip(gen, valid_mask) if ok]
+    valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
+    if not valid_asus:
+        raise ValueError("no generated structure passes structural validity")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOrbitWarning)
-        expanded = [cr.expand_asu(a, catalog) for a in gen]
-        valid_mask = [cr.structural_validity(s) for s in expanded]
-        valid_asus = [a for a, ok in zip(gen, valid_mask) if ok]
-        valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
-        if not valid_asus:
-            raise ValueError("no generated structure passes structural validity")
         train_structs = [cr.expand_asu(a, catalog) for a in train]
 
     validity_rate = 100.0 * len(valid_asus) / len(gen)
     uniq, novel, flags = uniqueness_and_novelty(
-        valid_structs, train_structs, params, n_novelty, seed, counters)
+        valid_structs, train_structs, params, n_novelty, seed, tally)
 
     gen_groups = Counter(a.spacegroup for a in valid_asus)
     ref_groups = Counter(a.spacegroup for a in train)

@@ -1,4 +1,4 @@
-"""Periodic-distance kernels; the numpy implementation is the only one."""
+"""Periodic-distance kernels (numpy only), exact on a reduced cell."""
 
 from __future__ import annotations
 

@@ -73,6 +73,63 @@ def test_ingest_cif_directory(catalog, tmp_path, nacl, capsys):
     assert manifest["stats"]["skipped"]
 
 
+def test_ingest_skips_by_category(catalog, tmp_path, nacl):
+    cif_dir = tmp_path / "cifs"
+    cif_dir.mkdir()
+    full = cr.expand_asu(nacl, catalog)
+    (cif_dir / "nacl.cif").write_text(cifio.write_cif(full))
+    (cif_dir / "broken.cif").write_text("data_x\nnothing")
+    no_group = cr.FullCrystal(full.lattice, full.elements, full.frac)
+    (cif_dir / "no_group.cif").write_text(cifio.write_cif(no_group))
+    off = cr.FullCrystal(full.lattice, full.elements, full.frac + 0.1,
+                         spacegroup=225)
+    (cif_dir / "off_setting.cif").write_text(cifio.write_cif(off))
+    (tmp_path / "cif").mkdir()
+    (tmp_path / "jsonl").mkdir()
+    assert main(["ingest", "--input", str(cif_dir),
+                 "--out", str(tmp_path / "cif" / "out.jsonl")]) == 0
+    manifest = json.loads((tmp_path / "cif" / "manifest.json").read_text())
+    assert manifest["stats"]["skipped"] == {
+        "cif_parse": 1, "missing_space_group": 1, "wyckoff_assignment": 1,
+        "invalid_record": 0}
+
+    bad = cr.CrystalASU(spacegroup=225, sites=[
+        cr.Site(element=11, wyckoff="a", frac=np.full(3, 0.1))],
+        lattice=nacl.lattice)
+    records = tmp_path / "records.jsonl"
+    cr.write_dataset_jsonl(records, [nacl, bad])
+    assert main(["ingest", "--input", str(records),
+                 "--out", str(tmp_path / "jsonl" / "out.jsonl")]) == 0
+    manifest = json.loads((tmp_path / "jsonl" / "manifest.json").read_text())
+    assert manifest["stats"]["skipped"] == {
+        "cif_parse": 0, "missing_space_group": 0, "wyckoff_assignment": 0,
+        "invalid_record": 1}
+
+
+def test_evaluate_counts_invalid_and_degenerate(tmp_path, nacl):
+    def p1(lattice, *fracs):
+        return cr.CrystalASU(spacegroup=1, lattice=lattice, sites=[
+            cr.Site(element=6, wyckoff="a", frac=np.array(f)) for f in fracs])
+
+    overlap = p1([5, 5, 5, 90, 90, 90], [0, 0, 0], [0.002, 0, 0])
+    tiny = p1([0.4, 0.4, 0.4, 90, 90, 90], [0, 0, 0])
+    collapsed = cr.CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+        cr.Site(element=11, wyckoff="e", frac=np.zeros(3))])  # x = 0: 4a
+    gen_path, train_path = tmp_path / "gen.jsonl", tmp_path / "train.jsonl"
+    cr.write_dataset_jsonl(gen_path, [nacl, overlap, tiny, collapsed])
+    cr.write_dataset_jsonl(train_path, [nacl])
+    assert main(["evaluate", "--gen", str(gen_path), "--train",
+                 str(train_path), "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    counters = json.loads((tmp_path / "manifest.json").read_text())["counters"]
+    assert report["n_generated"] == 4
+    assert report["structural_validity_rate"] == 50.0
+    assert counters["invalid_distance"] == 1
+    assert counters["invalid_volume"] == 1
+    assert counters["degenerate_orbits"] == 1
+    assert "counters" not in report
+
+
 def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     train_path, asus = dataset
     work = tmp_path
@@ -124,8 +181,13 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     manifest = json.loads((work / "manifest.json").read_text())
     assert manifest["command"] == "evaluate"
     assert set(manifest["timings"]) == {"load_s", "evaluate_s", "write_s"}
-    assert set(manifest["counters"]) == {"match_pairs_compared",
-                                         "match_pairs_pruned"}
+    counters = manifest["counters"]
+    assert set(counters) == {"match_pairs_compared", "match_pairs_pruned",
+                             "invalid_distance", "invalid_volume",
+                             "degenerate_orbits"}
+    n_valid = round(report["structural_validity_rate"] * len(produced) / 100)
+    assert counters["invalid_distance"] + counters["invalid_volume"] == \
+        len(produced) - n_valid
     table = capsys.readouterr().out
     assert "JSD_G" in table
 

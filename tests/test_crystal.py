@@ -22,27 +22,48 @@ from symadit.crystal import (
 from symadit.symcat import DegenerateOrbitWarning
 
 
-def brute_force_min_distance(frac, lattice):
-    """Independent oracle: all pairs over a 3x3x3 image sweep."""
-    frac = np.asarray(frac, float)
+def exhaustive_min_image(diff, lattice, bound, skip_zero=False):
+    """Independent oracle: the least |(d + n) @ lattice| over every integer
+    n that can reach `bound`, for a fractional difference d.
+
+    (d + n) @ lattice has component d_k + n_k along the reciprocal row b*_k
+    (the columns of inv(lattice)), so an image no longer than `bound` has
+    |d_k + n_k| <= bound |b*_k| on every axis; the search covers that box.
+    Any attained image length is a valid bound. skip_zero drops n = 0, for
+    the self-images of one atom (d = 0)."""
     lattice = np.asarray(lattice, float)
-    best = np.inf
-    shifts = list(itertools.product((-1, 0, 1), repeat=3))
-    m = len(frac)
-    for i in range(m):
-        for j in range(m):
-            for s in shifts:
-                if i == j and s == (0, 0, 0):
-                    continue
-                d = (frac[i] - frac[j] + np.array(s)) @ lattice
-                best = min(best, float(np.linalg.norm(d)))
-    # isolated-atom fallback uses the shortest lattice vector
-    if m == 1:
-        for s in shifts:
-            if s == (0, 0, 0):
-                continue
-            best = min(best, float(np.linalg.norm(np.array(s) @ lattice)))
+    diff = np.asarray(diff, float)
+    reach = bound * np.linalg.norm(np.linalg.inv(lattice), axis=0)
+    axes = [np.arange(np.floor(-d - r), np.ceil(-d + r) + 1)
+            for d, r in zip(diff, reach)]
+    n = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    if skip_zero:
+        n = n[np.any(n != 0, axis=1)]
+    return float(np.min(np.linalg.norm((diff + n) @ lattice, axis=1)))
+
+
+def exhaustive_min_distance(frac, lattice, bound):
+    """The oracle over every atom pair and every self-image."""
+    frac = np.asarray(frac, float)
+    best = exhaustive_min_image(np.zeros(3), lattice, bound, skip_zero=True)
+    for i, j in itertools.combinations(range(len(frac)), 2):
+        best = min(best, exhaustive_min_image(frac[i] - frac[j], lattice,
+                                              bound))
     return best
+
+
+def oblique_cells(rng, count):
+    """Cells the decoder can emit: lengths log-uniform over 0.5-50 Angstrom,
+    angles uniform over 10-170 degrees."""
+    cells = []
+    while len(cells) < count:
+        ell = np.concatenate([np.exp(rng.uniform(np.log(0.5), np.log(50), 3)),
+                              rng.uniform(10, 170, 3)])
+        try:
+            cells.append(lattice_matrix(ell)[0])
+        except ValueError:
+            continue
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +129,8 @@ def test_nacl_min_distance(catalog, nacl):
     full = expand_asu(nacl, catalog)
     d = min_pairwise_distance(full)
     assert d == pytest.approx(2.825, abs=1e-9)
-    assert d == pytest.approx(brute_force_min_distance(full.frac, full.lattice))
+    assert d == pytest.approx(
+        exhaustive_min_distance(full.frac, full.lattice, d), rel=1e-12)
 
 
 def test_nacl_validity(catalog, nacl):
@@ -155,59 +177,34 @@ def test_single_atom_shortest_lattice_vector():
     assert min_pairwise_distance(full) == pytest.approx(1.0)
 
 
-def test_min_distance_matches_oracle_random(catalog):
+def test_min_distance_matches_oracle_random():
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        m = int(rng.integers(1, 7))
-        ell = np.empty(6)
-        ell[:3] = rng.uniform(2, 8, 3)
-        ell[3:] = rng.uniform(70, 110, 3)
-        try:
-            L, _ = lattice_matrix(ell)
-        except ValueError:
-            continue
+    for L in oblique_cells(rng, 800):
+        m = int(rng.integers(1, 9))
         frac = rng.uniform(0, 1, size=(m, 3))
-        full = FullCrystal(lattice=L, elements=[1] * m, frac=frac)
-        assert min_pairwise_distance(full) == pytest.approx(
-            brute_force_min_distance(frac, L), rel=1e-12)
-
-
-def brute_force_image_matrix(frac_a, frac_b, lattice, reach=2):
-    """Independent oracle: every pair over a (2 reach + 1)^3 image sweep of
-    the unwrapped difference."""
-    lattice = np.asarray(lattice, float)
-    shifts = list(itertools.product(range(-reach, reach + 1), repeat=3))
-    out = np.empty((len(frac_a), len(frac_b)))
-    for i, fa in enumerate(np.asarray(frac_a, float)):
-        for j, fb in enumerate(np.asarray(frac_b, float)):
-            out[i, j] = min(
-                float(np.linalg.norm((fa - fb + np.array(s)) @ lattice))
-                for s in shifts)
-    return out
+        got = min_pairwise_distance(
+            FullCrystal(lattice=L, elements=[1] * m, frac=frac))
+        bound = got * (1 + 1e-9)    # got is an attained image length
+        assert got == pytest.approx(
+            exhaustive_min_distance(frac, L, bound), rel=1e-12)
 
 
 def test_min_image_distance_matrix_matches_oracle():
     rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 25:
-        ell = np.empty(6)
-        ell[:3] = rng.uniform(2, 8, 3)
-        ell[3:] = rng.uniform(70, 110, 3)
-        try:
-            L, _ = lattice_matrix(ell)
-        except ValueError:
-            continue
+    for L in oblique_cells(rng, 400):
         frac_a = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 3))
         frac_b = rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 3))
-        np.testing.assert_allclose(
-            kernels.min_image_distance_matrix(frac_a, frac_b, L),
-            brute_force_image_matrix(frac_a, frac_b, L), rtol=1e-12)
-        checked += 1
+        R, M = FullCrystal(lattice=L, elements=[1], frac=[[0, 0, 0]]).reduced
+        got = kernels.min_image_distance_matrix(frac_a @ M, frac_b @ M, R)
+        want = [[exhaustive_min_image(fa - fb, L, d * (1 + 1e-9))
+                 for fb, d in zip(frac_b, row)]
+                for fa, row in zip(frac_a, got)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def full_sweep_min_distance(frac, lattice):
-    """Oracle: every ordered pair over all 27 images as an (M, M, 27)
-    array, then the minimum distance over the upper triangle."""
+def unreduced_sweep_min_distance(frac, lattice):
+    """The 3x3x3 sweep of the unwrapped differences on the given cell: exact
+    on near-orthogonal cells, not on oblique ones."""
     shifts = np.array(list(itertools.product((-1, 0, 1), repeat=3)), float)
     shift_cart = shifts @ lattice
     norms = np.linalg.norm(shift_cart, axis=1)
@@ -221,20 +218,33 @@ def full_sweep_min_distance(frac, lattice):
     return best
 
 
-def test_triangle_kernel_bitwise_equals_full_sweep():
+def test_kernel_agrees_with_unreduced_sweep_on_near_orthogonal_cells():
     rng = np.random.default_rng(13)
-    L, _ = lattice_matrix([4.0, 5.0, 6.0, 80.0, 95.0, 105.0])
-    cases = [(rng.uniform(0, 1, (1, 3)), L), (rng.uniform(0, 1, (2, 3)), L)]
-    while len(cases) < 202:
-        ell = np.concatenate([rng.uniform(1, 20, 3), rng.uniform(20, 160, 3)])
+    checked = 0
+    while checked < 100:
+        ell = np.concatenate([rng.uniform(2, 8, 3), rng.uniform(70, 110, 3)])
         try:
             L, _ = lattice_matrix(ell)
         except ValueError:
             continue
-        cases.append((rng.uniform(0, 1, (int(rng.integers(1, 61)), 3)), L))
-    for frac, L in cases:
-        assert kernels.min_pairwise_distance(frac, L) == \
-            full_sweep_min_distance(frac, L)
+        frac = rng.uniform(0, 1, (int(rng.integers(1, 61)), 3))
+        full = FullCrystal(lattice=L, elements=[1] * len(frac), frac=frac)
+        assert min_pairwise_distance(full) == pytest.approx(
+            unreduced_sweep_min_distance(frac, L), rel=1e-12)
+        checked += 1
+
+
+def test_oblique_overlap_is_invalid():
+    # a cell the decoder can emit; the unreduced sweep saw 0.615 Angstrom
+    L, volume = lattice_matrix([1.09, 2.26, 3.01, 163.3, 167.9, 23.3])
+    full = FullCrystal(lattice=L, elements=[6, 6],
+                       frac=[[0.4, 0.7, 0.9], [0.75, 0.45, 0.04]])
+    assert volume == pytest.approx(0.426, abs=1e-3)
+    d = min_pairwise_distance(full)
+    assert d == pytest.approx(0.464, abs=1e-3)
+    assert d == pytest.approx(
+        exhaustive_min_distance(full.frac, L, 0.615), rel=1e-12)
+    assert not structural_validity(full)
 
 
 def test_distance_invariant_under_translation_and_relabeling():

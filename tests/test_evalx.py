@@ -398,8 +398,31 @@ def test_unequal_atom_counts_are_refused_before_niggli(catalog, monkeypatch):
     assert not structure_match(nacl, pair)
     assert not structure_match(pair, nacl)
     assert reductions == []
-    assert structure_match(nacl, nacl)                  # the double is live
+    twin = _rock_salt(catalog)                          # equal, distinct
+    assert structure_match(nacl, twin)                  # the double is live
     assert len(reductions) == 2
+    assert structure_match(twin, nacl) and structure_match(nacl, twin)
+    assert len(reductions) == 2                         # each reduced once
+
+
+def test_pipeline_reduces_each_structure_at_most_once(catalog, monkeypatch):
+    reductions = []
+    real = cr.niggli_reduce
+
+    def counted(lattice, *args, **kwargs):
+        reductions.append(lattice)
+        return real(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(cr, "niggli_reduce", counted)
+    rng = np.random.default_rng(4)
+    train = [random_asu(catalog, g, rng, max_sites=2)
+             for g in (14, 62, 139, 225, 225)]
+    gen = train + train[:3]                             # duplicates match
+    counters = {}
+    evalx.evaluate_pipeline(gen, train, catalog, counters=counters)
+    assert counters["match_pairs_compared"] > 0
+    assert 0 < len(reductions) <= len(gen) + len(train)
+    assert len({id(lattice) for lattice in reductions}) == len(reductions)
 
 
 # ---------------------------------------------------------------------------
