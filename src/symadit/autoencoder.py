@@ -287,9 +287,9 @@ class Autoencoder:
         mode "argmax" picks the most probable discrete choices; "sample"
         draws from the categorical heads. Zero-DOF positions are never
         chosen twice within one crystal (already-used slots are masked out,
-        orbit by orbit). Raises DecodeError when a crystal exhausts its
-        admissible Wyckoff slots or the head picks another group's
-        position. Pathology events (length clamps, closing-cell pulls) are
+        orbit by orbit), and each pick is one of the group's own positions.
+        Raises DecodeError when a crystal exhausts its admissible Wyckoff
+        slots. Pathology events (length clamps, closing-cell pulls) are
         tallied into `counters` when given.
         """
         if mode not in ("argmax", "sample"):
@@ -321,7 +321,8 @@ class Autoencoder:
         used_zero_dof: set[int] = set()
         sites = []
         for j in np.where(mask)[0]:
-            logits = wy_logits[j].copy()
+            # only the group's own columns; a pick indexes entry.wyckoff
+            logits = wy_logits[j, start:stop].copy()
             for gi in used_zero_dof:
                 logits[gi] = NEG_INF
             if np.max(logits) <= NEG_INF / 2:
@@ -333,11 +334,7 @@ class Autoencoder:
             else:
                 p = _softmax_1d(logits)
                 pick = int(rng.choice(len(p), p=p))
-            w = self.catalog.positions[pick]
-            if not start <= pick < stop:
-                raise DecodeError(
-                    f"group {group}: head chose foreign position {w.key}",
-                    "foreign_position")
+            w = entry.wyckoff[pick]
             if w.dof == 0:
                 used_zero_dof.add(pick)
             if mode == "argmax":
@@ -414,8 +411,8 @@ class DecodeError(RuntimeError):
 
 
 # Why a decode is rejected: the no-repeat constraint left no admissible
-# Wyckoff slot, or the head chose a position of another group.
-DECODE_REJECTIONS = ("slots_exhausted", "foreign_position")
+# Wyckoff slot.
+DECODE_REJECTIONS = ("slots_exhausted",)
 
 
 def _ensure_closing_cell(ell: np.ndarray, lattice_class) -> np.ndarray:

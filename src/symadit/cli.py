@@ -158,8 +158,9 @@ def cmd_ingest(args) -> int:
             asus.append(asu)
             ids.append(f.stem)
     else:
-        for rec_idx, asu in enumerate(cr.read_dataset_jsonl(in_path)):
+        for rec_idx, (_, line) in enumerate(cr.dataset_lines(in_path)):
             try:
+                asu = cr.parse_record(line)
                 asu.validate(catalog)
             except ValueError:
                 skipped["invalid_record"] += 1

@@ -23,11 +23,13 @@ __all__ = [
     "MatchParams",
     "Site",
     "assign_wyckoff",
+    "dataset_lines",
     "expand_asu",
     "lattice_matrix",
     "lattice_params",
     "min_pairwise_distance",
     "niggli_reduce",
+    "parse_record",
     "read_dataset_jsonl",
     "structural_validity",
     "write_dataset_jsonl",
@@ -61,6 +63,8 @@ class Site:
 
     def __post_init__(self):
         self.frac = symcat.wrap_unit(self.frac)
+        if self.frac.shape != (3,) or not np.all(np.isfinite(self.frac)):
+            raise ValueError(f"fractional site {self.frac} is not 3 finite numbers")
         if not 1 <= self.element <= MAX_ELEMENT:
             raise ValueError(f"element code {self.element} outside 1..{MAX_ELEMENT}")
 
@@ -75,6 +79,8 @@ class CrystalASU:
 
     def __post_init__(self):
         self.lattice = np.asarray(self.lattice, dtype=np.float64)
+        if self.lattice.shape != (6,) or not np.all(np.isfinite(self.lattice)):
+            raise ValueError(f"lattice {self.lattice} is not 6 finite numbers")
         if not 1 <= self.spacegroup <= 230:
             raise ValueError(f"space group {self.spacegroup} outside 1..230")
         if not self.sites:
@@ -464,17 +470,24 @@ def asu_to_record(asu: CrystalASU, ident: str | None = None) -> dict:
     return rec
 
 
-def record_to_asu(rec: dict) -> CrystalASU:
-    sites = [
-        Site(element=int(s["el"]), wyckoff=str(s["wy"]),
-             frac=np.array(s["f"], dtype=np.float64))
-        for s in rec["sites"]
-    ]
-    return CrystalASU(
-        spacegroup=int(rec["sg"]),
-        sites=sites,
-        lattice=np.array(rec["lat"], dtype=np.float64),
-    )
+def parse_record(line: str) -> CrystalASU:
+    """Build the asymmetric unit of one dataset JSONL line. This is the one
+    place that decides what a bad record is: it raises ValueError for
+    anything malformed, whatever the JSON holds."""
+    try:
+        rec = json.loads(line)
+        sites = [
+            Site(element=int(s["el"]), wyckoff=str(s["wy"]),
+                 frac=np.array(s["f"], dtype=np.float64))
+            for s in rec["sites"]
+        ]
+        return CrystalASU(
+            spacegroup=int(rec["sg"]),
+            sites=sites,
+            lattice=np.array(rec["lat"], dtype=np.float64),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def write_dataset_jsonl(path, asus, ids=None) -> None:
@@ -484,15 +497,19 @@ def write_dataset_jsonl(path, asus, ids=None) -> None:
             fh.write(json.dumps(asu_to_record(asu, ident)) + "\n")
 
 
-def read_dataset_jsonl(path) -> list[CrystalASU]:
-    out = []
+def dataset_lines(path):
+    """(line number, text) of each non-empty line of a dataset JSONL."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(record_to_asu(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad record ({exc})") from exc
+            if line.strip():
+                yield lineno, line
+
+
+def read_dataset_jsonl(path) -> list[CrystalASU]:
+    out = []
+    for lineno, line in dataset_lines(path):
+        try:
+            out.append(parse_record(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad record ({exc})") from exc
     return out

@@ -11,7 +11,8 @@ and is validated aggressively at load so a corrupted file fails fast:
                                           (each gen repeats an OP triplet
                                            of its group above it verbatim)
 
-The loader parses and validates every form in exact rational arithmetic.
+The loader parses each distinct triplet once and validates every form in
+exact rational arithmetic.
 Per-call code reads read-only float copies of those forms, built once per
 position or group on first use.
 """
@@ -193,7 +194,7 @@ class SpaceGroupEntry:
         for w in self.wyckoff:
             if w.letter == letter:
                 return w
-        raise KeyError(f"group {self.number} has no Wyckoff letter {letter!r}")
+        raise ValueError(f"group {self.number} has no Wyckoff letter {letter!r}")
 
     @cached_property
     def operation_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,6 +258,15 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
     current: dict | None = None
     global_index = 0
     seen_keys: set[tuple[int, str]] = set()
+    # One parse per distinct (text, kind): an OP is held to the rotation
+    # limit and a site form is not, so the two never share an entry.
+    forms: dict[tuple[str, str], AffineForm] = {}
+
+    def parsed(text: str, kind: str) -> AffineForm:
+        if (text, kind) not in forms:
+            forms[text, kind] = parse_triplet(
+                text, validate_rotation=kind == "OP")
+        return forms[text, kind]
 
     def finish(cur):
         nonlocal global_index
@@ -306,7 +316,7 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
             elif tag == "OP":
                 if rest in current["ops"]:
                     raise CatalogError(f"duplicate operation {rest!r}")
-                current["ops"][rest] = parse_triplet(rest)
+                current["ops"][rest] = parsed(rest, "OP")
             elif tag == "WY":
                 head, _, gen_part = rest.partition("|")
                 letter, mult_s, site = head.split()
@@ -321,7 +331,7 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
                             f"orbit generator {t!r} is not an operation of "
                             f"group {current['number']}")
                     gens.append(current["ops"][t])
-                form = parse_triplet(site, validate_rotation=False)
+                form = parsed(site, "WY")
                 current["wy"].append((letter, int(mult_s), form, gens))
             else:
                 raise CatalogError(f"unknown record tag {tag!r}")
@@ -362,10 +372,6 @@ def _validate_group(entry: SpaceGroupEntry) -> None:
                 f"group {entry.number} position {w.letter}: "
                 f"{len(w.orbit_generators)} generators != multiplicity "
                 f"{w.multiplicity}"
-            )
-        if w.dof != w.site_form.rotation_rank():
-            raise CatalogError(
-                f"group {entry.number} position {w.letter}: dof/rank mismatch"
             )
     mults = [w.multiplicity for w in entry.wyckoff]
     if max(mults) != len(entry.operations):

@@ -8,6 +8,7 @@ first use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -122,142 +123,51 @@ class AffineForm:
                 raise TripletError(f"translation {t} has denominator > {_MAX_DENOM}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-,()":
-            tokens.append((c, c, i))
-            i += 1
-        elif c in "xyzXYZ":
-            tokens.append(("var", c.lower(), i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in "./"):
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-        else:
-            raise TripletError(f"unknown token {c!r}", i)
-    return tokens
+# One signed term of a component: [+-]? (p(/q)?)? [xyz]?, blanks ignored.
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:/(\d+))?)?\s*([xyz]?)\s*")
+_SLOT = {"x": 0, "y": 1, "z": 2, "": 3}  # a term without a variable is slot 3
 
 
-def _parse_number(literal: str, pos: int) -> Fraction:
-    try:
-        if "/" in literal:
-            num, den = literal.split("/")
-            return Fraction(int(num), int(den))
-        if "." in literal:
-            frac = Fraction(literal).limit_denominator(_MAX_DENOM)
-            if abs(frac - Fraction(literal)) > Fraction(1, 10**6):
-                raise TripletError(f"decimal {literal} is not a small rational", pos)
-            return frac
-        return Fraction(int(literal))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TripletError(f"bad numeric literal {literal!r}", pos) from exc
-
-
-def _parse_component(tokens: list, pos_offset: int, depth: int = 0):
-    """Parse a sum of signed terms into (coeffs[3], constant)."""
-    coeffs = [Fraction(0)] * 3
-    const = Fraction(0)
-    sign = Fraction(1)
-    expect_term = True
-    i = 0
-    while i < len(tokens):
-        kind, value, pos = tokens[i]
-        if kind == "+":
-            sign = sign if expect_term else Fraction(1)
-            expect_term = True
-            i += 1
-        elif kind == "-":
-            sign = -sign if expect_term else Fraction(-1)
-            expect_term = True
-            i += 1
-        elif kind == "(":
-            if depth >= 1:
-                raise TripletError("nested parentheses beyond one level", pos)
-            close = _matching_paren(tokens, i)
-            sub_c, sub_k = _parse_component(tokens[i + 1 : close], pos_offset, depth + 1)
-            coeffs = [a + sign * b for a, b in zip(coeffs, sub_c)]
-            const += sign * sub_k
-            sign = Fraction(1)
-            expect_term = False
-            i = close + 1
-        elif kind == "var":
-            coeffs[_VARS.index(value)] += sign
-            sign = Fraction(1)
-            expect_term = False
-            i = i + 1
-        elif kind == "num":
-            factor = _parse_number(value, pos)
-            # "2x" or "1/2 x" style products
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "var":
-                coeffs[_VARS.index(tokens[i + 1][1])] += sign * factor
-                i += 2
-            else:
-                const += sign * factor
-                i += 1
-            sign = Fraction(1)
-            expect_term = False
-        else:
-            raise TripletError(f"unexpected token {value!r}", pos)
-    if expect_term and (coeffs != [0, 0, 0] or const != 0):
-        raise TripletError("dangling sign", pos_offset)
-    return coeffs, const
-
-
-def _matching_paren(tokens: list, start: int) -> int:
-    depth = 0
-    for i in range(start, len(tokens)):
-        if tokens[i][0] == "(":
-            depth += 1
-        elif tokens[i][0] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise TripletError("unbalanced parentheses", tokens[start][2])
+def _parse_component(text: str, offset: int) -> list[Fraction]:
+    """Read a sum of signed terms into its x, y, z coefficients and constant;
+    only the first term may omit its sign. `offset` places `text` within
+    the triplet."""
+    if not text.strip():
+        raise TripletError("missing component", offset)
+    slots = [Fraction(0)] * 4
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, num, den, var = m.groups()
+        if not (num or var) or (pos and not sign):
+            raise TripletError(
+                f"unexpected text {text[m.start(1):].strip()!r}",
+                offset + m.start(1))
+        if den is not None and int(den) == 0:
+            raise TripletError("zero denominator", offset + m.start(3))
+        value = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+        slots[_SLOT[var]] += -value if sign == "-" else value
+        pos = m.end()
+    return slots
 
 
 def parse_triplet(text: str, validate_rotation: bool = True) -> AffineForm:
     """Parse "x,y,z"-style coordinate triplets into an AffineForm.
 
-    Components are comma-separated expressions over x, y, z with rational
-    constants, unary minus and binary +/-. Site expressions with tied
-    coordinates ("x,2x,1/4") need validate_rotation=False since their
-    coefficients may exceed 1.
+    Each of the three comma-separated components is a sum of signed terms
+    `p/q`, `x`, `p/q x` (the grammar `format_triplet` emits, blanks
+    allowed). Site expressions with tied coordinates ("x,2x,1/4") need
+    validate_rotation=False since their coefficients may exceed 1.
     """
-    tokens = _tokenize(text)
-    parts: list[list] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok[0] == "(":
-            depth += 1
-        elif tok[0] == ")":
-            depth -= 1
-            if depth < 0:
-                raise TripletError("unbalanced parentheses", tok[2])
-        if tok[0] == "," and depth == 0:
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    if depth != 0:
-        raise TripletError("unbalanced parentheses", len(text))
+    parts = text.split(",")
     if len(parts) != 3:
         raise TripletError(f"expected 3 components, got {len(parts)}")
-    rows = []
-    trans = []
+    comps, offset = [], 0
     for part in parts:
-        if not part:
-            raise TripletError("missing component")
-        coeffs, const = _parse_component(part, part[0][2])
-        rows.append(tuple(coeffs))
-        trans.append(const % 1)
-    form = AffineForm(tuple(rows), tuple(trans))
+        comps.append(_parse_component(part, offset))
+        offset += len(part) + 1
+    form = AffineForm(tuple(tuple(c[:3]) for c in comps),
+                      tuple(c[3] % 1 for c in comps))
     form.validate(rotation_limit=1 if validate_rotation else None)
     return form
 

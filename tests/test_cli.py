@@ -106,6 +106,47 @@ def test_ingest_skips_by_category(catalog, tmp_path, nacl):
         "invalid_record": 1}
 
 
+def _malformed_records(nacl) -> list[str]:
+    """JSONL lines that no asymmetric unit can be built from or validated."""
+    good = cr.asu_to_record(nacl)
+
+    def edited(**changes):
+        return json.dumps({**good, **changes})
+
+    site = good["sites"][0]
+    return [
+        edited(sites=[{**site, "el": 300}]),
+        edited(sg=None),
+        "[1, 2, 3]",
+        edited(sites=5),
+        edited(sites=[{**site, "wy": "z"}]),
+    ]
+
+
+def test_ingest_counts_malformed_records_and_goes_on(tmp_path, nacl):
+    records = tmp_path / "records.jsonl"
+    good = json.dumps(cr.asu_to_record(nacl))
+    records.write_text(
+        "\n".join([good, *_malformed_records(nacl)]) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "--input", str(records), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stats"]["ingested"] == 1
+    assert manifest["stats"]["skipped"]["invalid_record"] == 5
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()
+            ] == ["0"]
+
+
+def test_malformed_record_is_a_validation_failure(tmp_path, nacl):
+    train = tmp_path / "train.jsonl"
+    cr.write_dataset_jsonl(train, [nacl])
+    for i, line in enumerate(_malformed_records(nacl)):
+        gen = tmp_path / f"gen{i}.jsonl"
+        gen.write_text(line + "\n")
+        assert main(["evaluate", "--gen", str(gen), "--train", str(train),
+                     "--out", str(tmp_path / "report.json")]) == 2, line
+
+
 def test_evaluate_counts_invalid_and_degenerate(tmp_path, nacl):
     def p1(lattice, *fracs):
         return cr.CrystalASU(spacegroup=1, lattice=lattice, sites=[
@@ -164,8 +205,7 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     counters = manifest["counters"]
     assert set(counters) == {"decode_rejections", "lattice_clamps",
                              "closing_cell_pulls"}
-    assert set(counters["decode_rejections"]) == {"slots_exhausted",
-                                                  "foreign_position"}
+    assert set(counters["decode_rejections"]) == {"slots_exhausted"}
     assert sum(counters["decode_rejections"].values()) == \
         manifest["rejections"]["decode_rejections"]
     assert counters["lattice_clamps"] == \

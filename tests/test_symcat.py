@@ -395,6 +395,28 @@ def test_duplicate_operation_is_rejected(tmp_path):
         symcat.load_catalog(path)
 
 
+def test_each_distinct_triplet_is_parsed_once_per_load(monkeypatch):
+    """786 distinct OP strings and 127 distinct site forms; an OP and a
+    site form with the same text are parsed separately."""
+    calls = []
+    parse = symcat.parse_triplet
+
+    def counting(text, validate_rotation=True):
+        calls.append((text, validate_rotation))
+        return parse(text, validate_rotation)
+
+    monkeypatch.setattr(symcat, "parse_triplet", counting)
+    symcat.load_catalog(Path(symcat.__file__).parent / "data" / "sg_catalog.txt")
+    assert len(calls) == len(set(calls)) == 913
+    assert sum(validate for _, validate in calls) == 786
+
+
+def test_bad_triplet_names_its_line(tmp_path):
+    path, lineno = _edited_catalog(tmp_path, "OP -x,y,-z", "OP -x,y,-(z)")
+    with pytest.raises(CatalogError, match=f"line {lineno}: "):
+        symcat.load_catalog(path)
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(symcat.ENV_CATALOG, str(tmp_path / "missing.txt"))
     symcat.default_catalog.cache_clear()

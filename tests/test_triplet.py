@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symadit import symcat
 from symadit.triplet import (
     AffineForm,
     TripletError,
@@ -41,9 +44,30 @@ def test_translation_reduced_mod_one():
     assert form.translation == (F(1, 2), F(3, 4), F(0))
 
 
-def test_parenthesised_term():
-    form = parse_triplet("-(x), y, z")
-    assert form.matrix[0][0] == -1
+# (text, validate_rotation): none of these is in the grammar of signed
+# terms `p/q`, `x`, `p/q x`, or, for "2x", an operation at all.
+REJECTED = [
+    ("-(x), y, z", False),
+    ("x, (y+1/2), z", False),
+    ("0.5, y, z", False),
+    ("--x, y, z", False),
+    ("x+, y, z", False),
+    ("x1, y, z", False),
+    ("x, 1/0, z", False),
+    ("X, y, z", False),
+    ("2x, y, z", True),
+]
+
+
+def test_rejected_outside_the_grammar():
+    for text, validate in REJECTED:
+        with pytest.raises(TripletError) as err:
+            parse_triplet(text, validate_rotation=validate)
+        if validate:
+            continue
+        assert err.value.position is not None, text
+        # a grammar error points inside the offending component
+        assert 0 <= err.value.position < len(text), text
 
 
 def test_nested_parentheses_rejected():
@@ -115,3 +139,47 @@ def test_roundtrip_random_forms(entries, twelfths):
     form = AffineForm.from_parts(matrix, trans)
     text = format_triplet(form)
     assert parse_triplet(text) == form
+
+
+CATALOG = Path(symcat.__file__).parent / "data" / "sg_catalog.txt"
+MAKE_CATALOG = Path(__file__).resolve().parents[1] / "tools" / "make_catalog.py"
+
+
+def _catalog_triplets() -> set[tuple[str, bool]]:
+    """Every distinct (triplet, is_operation) of the vendored catalog."""
+    out = set()
+    for line in CATALOG.read_text().splitlines()[1:]:
+        tag, _, rest = line.partition(" ")
+        if tag == "OP":
+            out.add((rest, True))
+        elif tag == "WY":
+            head, _, gens = rest.partition("|")
+            out.add((head.split()[2], False))
+            out.update((g, True) for g in gens.strip().split(";"))
+    return out
+
+
+def _generator_triplets() -> list[str]:
+    """The generator strings of the catalog tool's GROUPS table, read
+    without running the tool."""
+    tree = ast.parse(MAKE_CATALOG.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "GROUPS" for t in node.targets):
+            return [g for row in ast.literal_eval(node.value) for g in row[3]]
+    raise AssertionError("no GROUPS table in the catalog tool")
+
+
+def test_catalog_triplets_are_fixed_points():
+    triplets = _catalog_triplets()
+    assert len(triplets) == 913
+    for text, is_op in triplets:
+        form = parse_triplet(text, validate_rotation=is_op)
+        assert format_triplet(form) == text
+
+
+def test_catalog_tool_generators_are_fixed_points():
+    generators = _generator_triplets()
+    assert len(generators) == 414
+    for text in generators:
+        assert format_triplet(parse_triplet(text)) == text
