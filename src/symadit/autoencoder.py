@@ -38,7 +38,6 @@ from .symcat import N_GROUPS, N_WYCKOFF, SymmetryCatalog
 
 __all__ = [
     "AEConfig",
-    "AEOutputs",
     "Autoencoder",
     "LatentBatch",
     "augment",
@@ -88,14 +87,6 @@ class LatentBatch:
     z: np.ndarray
     mask: np.ndarray            # (B, N) bool, True = real orbit
     groups: np.ndarray          # (B,) 1-based space group numbers
-
-
-@dataclass
-class AEOutputs:
-    wyckoff_logits: np.ndarray  # (B, N, 1731), NEG_INF outside the group
-    atom_logits: np.ndarray     # (B, N, 100)
-    frac_pred: np.ndarray       # (B, N, 3) raw head output
-    lattice_pred: np.ndarray    # (B, 6) denormalized, pre-projection
 
 
 @dataclass
@@ -280,14 +271,15 @@ class Autoencoder:
 
     def decode(self, latent: LatentBatch, mode: str = "argmax",
                rng: np.random.Generator | None = None,
-               counters: dict | None = None
-               ) -> tuple[AEOutputs, list[CrystalASU]]:
+               counters: dict | None = None) -> list[CrystalASU]:
         """Reconstruct asymmetric units from latents.
 
         mode "argmax" picks the most probable discrete choices; "sample"
-        draws from the categorical heads. Zero-DOF positions are never
-        chosen twice within one crystal (already-used slots are masked out,
-        orbit by orbit), and each pick is one of the group's own positions.
+        draws from the categorical heads with `rng`, which it requires, so
+        the same latents and stream decode the same crystals. Zero-DOF
+        positions are never chosen twice within one crystal (already-used
+        slots are masked out, orbit by orbit), and each pick is one of the
+        group's own positions.
         Raises DecodeError when a crystal exhausts its admissible Wyckoff
         slots. Pathology events (length clamps, closing-cell pulls) are
         tallied into `counters` when given.
@@ -295,24 +287,15 @@ class Autoencoder:
         if mode not in ("argmax", "sample"):
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "sample" and rng is None:
-            rng = np.random.default_rng()
+            raise ValueError('decode mode "sample" needs an rng')
         with no_grad():
             wy_t, atom_t, frac_t, lat_t = self.decode_heads(
                 Tensor(latent.z), latent.groups, latent.mask)
-        outputs = AEOutputs(
-            wyckoff_logits=wy_t.data,
-            atom_logits=atom_t.data,
-            frac_pred=frac_t.data,
-            lattice_pred=self.denormalize_lattice(lat_t.data),
-        )
-        asus = []
-        for i, g in enumerate(latent.groups):
-            asus.append(self._assemble(
-                int(g),
-                outputs.wyckoff_logits[i], outputs.atom_logits[i],
-                outputs.frac_pred[i], outputs.lattice_pred[i],
-                latent.mask[i], mode, rng, counters))
-        return outputs, asus
+        lattice = self.denormalize_lattice(lat_t.data)
+        return [self._assemble(int(g), wy_t.data[i], atom_t.data[i],
+                               frac_t.data[i], lattice[i], latent.mask[i],
+                               mode, rng, counters)
+                for i, g in enumerate(latent.groups)]
 
     def _assemble(self, group, wy_logits, atom_logits, frac, ell_pred,
                   mask, mode, rng, counters=None) -> CrystalASU:

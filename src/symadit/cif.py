@@ -87,14 +87,21 @@ def write_cif(structure: FullCrystal, name: str = "generated") -> str:
 
 
 def _strip_esd(token: str) -> float:
-    """Parse a CIF number, dropping a parenthesised standard deviation."""
+    """Parse a finite CIF number, dropping a parenthesised standard
+    deviation."""
     if "(" in token:
         token = token[: token.index("(")]
-    return float(token)
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
 
 
 def read_cif(text: str) -> FullCrystal:
-    """Parse a minimal CIF: cell parameters plus a fractional site loop."""
+    """Parse a minimal CIF: cell parameters plus a fractional site loop.
+
+    A space-group tag of `?` or `.` (CIF's unknown and inapplicable) counts
+    as absent; any other value must be an integer in 1..230."""
     cell: dict[str, float] = {}
     spacegroup: int | None = None
     elements: list[int] = []
@@ -119,8 +126,13 @@ def read_cif(text: str) -> FullCrystal:
         elif raw.startswith("_symmetry_Int_Tables_number") or raw.startswith(
                 "_space_group_IT_number"):
             parts = raw.split()
-            if len(parts) >= 2:
-                spacegroup = int(parts[1])
+            token = parts[1] if len(parts) >= 2 else "?"
+            if token not in ("?", "."):
+                if not (token.isascii() and token.isdigit()
+                        and 1 <= int(token) <= 230):
+                    raise CifError(f"space-group number {token!r} is not "
+                                   "an integer in 1..230", i)
+                spacegroup = int(token)
         elif raw == "loop_":
             headers = []
             while i < n and lines[i].strip().startswith("_"):
@@ -174,8 +186,10 @@ def read_cif(text: str) -> FullCrystal:
         raise CifError(f"missing required tags: {', '.join(missing)}")
     if not elements:
         raise CifError("no atom_site loop found")
-    ell = np.array([cell[t] for t in required])
-    L, _ = lattice_matrix(ell)
+    try:
+        L, _ = lattice_matrix([cell[t] for t in required])
+    except ValueError as exc:
+        raise CifError(str(exc)) from exc
     return FullCrystal(
         lattice=L,
         elements=np.array(elements),

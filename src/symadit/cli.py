@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -105,9 +104,7 @@ def cmd_catalog(args) -> int:
         for w in entry.wyckoff:
             u = rng.uniform(0.05, 0.95, size=3)
             f = symcat.symmetrize_site(w, u)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", symcat.DegenerateOrbitWarning)
-                pts = symcat.orbit_expand(entry, w, f)
+            pts = symcat.orbit_expand(entry, w, f)
             if len(pts) != w.multiplicity:
                 raise CatalogError(
                     f"{w.key}: orbit size {len(pts)} != {w.multiplicity}")
@@ -142,7 +139,7 @@ def cmd_ingest(args) -> int:
         for f in files:
             try:
                 structure = cifio.read_cif(f.read_text())
-            except cifio.CifError:
+            except (cifio.CifError, UnicodeDecodeError):
                 skipped["cif_parse"] += 1
                 continue
             sg = structure.spacegroup or sg_table.get(f.name)
@@ -171,6 +168,7 @@ def cmd_ingest(args) -> int:
     if not asus:
         print("ingest: no structure survived", file=sys.stderr)
         return EXIT_VALIDATION
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     cr.write_dataset_jsonl(out_path, asus, ids)
     mean_tokens = float(np.mean([len(a.sites) for a in asus]))
     stats = {
@@ -314,12 +312,14 @@ def cmd_generate(args) -> int:
     cif_dir.mkdir(parents=True, exist_ok=True)
     cr.write_dataset_jsonl(out_dir / "generated.jsonl", asus,
                            [f"gen-{i:05d}" for i in range(len(asus))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", symcat.DegenerateOrbitWarning)
-        for i, asu in enumerate(asus):
-            full = cr.expand_asu(asu, catalog)
-            (cif_dir / f"gen-{i:05d}.cif").write_text(
-                cifio.write_cif(full, name=f"gen-{i:05d}"))
+    counters = {"decode_rejections": stats.rejection_reasons,
+                "lattice_clamps": stats.lattice_clamps,
+                "closing_cell_pulls": stats.closing_cell_pulls,
+                "degenerate_orbits": 0}
+    for i, asu in enumerate(asus):
+        full = cr.expand_asu(asu, catalog, counters)
+        (cif_dir / f"gen-{i:05d}.cif").write_text(
+            cifio.write_cif(full, name=f"gen-{i:05d}"))
     t3 = time.perf_counter()
     _write_manifest(
         out_dir, "generate",
@@ -330,9 +330,7 @@ def cmd_generate(args) -> int:
                     "lattice_clamps": stats.lattice_clamps,
                     "failures": stats.failures},
         timings={"load_s": t1 - t0, "sample_s": t2 - t1, "write_s": t3 - t2},
-        counters={"decode_rejections": stats.rejection_reasons,
-                  "lattice_clamps": stats.lattice_clamps,
-                  "closing_cell_pulls": stats.closing_cell_pulls},
+        counters=counters,
         ae_checkpoint_hash=denoiser.ae_checkpoint_hash)
     print(f"generated {len(asus)}/{args.count} crystals "
           f"({stats.decode_rejections} decode rejections)")

@@ -8,13 +8,12 @@ import functools
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, symcat
-from .symcat import DegenerateOrbitWarning, SymmetryCatalog, WyckoffPos
+from .symcat import SymmetryCatalog, WyckoffPos
 
 __all__ = [
     "CrystalASU",
@@ -196,8 +195,14 @@ def lattice_params(L) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog) -> FullCrystal:
-    """Expand every orbit to the conventional cell."""
+def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
+               counters: dict | None = None) -> FullCrystal:
+    """Expand every orbit to the conventional cell.
+
+    An orbit whose free parameters sit on a special value collapses to
+    fewer than its multiplicity of points; each such orbit adds 1 to
+    `counters["degenerate_orbits"]` when `counters` is given.
+    """
     entry = catalog.group(asu.spacegroup)
     L, _ = lattice_matrix(asu.lattice)
     elements: list[int] = []
@@ -205,6 +210,9 @@ def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog) -> FullCrystal:
     for site in asu.sites:
         w = entry.position(site.wyckoff)
         pts = symcat.orbit_expand(entry, w, site.frac)
+        if counters is not None and len(pts) != w.multiplicity:
+            counters["degenerate_orbits"] = counters.get(
+                "degenerate_orbits", 0) + 1
         coords.append(pts)
         elements.extend([site.element] * len(pts))
     return FullCrystal(
@@ -305,9 +313,7 @@ def assign_wyckoff(
     asu = CrystalASU(spacegroup=spacegroup, sites=sites, lattice=ell)
 
     # round trip must reproduce the input atom set
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOrbitWarning)
-        rebuilt = expand_asu(asu, catalog)
+    rebuilt = expand_asu(asu, catalog)
     if rebuilt.n_atoms != m:
         raise IngestError(
             f"round trip produced {rebuilt.n_atoms} atoms, expected {m}")

@@ -8,7 +8,6 @@ composition; the matcher refuses all others, so no decision changes."""
 from __future__ import annotations
 
 import json
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import crystal as cr
 from .crystal import CrystalASU, FullCrystal, MatchParams
 from .kernels import min_image_distance_matrix
-from .symcat import DegenerateOrbitWarning, SymmetryCatalog
+from .symcat import SymmetryCatalog
 
 __all__ = [
     "GenerationReport",
@@ -348,14 +347,7 @@ def evaluate_pipeline(
     tally = counters if counters is not None else {}
     for name in ("degenerate_orbits", "invalid_volume", "invalid_distance"):
         tally.setdefault(name, 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateOrbitWarning)
-        expanded = [cr.expand_asu(a, catalog) for a in gen]
-    for w in caught:
-        if issubclass(w.category, DegenerateOrbitWarning):
-            tally["degenerate_orbits"] += 1
-        else:   # pass every other warning on
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    expanded = [cr.expand_asu(a, catalog, tally) for a in gen]
     valid_mask = [cr.structural_validity(s) for s in expanded]
     n_volume = sum(s.volume < cr.MIN_VOLUME for s in expanded)
     tally["invalid_volume"] += n_volume
@@ -364,9 +356,7 @@ def evaluate_pipeline(
     valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
     if not valid_asus:
         raise ValueError("no generated structure passes structural validity")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateOrbitWarning)
-        train_structs = [cr.expand_asu(a, catalog) for a in train]
+    train_structs = [cr.expand_asu(a, catalog) for a in train]
 
     validity_rate = 100.0 * len(valid_asus) / len(gen)
     uniq, novel, flags = uniqueness_and_novelty(

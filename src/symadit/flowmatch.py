@@ -479,8 +479,8 @@ def sample(
             latent = LatentBatch(z=z1, mask=mask,
                                  groups=np.array([group], dtype=np.int64))
             try:
-                _, asus = autoencoder.decode(latent, mode="sample",
-                                             rng=rng, counters=counters)
+                asus = autoencoder.decode(latent, mode="sample",
+                                          rng=rng, counters=counters)
             except DecodeError as exc:
                 stats.decode_rejections += 1
                 stats.rejection_reasons[exc.reason] += 1

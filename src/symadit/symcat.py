@@ -20,7 +20,6 @@ position or group on first use.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -31,7 +30,6 @@ from .triplet import AffineForm, TripletError, parse_triplet
 
 __all__ = [
     "CatalogError",
-    "DegenerateOrbitWarning",
     "LatticeClass",
     "SpaceGroupEntry",
     "SymmetryCatalog",
@@ -70,7 +68,12 @@ def wrap_unit(values) -> np.ndarray:
 
 
 class DegenerateOrbitWarning(UserWarning):
-    """Free parameters landed on a higher-symmetry point; orbit collapsed."""
+    """Free parameters landed on a higher-symmetry point; orbit collapsed.
+
+    Nothing in the package issues it: `orbit_expand` returns a collapsed
+    orbit as data and `crystal.expand_asu` counts it. The name stays only
+    for callers outside the package that still filter it.
+    """
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
@@ -216,7 +219,8 @@ class SymmetryCatalog:
         try:
             return self._by_number[number]
         except KeyError:
-            raise KeyError(f"space group number {number} outside 1..230") from None
+            raise ValueError(
+                f"space group number {number} outside 1..230") from None
 
     def position(self, group_number: int, letter: str) -> WyckoffPos:
         return self.group(group_number).position(letter)
@@ -456,9 +460,9 @@ def lattice_was_clamped(lattice_class: LatticeClass, ell) -> bool:
 def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     """Expand a symmetrized representative to its orbit in [0, 1)^3.
 
-    Returns `multiplicity` points for generic parameters; if the free
-    parameters hit a special value the orbit collapses and a
-    DegenerateOrbitWarning is issued (deduped points are returned).
+    Returns `w.multiplicity` points for generic parameters. If the free
+    parameters hit a special value the orbit collapses: the deduplicated
+    points are returned, fewer than `w.multiplicity` of them.
     """
     rot, trans = w.generator_arrays
     pts = wrap_unit(rot @ wrap_unit(f_free) + trans)
@@ -469,15 +473,7 @@ def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     for i in np.flatnonzero(close.any(axis=1)):
         if keep[i]:  # the first kept point of a cluster drops the rest
             keep[close[i]] = False
-    pts = pts[keep]
-    if len(pts) != w.multiplicity:
-        warnings.warn(
-            f"orbit of {w.key} collapsed to {len(pts)} of "
-            f"{w.multiplicity} points (special parameter value)",
-            DegenerateOrbitWarning,
-            stacklevel=2,
-        )
-    return pts
+    return pts[keep]
 
 
 def wyckoff_mask(catalog: SymmetryCatalog, group_number: int) -> np.ndarray:

@@ -77,18 +77,30 @@ def test_latent_bound_holds(catalog, desk_model):
 def test_decode_satisfies_invariants(catalog, desk_model):
     asus = small_dataset(catalog, n=6)
     latent = desk_model.encode(asus)
-    _, decoded = desk_model.decode(latent, mode="argmax")
+    decoded = desk_model.decode(latent, mode="argmax")
     for asu in decoded:
         asu.validate(catalog)
+
+
+def test_decode_sample_needs_an_rng(catalog, desk_model):
+    # an unseeded fallback stream would make the same latents decode
+    # differently from run to run
+    latent = desk_model.encode(small_dataset(catalog, n=2))
+    with pytest.raises(ValueError, match="rng"):
+        desk_model.decode(latent, mode="sample")
+    with pytest.raises(ValueError, match="mode"):
+        desk_model.decode(latent, mode="greedy")
 
 
 def test_decode_group_masking(catalog, desk_model):
     asus = small_dataset(catalog, n=3)
     latent = desk_model.encode(asus)
-    outputs, decoded = desk_model.decode(latent, mode="argmax")
+    decoded = desk_model.decode(latent, mode="argmax")
+    wy, *_ = desk_model.decode_heads(Tensor(latent.z), latent.groups,
+                                     latent.mask)
     for i, asu in enumerate(asus):
         allowed = symcat.wyckoff_mask(catalog, asu.spacegroup)
-        logits = outputs.wyckoff_logits[i][latent.mask[i]]
+        logits = wy.data[i][latent.mask[i]]
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.all(probs[:, ~allowed] == 0.0)
@@ -105,8 +117,8 @@ def test_decode_zero_dof_sites_exact(catalog, desk_model):
         mask=np.ones((1, 2), dtype=bool),
         groups=np.array([225]),
     )
-    _, decoded = desk_model.decode(latent, mode="sample",
-                                   rng=np.random.default_rng(0))
+    decoded = desk_model.decode(latent, mode="sample",
+                                rng=np.random.default_rng(0))
     entry = catalog.group(225)
     for site in decoded[0].sites:
         w = entry.position(site.wyckoff)
@@ -118,7 +130,7 @@ def test_decode_zero_dof_sites_exact(catalog, desk_model):
 def test_decode_lattice_constraints(catalog, desk_model):
     asus = small_dataset(catalog, n=6)
     latent = desk_model.encode(asus)
-    _, decoded = desk_model.decode(latent)
+    decoded = desk_model.decode(latent)
     for asu in decoded:
         lc = catalog.group(asu.spacegroup).lattice_class
         assert np.allclose(
@@ -141,7 +153,7 @@ def test_decode_no_repeat_zero_dof(catalog, desk_model):
     )
     for seed in range(5):
         try:
-            _, decoded = desk_model.decode(
+            decoded = desk_model.decode(
                 latent, mode="sample", rng=np.random.default_rng(seed))
         except Exception:
             continue

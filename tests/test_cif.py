@@ -58,18 +58,12 @@ def test_roundtrip_preserves_geometry(catalog, nacl):
 
 
 def test_roundtrip_random_structures(catalog):
-    import warnings
-
-    from symadit.symcat import DegenerateOrbitWarning
-
     rng = np.random.default_rng(13)
     done = 0
     while done < 50:
         g = int(rng.integers(1, 231))
         asu = random_asu(catalog, g, rng, max_sites=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateOrbitWarning)
-            full = cr.expand_asu(asu, catalog)
+        full = cr.expand_asu(asu, catalog)
         if full.n_atoms > 60:
             continue
         back = read_cif(write_cif(full))
@@ -134,6 +128,24 @@ def test_reader_ignores_unknown_tags():
     full = read_cif(text)
     assert full.n_atoms == 1
     assert full.frac[0][0] == pytest.approx(0.25)
+
+
+def test_reader_space_group_tag(catalog, nacl):
+    text = write_cif(cr.expand_asu(nacl, catalog))
+    tag = "_symmetry_Int_Tables_number      225"
+    line = text.splitlines().index(tag) + 1
+
+    def read(value, name="_symmetry_Int_Tables_number"):
+        return read_cif(text.replace(tag, f"{name} {value}"))
+
+    assert read("225").spacegroup == 225
+    assert read("12", "_space_group_IT_number").spacegroup == 12
+    for unknown in ("?", ".", ""):
+        assert read(unknown).spacegroup is None
+    for bad in ("225(1)", "231", "0", "-5", "+5", "2_25", "2.0", "P1"):
+        with pytest.raises(CifError, match="1..230") as err:
+            read(bad)
+        assert err.value.line == line, bad
 
 
 def test_element_symbols_roundtrip():

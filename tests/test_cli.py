@@ -106,6 +106,52 @@ def test_ingest_skips_by_category(catalog, tmp_path, nacl):
         "invalid_record": 1}
 
 
+def test_one_bad_cif_is_a_skip(catalog, tmp_path, nacl):
+    # `?` is CIF's "unknown", so that file has no group and no --sg-table
+    # entry; an esd or a number outside 1..230, a cell that closes no
+    # lattice, a non-finite coordinate and bytes that are not text are
+    # CIFs that do not parse
+    cif_dir = tmp_path / "cifs"
+    cif_dir.mkdir()
+    text = cifio.write_cif(cr.expand_asu(nacl, catalog))
+    tag = "_symmetry_Int_Tables_number      225"
+    angle = "_cell_angle_alpha   90.000000"
+    coord = "Na1 Na 0.000000"
+    for old in (tag, angle, coord):
+        assert old in text
+    for name, old, new in (
+            ("nacl", tag, tag),
+            ("unknown", tag, "_symmetry_Int_Tables_number ?"),
+            ("esd", tag, "_symmetry_Int_Tables_number 225(1)"),
+            ("past_230", tag, "_symmetry_Int_Tables_number 231"),
+            ("open_cell", angle, "_cell_angle_alpha 200"),
+            ("nan", coord, "Na1 Na nan")):
+        (cif_dir / f"{name}.cif").write_text(text.replace(old, new))
+    (cif_dir / "latin1.cif").write_bytes(text.encode() + b"# \xe9\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "--input", str(cif_dir), "--out", str(out)]) == 0
+    manifest = json.loads((out.parent / "manifest.json").read_text())
+    assert manifest["stats"]["ingested"] == 1
+    assert manifest["stats"]["skipped"] == {
+        "cif_parse": 5, "missing_space_group": 1, "wyckoff_assignment": 0,
+        "invalid_record": 0}
+    assert [a.spacegroup for a in cr.read_dataset_jsonl(out)] == [225]
+
+    table = tmp_path / "sg.json"
+    table.write_text(json.dumps({"unknown.cif": 231}))
+    assert main(["ingest", "--input", str(cif_dir), "--out", str(out),
+                 "--sg-table", str(table)]) == 2
+
+
+def test_ingest_creates_its_output_folder(tmp_path, nacl):
+    records = tmp_path / "records.jsonl"
+    cr.write_dataset_jsonl(records, [nacl])
+    out = tmp_path / "new" / "out.jsonl"
+    assert main(["ingest", "--input", str(records), "--out", str(out)]) == 0
+    assert len(cr.read_dataset_jsonl(out)) == 1
+    assert (out.parent / "manifest.json").exists()
+
+
 def _malformed_records(nacl) -> list[str]:
     """JSONL lines that no asymmetric unit can be built from or validated."""
     good = cr.asu_to_record(nacl)
@@ -171,7 +217,7 @@ def test_evaluate_counts_invalid_and_degenerate(tmp_path, nacl):
     assert "counters" not in report
 
 
-def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
+def test_full_pipeline_desk_scale(catalog, dataset, tmp_path, capsys):
     train_path, asus = dataset
     work = tmp_path
 
@@ -204,7 +250,11 @@ def test_full_pipeline_desk_scale(dataset, tmp_path, capsys):
     assert "timings" not in manifest["config"]
     counters = manifest["counters"]
     assert set(counters) == {"decode_rejections", "lattice_clamps",
-                             "closing_cell_pulls"}
+                             "closing_cell_pulls", "degenerate_orbits"}
+    recount = {}
+    for asu in produced:
+        cr.expand_asu(asu, catalog, recount)
+    assert counters["degenerate_orbits"] == recount.get("degenerate_orbits", 0)
     assert set(counters["decode_rejections"]) == {"slots_exhausted"}
     assert sum(counters["decode_rejections"].values()) == \
         manifest["rejections"]["decode_rejections"]

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from symadit.crystal import (
     niggli_reduce,
     structural_validity,
 )
-from symadit.symcat import DegenerateOrbitWarning
 
 
 def exhaustive_min_image(diff, lattice, bound, skip_zero=False):
@@ -159,6 +157,23 @@ def test_expansion_counts_match_multiplicities(catalog):
         full = expand_asu(asu, catalog)
         expected = sum(entry.position(s.wyckoff).multiplicity for s in asu.sites)
         assert full.n_atoms == expected
+
+
+def test_expand_asu_counts_each_collapsed_orbit(catalog, nacl):
+    # 225 e is (x,0,0); at x = 0 and x = 1/2 it collapses onto 4a and 4b
+    collapsed = CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+        *nacl.sites,
+        Site(element=8, wyckoff="e", frac=np.zeros(3)),
+        Site(element=9, wyckoff="e", frac=[0.5, 0, 0]),
+        Site(element=6, wyckoff="e", frac=[0.2, 0, 0])])
+    counters = {"degenerate_orbits": 3}
+    full = expand_asu(collapsed, catalog, counters)
+    assert counters == {"degenerate_orbits": 5}
+    assert full.n_atoms == 4 + 4 + 4 + 4 + 24
+    assert np.array_equal(expand_asu(collapsed, catalog).frac, full.frac)
+    counters = {}
+    expand_asu(nacl, catalog, counters)
+    assert counters == {}
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +430,13 @@ def test_roundtrip_random_groups(catalog):
     groups = rng.choice(230, size=20, replace=False) + 1
     for g in groups:
         asu = random_asu(catalog, int(g), rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateOrbitWarning)
-            full = expand_asu(asu, catalog)
-            try:
-                back = assign_wyckoff(full, int(g), catalog)
-            except IngestError:
-                # random free parameters occasionally collapse an orbit;
-                # regenerate a clearly generic unit instead
-                continue
+        full = expand_asu(asu, catalog)
+        try:
+            back = assign_wyckoff(full, int(g), catalog)
+        except IngestError:
+            # random free parameters occasionally collapse an orbit;
+            # regenerate a clearly generic unit instead
+            continue
         want = sorted((s.element, s.wyckoff) for s in asu.sites)
         got = sorted((s.element, s.wyckoff) for s in back.sites)
         assert got == want, f"group {g}"

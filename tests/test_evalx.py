@@ -209,18 +209,12 @@ def test_match_rejects_different_composition(catalog, nacl):
 
 
 def _random_corpus(catalog, n=20, seed=1):
-    import warnings
-
-    from symadit.symcat import DegenerateOrbitWarning
-
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
         g = int(rng.integers(1, 231))
         asu = random_asu(catalog, g, rng, max_sites=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateOrbitWarning)
-            full = cr.expand_asu(asu, catalog)
+        full = cr.expand_asu(asu, catalog)
         if full.n_atoms <= 24 and cr.structural_validity(full):
             out.append(full)
     return out
@@ -467,19 +461,13 @@ def test_p1_rate(catalog):
 
 
 def test_pipeline_on_synthetic_corpus(catalog):
-    import warnings
-
-    from symadit.symcat import DegenerateOrbitWarning
-
     rng = np.random.default_rng(2)
     train = []
     for g in (1, 2, 14, 14, 225):
         while True:
             asu = random_asu(catalog, g, rng, max_sites=2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateOrbitWarning)
-                if cr.structural_validity(cr.expand_asu(asu, catalog)):
-                    break
+            if cr.structural_validity(cr.expand_asu(asu, catalog)):
+                break
         train.append(asu)
     gen = list(train)
     report = evalx.evaluate_pipeline(gen, train, catalog, n_novelty=3,

@@ -103,6 +103,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+WARNING_CALLS = {"catch_warnings", "simplefilter", "filterwarnings", "warn",
+                 "warn_explicit"}
+
+
+def test_no_module_issues_or_filters_warnings():
+    """A collapsed orbit is data that `expand_asu` counts; no module issues
+    a warning or installs a process-global filter around one."""
+    found = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    name == "warnings" for name in
+                    [getattr(node, "module", None)]
+                    + [a.name for a in node.names]):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: "
+                             "imports warnings")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name in WARNING_CALLS:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}:"
+                                 f" {name}")
+    assert found == []
+
+
 PERFBENCH = ROOT / "perfbench"
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from symadit import symcat
 from symadit.symcat import (
     CatalogError,
-    DegenerateOrbitWarning,
     dof_info,
     orbit_expand,
     symmetrize_lattice,
@@ -21,6 +20,12 @@ from symadit.symcat import (
 def test_counts(catalog):
     assert len(catalog) == 230
     assert len(catalog.positions) == 1731
+
+
+def test_group_outside_the_catalog_is_a_value_error(catalog):
+    for number in (0, 231, -1):
+        with pytest.raises(ValueError, match="outside 1..230"):
+            catalog.group(number)
 
 
 def test_group_1_general_position(catalog):
@@ -156,13 +161,15 @@ def test_orbit_expand_p1_single_point(catalog):
     assert np.allclose(pts[0], [0.2, 0.3, 0.4])
 
 
-def test_orbit_expand_degenerate_warns(catalog):
-    # a general-position point placed on a mirror collapses the orbit
+def test_orbit_expand_collapse_is_data_not_a_warning(catalog):
+    # a general-position point placed on a mirror collapses the orbit; the
+    # deduplicated points are the whole answer, and nothing is issued
     entry = catalog.group(225)
     general = entry.wyckoff[-1]
-    with pytest.warns(DegenerateOrbitWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pts = orbit_expand(entry, general, np.zeros(3))
-    assert len(pts) < general.multiplicity
+    assert len(pts) < general.multiplicity == 192
 
 
 def test_wyckoff_mask_partition(catalog):
@@ -258,13 +265,11 @@ def test_orbit_invariance_under_group_action(catalog):
 def test_multiplicity_oracle_all_positions(catalog):
     """Brute-force orbit size equals the stored multiplicity, everywhere."""
     rng = np.random.default_rng(17)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateOrbitWarning)
-        for entry in catalog.groups:
-            for w in entry.wyckoff:
-                f = symcat.symmetrize_site(w, rng.uniform(0.02, 0.98, 3))
-                pts = orbit_expand(entry, w, f)
-                assert len(pts) == w.multiplicity, w.key
+    for entry in catalog.groups:
+        for w in entry.wyckoff:
+            f = symcat.symmetrize_site(w, rng.uniform(0.02, 0.98, 3))
+            pts = orbit_expand(entry, w, f)
+            assert len(pts) == w.multiplicity, w.key
 
 
 def _orbit_expand_reference(w, f_free):
@@ -288,25 +293,24 @@ def _orbit_expand_reference(w, f_free):
 
 
 def test_orbit_expand_matches_exact_reference_everywhere(catalog):
-    """Float-view expansion equals the exact-form oracle bitwise, with the
-    same collapse warning, for a uniform and a quarter-grid draw at every
-    position (the quarter grid lands on special values and collapses)."""
+    """Float-view expansion equals the exact-form oracle bitwise, collapsed
+    orbits included and without a warning, for a uniform and a quarter-grid
+    draw at every position (the quarter grid lands on special values and
+    collapses)."""
     rng = np.random.default_rng(23)
     collapsed = 0
-    for entry in catalog.groups:
-        for w in entry.wyckoff:
-            for draw in (rng.uniform(0.0, 1.0, 3), rng.integers(0, 4, 3) / 4):
-                f = symmetrize_site(w, draw)
-                want = _orbit_expand_reference(w, f)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in catalog.groups:
+            for w in entry.wyckoff:
+                for draw in (rng.uniform(0.0, 1.0, 3),
+                             rng.integers(0, 4, 3) / 4):
+                    f = symmetrize_site(w, draw)
+                    want = _orbit_expand_reference(w, f)
                     got = orbit_expand(entry, w, f)
-                assert got.shape == want.shape, w.key
-                assert got.tobytes() == want.tobytes(), w.key
-                degenerate = len(want) != w.multiplicity
-                assert [c.category for c in caught] == (
-                    [DegenerateOrbitWarning] if degenerate else []), w.key
-                collapsed += degenerate
+                    assert got.shape == want.shape, w.key
+                    assert got.tobytes() == want.tobytes(), w.key
+                    collapsed += len(want) != w.multiplicity
     assert collapsed > 0
 
 
