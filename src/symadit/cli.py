@@ -121,21 +121,25 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    t0 = time.perf_counter()
     catalog = _load_catalog(args)
     out_path = Path(args.out)
     in_path = Path(args.input)
-    sg_table = {}
-    if args.sg_table:
-        sg_table = json.loads(Path(args.sg_table).read_text())
+    sg_table = json.loads(Path(args.sg_table).read_text()) if args.sg_table else {}
+    if not isinstance(sg_table, dict):
+        raise ValueError(f"--sg-table {args.sg_table} is not a JSON object")
+    for name, sg in sg_table.items():
+        if type(sg) is not int:  # refuses bool, float, str, list
+            raise ValueError(f"--sg-table: {name!r} maps to {sg!r}, not an int")
 
-    asus: list[CrystalASU] = []
-    ids: list[str] = []
+    asus, ids = [], []
     skipped = dict.fromkeys(("cif_parse", "missing_space_group",
                              "wyckoff_assignment", "invalid_record"), 0)
     if in_path.is_dir():
         files = sorted(in_path.glob("*.cif"))
         if not files:
             raise UsageError(f"no .cif files under {in_path}")
+        structures = []
         for f in files:
             try:
                 structure = cifio.read_cif(f.read_text())
@@ -146,14 +150,16 @@ def cmd_ingest(args) -> int:
             if sg is None:
                 skipped["missing_space_group"] += 1
                 continue
+            structures.append((f.stem, structure, sg))
+        t1 = time.perf_counter()
+        for stem, structure, sg in structures:
             try:
-                asu = cr.assign_wyckoff(structure, int(sg), catalog,
-                                        tol=args.tol)
+                asu = cr.assign_wyckoff(structure, sg, catalog, tol=args.tol)
             except cr.IngestError:
                 skipped["wyckoff_assignment"] += 1
                 continue
             asus.append(asu)
-            ids.append(f.stem)
+            ids.append(stem)
     else:
         for rec_idx, (_, line) in enumerate(cr.dataset_lines(in_path)):
             try:
@@ -164,12 +170,15 @@ def cmd_ingest(args) -> int:
                 continue
             asus.append(asu)
             ids.append(str(rec_idx))
+        t1 = time.perf_counter()  # records carry their Wyckoff letters
+    t2 = time.perf_counter()
 
     if not asus:
         print("ingest: no structure survived", file=sys.stderr)
         return EXIT_VALIDATION
     out_path.parent.mkdir(parents=True, exist_ok=True)
     cr.write_dataset_jsonl(out_path, asus, ids)
+    t3 = time.perf_counter()
     mean_tokens = float(np.mean([len(a.sites) for a in asus]))
     stats = {
         "ingested": len(asus),
@@ -178,7 +187,9 @@ def cmd_ingest(args) -> int:
     }
     _write_manifest(out_path.parent, "ingest",
                     {"input": str(in_path), "tol": args.tol},
-                    None, stats=stats, output_hash=checkpoint_hash(out_path))
+                    None, stats=stats, output_hash=checkpoint_hash(out_path),
+                    timings={"read_s": t1 - t0, "assign_s": t2 - t1,
+                             "write_s": t3 - t2})
     print(f"ingested {len(asus)} structures "
           f"(mean tokens/sample {mean_tokens:.2f}, "
           f"skipped {sum(skipped.values())})")

@@ -128,16 +128,23 @@ class FullCrystal:
             raise ValueError("lattice must be a 3x3 matrix")
         if len(self.elements) != len(self.frac):
             raise ValueError("elements and coordinates disagree in length")
-        if np.linalg.det(self.lattice) <= 0:
+        if self.volume <= 0:
             raise ValueError("lattice matrix must be right-handed (det > 0)")
 
     @property
     def n_atoms(self) -> int:
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def volume(self) -> float:
         return float(np.linalg.det(self.lattice))
+
+    @functools.cached_property
+    def match_key(self) -> tuple:
+        """(atom count, reduced composition), which a match must equal."""
+        els, counts = np.unique(self.elements, return_counts=True)
+        counts //= np.gcd.reduce(counts)
+        return self.n_atoms, tuple(zip(els.tolist(), counts.tolist()))
 
     @functools.cached_property
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:

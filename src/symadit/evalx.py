@@ -122,39 +122,31 @@ def wasserstein_atoms(gen_counts, ref_counts) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_composition(elements: np.ndarray) -> tuple:
-    counts = Counter(int(e) for e in elements)
-    divisor = np.gcd.reduce(list(counts.values()))
-    return tuple(sorted((el, c // divisor) for el, c in counts.items()))
-
-
 def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
-    # stage 3: greedy bijective site assignment under candidate shifts that
-    # map a's anchor atom onto same-element atoms of b
+    # stage 3: greedy bijective site assignment, one distance matrix per shift
+    # of a's anchor atom onto a same-element atom of b
     scale = ((a.volume / a.n_atoms) * (b.volume / b.n_atoms)) ** 0.5
     cutoff = params.stol * scale ** (1.0 / 3.0)
-    anchor_el = a.elements[0]
-    anchor = a.frac[0]
     lattice, basis = b.reduced        # exact image search in b's Niggli cell
     target = b.frac @ basis
-    for j in np.where(b.elements == anchor_el)[0]:
-        shift = b.frac[j] - anchor
-        shifted = ((a.frac + shift) % 1.0) @ basis
-        used = np.zeros(b.n_atoms, dtype=bool)
-        ok = True
-        for i in range(a.n_atoms):
-            cand = np.where((b.elements == a.elements[i]) & ~used)[0]
-            if len(cand) == 0:
-                ok = False
+    same = a.elements[:, None] == b.elements[None, :]
+    shifts = b.frac[same[0]] - a.frac[0]
+    if a.n_atoms > 1:
+        # the greedy fails on shifts leaving a's scarcest non-anchor atom out of reach
+        k = 1 + np.argmin(same[1:].sum(axis=1))
+        reach = min_image_distance_matrix(
+            ((a.frac[k] + shifts) % 1.0) @ basis, target[same[k]], lattice)
+        shifts = shifts[reach.min(axis=1, initial=np.inf) <= cutoff]
+    for shift in shifts:
+        dist = min_image_distance_matrix(
+            ((a.frac + shift) % 1.0) @ basis, target, lattice)
+        dist[~same] = np.inf      # other elements, then used atoms of b
+        for row in dist:          # argmin takes the lowest tied column
+            best = np.argmin(row)
+            if row[best] > cutoff:
                 break
-            d = min_image_distance_matrix(
-                shifted[i][None, :], target[cand], lattice)[0]
-            best = int(np.argmin(d))
-            if d[best] > cutoff:
-                ok = False
-                break
-            used[cand[best]] = True
-        if ok:
+            dist[:, best] = np.inf
+        else:
             return True
     return False
 
@@ -171,11 +163,7 @@ def structure_match(a: FullCrystal, b: FullCrystal,
     """
     if a.n_atoms == 0 or b.n_atoms == 0:
         return False
-    if _reduced_composition(a.elements) != _reduced_composition(b.elements):
-        return False
-    if a.n_atoms != b.n_atoms:
-        # same reduced composition but different cell content: compare at
-        # matching formula-unit counts only
+    if a.match_key != b.match_key:   # equal formula-unit counts only
         return False
     ra = cr.lattice_params(a.reduced[0])
     rb = cr.lattice_params(b.reduced[0])
@@ -190,7 +178,7 @@ def structure_match(a: FullCrystal, b: FullCrystal,
 
 def _match_key(s: FullCrystal) -> tuple:
     """The parts of a structure that `structure_match` requires to be equal."""
-    return s.n_atoms, _reduced_composition(s.elements)
+    return s.match_key
 
 
 def uniqueness_and_novelty(

@@ -466,9 +466,13 @@ def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     """
     rot, trans = w.generator_arrays
     pts = wrap_unit(rot @ wrap_unit(f_free) + trans)
-    d = np.abs(pts[:, None, :] - pts[None, :, :])
-    # close[i, j]: a later point j coincides with point i
-    close = np.triu(np.all(np.minimum(d, 1.0 - d) < ORBIT_TOL, axis=-1), 1)
+    close = np.ones((len(pts), len(pts)), dtype=bool)  # one axis at a time
+    for col in pts.T:
+        d = np.abs(col[:, None] - col[None, :])
+        close &= np.minimum(d, 1.0 - d) < ORBIT_TOL
+        if np.count_nonzero(close) == len(pts):  # each meets only itself
+            return pts
+    close = np.triu(close, 1)  # a later point j coincides with point i
     keep = np.ones(len(pts), dtype=bool)
     for i in np.flatnonzero(close.any(axis=1)):
         if keep[i]:  # the first kept point of a cluster drops the rest

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,51 @@ def test_one_bad_cif_is_a_skip(catalog, tmp_path, nacl):
     table.write_text(json.dumps({"unknown.cif": 231}))
     assert main(["ingest", "--input", str(cif_dir), "--out", str(out),
                  "--sg-table", str(table)]) == 2
+
+
+@pytest.mark.parametrize("table, offender", [
+    (["unknown.cif"], "not a JSON object"),
+    ({"nacl.cif": 225, "unknown.cif": [225]}, "'unknown.cif'"),
+    ({"unknown.cif": 2.7}, "'unknown.cif'"),
+    ({"unknown.cif": True}, "'unknown.cif'"),
+])
+def test_sg_table_must_map_names_to_integers(catalog, tmp_path, nacl, capsys,
+                                             table, offender):
+    """A table that is not an object of plain integers is refused where it
+    is loaded (exit 2, naming the key), before any CIF is read."""
+    cif_dir = tmp_path / "cifs"
+    cif_dir.mkdir()
+    text = cifio.write_cif(cr.expand_asu(nacl, catalog))
+    tag = "_symmetry_Int_Tables_number      225"
+    (cif_dir / "unknown.cif").write_text(
+        text.replace(tag, "_symmetry_Int_Tables_number ?"))
+    path = tmp_path / "sg.json"
+    path.write_text(json.dumps(table))
+    out = tmp_path / "out" / "out.jsonl"
+    assert main(["ingest", "--input", str(cif_dir), "--out", str(out),
+                 "--sg-table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure:") and offender in err
+    assert not out.parent.exists()
+
+
+def test_ingest_manifest_timings(catalog, tmp_path, nacl):
+    cif_dir = tmp_path / "cifs"
+    cif_dir.mkdir()
+    (cif_dir / "nacl.cif").write_text(
+        cifio.write_cif(cr.expand_asu(nacl, catalog)))
+    records = tmp_path / "records.jsonl"
+    cr.write_dataset_jsonl(records, [nacl])
+    for name, source in (("cif", cif_dir), ("jsonl", records)):
+        out = tmp_path / name / "out.jsonl"
+        start = time.perf_counter()
+        assert main(["ingest", "--input", str(source), "--out", str(out)]) == 0
+        wall = time.perf_counter() - start
+        timings = json.loads((out.parent / "manifest.json").read_text()
+                             )["timings"]
+        assert set(timings) == {"read_s", "assign_s", "write_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= wall
 
 
 def test_ingest_creates_its_output_folder(tmp_path, nacl):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_asu
 from symadit import crystal as cr
-from symadit import evalx
+from symadit import evalx, kernels
 from symadit.crystal import CrystalASU, FullCrystal, MatchParams, Site
 from symadit.evalx import (
     composition_stats,
@@ -236,6 +236,162 @@ def test_match_invariant_under_atom_reordering(catalog):
         shuffled = FullCrystal(lattice=s.lattice, elements=s.elements[perm],
                                frac=s.frac[perm])
         assert structure_match(s, shuffled)
+
+
+def _greedy_one_way_match(a, b, params):
+    """Per-row greedy oracle: for each atom of a in order, one single-row
+    distance call over b's unused same-element atoms, the lowest index
+    winning a tie; a shift fails when no candidate is left or the nearest
+    is beyond the cutoff."""
+    scale = ((a.volume / a.n_atoms) * (b.volume / b.n_atoms)) ** 0.5
+    cutoff = params.stol * scale ** (1.0 / 3.0)
+    lattice, basis = b.reduced
+    target = b.frac @ basis
+    for j in np.where(b.elements == a.elements[0])[0]:
+        shifted = ((a.frac + (b.frac[j] - a.frac[0])) % 1.0) @ basis
+        used = np.zeros(b.n_atoms, dtype=bool)
+        for i in range(a.n_atoms):
+            cand = np.where((b.elements == a.elements[i]) & ~used)[0]
+            if len(cand) == 0:
+                break
+            d = kernels.min_image_distance_matrix(
+                shifted[i][None, :], target[cand], lattice)[0]
+            best = int(np.argmin(d))
+            if d[best] > cutoff:
+                break
+            used[cand[best]] = True
+        else:
+            return True
+    return False
+
+
+def _oblique_cell(rng, n_atoms, n_elements):
+    """P1 cell with angles drawn from 10-170 degrees, ~12 A^3 per atom."""
+    while True:
+        ell = np.concatenate([rng.uniform(0.6, 1.4, 3),
+                              rng.uniform(10.0, 170.0, 3)])
+        try:
+            lattice, volume = cr.lattice_matrix(ell)
+        except ValueError:
+            continue
+        lattice *= (12.0 * n_atoms / volume) ** (1.0 / 3.0)
+        elements = np.sort(rng.integers(1, n_elements + 1, n_atoms))
+        return FullCrystal(lattice, elements, rng.uniform(size=(n_atoms, 3)))
+
+
+def _jittered(s, rng, ratio, params):
+    """s with every atom but the anchor moved by ratio * the match cutoff in
+    a random Cartesian direction, then its atoms permuted."""
+    cutoff = params.stol * (s.volume / s.n_atoms) ** (1.0 / 3.0)
+    step = rng.standard_normal((s.n_atoms, 3))
+    step *= ratio * cutoff / np.linalg.norm(step, axis=1, keepdims=True)
+    step[0] = 0.0
+    frac = s.frac + step @ np.linalg.inv(s.lattice)
+    perm = rng.permutation(s.n_atoms)
+    return FullCrystal(s.lattice, s.elements[perm], frac[perm])
+
+
+def _matcher_oracle_pairs(catalog):
+    rng = np.random.default_rng(29)
+    params = MatchParams()
+    bases = []
+    for g in (221, 225, 229, 191, 194, 62, 14, 2):
+        # multi-element cells whose anchor element has several candidates
+        while True:
+            full = cr.expand_asu(random_asu(catalog, g, rng, max_sites=3),
+                                 catalog)
+            anchor = np.count_nonzero(full.elements == full.elements[0])
+            if (len(set(full.elements.tolist())) > 1 and anchor > 1
+                    and full.n_atoms <= 64):
+                bases.append(full)
+                break
+    bases += [_oblique_cell(rng, n, k) for n, k in
+              ((4, 1), (6, 2), (9, 2), (12, 3), (16, 2), (20, 4))]
+    pairs = []
+    for s in bases:
+        perm = rng.permutation(s.n_atoms)
+        pairs.append((s, s))
+        pairs.append((s, FullCrystal(s.lattice, s.elements[perm],
+                                     s.frac[perm])))
+        for ratio in (0.9, 0.99, 1.01, 1.1):
+            pairs.append((s, _jittered(s, rng, ratio, params)))
+    return pairs
+
+
+def test_matcher_decisions_equal_per_row_greedy_oracle(catalog, monkeypatch):
+    """One distance matrix per shift decides every pair as the per-row
+    greedy does: copies, permuted copies, jitter just inside and outside
+    stol, several anchor candidates, cells at 10-170 degrees. The two sides
+    of a pair share lattice and composition, so the site assignment
+    decides each one."""
+    params = MatchParams()
+    pairs = _matcher_oracle_pairs(catalog)
+    got = [structure_match(a, b, params) for a, b in pairs]
+    one_way = [(evalx._one_way_match(a, b, params),
+                evalx._one_way_match(b, a, params)) for a, b in pairs]
+    monkeypatch.setattr(evalx, "_one_way_match", _greedy_one_way_match)
+    assert got == [structure_match(a, b, params) for a, b in pairs]
+    assert one_way == [(_greedy_one_way_match(a, b, params),
+                        _greedy_one_way_match(b, a, params))
+                       for a, b in pairs]
+    assert True in got and False in got
+
+
+def test_matcher_runs_out_of_same_element_candidates():
+    """a has three Na where b has two: the greedy finds no Na left for a's
+    third one, under every shift."""
+    params = MatchParams()
+    lattice = 4.0 * np.eye(3)
+    frac = [[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5]]
+    a = FullCrystal(lattice, [11, 11, 11, 17], frac)
+    b = FullCrystal(lattice, [11, 11, 17, 17], frac)
+    assert not _greedy_one_way_match(a, b, params)
+    assert not evalx._one_way_match(a, b, params)
+    assert _greedy_one_way_match(b, a, params) == \
+        evalx._one_way_match(b, a, params)
+    assert not structure_match(a, b, params)
+
+
+def test_matcher_breaks_distance_ties_by_lowest_index():
+    """a's atom at x = 0.5 lies exactly midway between b's two Y atoms; the
+    greedy takes the lower index, which succeeds only when that atom is
+    the one at 0.375, leaving 0.625 for a's atom at 0.75."""
+    params = MatchParams()
+    lattice = 10.0 * np.eye(3)
+
+    def cell(*xs):
+        return FullCrystal(lattice, [1] + [2] * len(xs),
+                           [[0, 0, 0]] + [[x, 0, 0] for x in xs])
+
+    a = cell(0.5, 0.75)
+    for b, want in ((cell(0.375, 0.625), True), (cell(0.625, 0.375), False)):
+        assert structure_match(a, b, params) is want
+        assert evalx._one_way_match(a, b, params) == \
+            _greedy_one_way_match(a, b, params)
+        assert evalx._one_way_match(b, a, params) == \
+            _greedy_one_way_match(b, a, params)
+
+
+def test_distance_matrix_rows_equal_single_row_calls():
+    """Each row of min_image_distance_matrix(A, B, L), and each column
+    subset of it, is bitwise the single-row call, and so is each row of
+    A @ L: the matcher's one matrix per shift and its one call over all
+    shifts rely on this."""
+    rng = np.random.default_rng(31)
+    for n, m in ((1, 1), (3, 7), (17, 40), (40, 98), (98, 98)):
+        lattice = _oblique_cell(rng, 1, 1).lattice
+        a = rng.uniform(-0.5, 1.5, (n, 3))
+        b = rng.uniform(0.0, 1.0, (m, 3))
+        full = kernels.min_image_distance_matrix(a, b, lattice)
+        for i in range(n):
+            row = kernels.min_image_distance_matrix(a[i:i + 1], b, lattice)
+            assert full[i].tobytes() == row[0].tobytes()
+            assert (a @ lattice)[i].tobytes() == \
+                (a[i:i + 1] @ lattice)[0].tobytes()
+            cols = np.flatnonzero(rng.random(m) < 0.5)
+            part = kernels.min_image_distance_matrix(a[i:i + 1], b[cols],
+                                                     lattice)
+            assert full[i, cols].tobytes() == part[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,40 @@ def test_orbit_expand_matches_exact_reference_everywhere(catalog):
     assert collapsed > 0
 
 
+def _orbit_expand_full_sweep(entry, w, f_free):
+    """The (m, m, 3) coincidence sweep: all three coordinates compared at
+    once for every orbit, then the same first-kept-point dedup."""
+    rot, trans = w.generator_arrays
+    pts = symcat.wrap_unit(rot @ symcat.wrap_unit(f_free) + trans)
+    d = np.abs(pts[:, None, :] - pts[None, :, :])
+    close = np.triu(np.all(np.minimum(d, 1.0 - d) < symcat.ORBIT_TOL,
+                           axis=-1), 1)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        if keep[i]:
+            keep[close[i]] = False
+    return pts[keep]
+
+
+def test_orbit_expand_matches_full_sweep_everywhere(catalog):
+    """The per-coordinate coincidence test gives the (m, m, 3) sweep's
+    points bitwise at every position, for a seeded uniform draw and a
+    quarter-grid draw (which collapses some orbits)."""
+    rng = np.random.default_rng(23)
+    collapsed = 0
+    for entry in catalog.groups:
+        for w in entry.wyckoff:
+            for draw in (rng.uniform(0.0, 1.0, 3),
+                         rng.integers(0, 4, 3) / 4):
+                f = symmetrize_site(w, draw)
+                want = _orbit_expand_full_sweep(entry, w, f)
+                got = orbit_expand(entry, w, f)
+                assert got.shape == want.shape, w.key
+                assert got.tobytes() == want.tobytes(), w.key
+                collapsed += len(want) != w.multiplicity
+    assert collapsed > 0
+
+
 def test_float_views_are_read_only(catalog):
     entry = catalog.group(229)
     w = entry.wyckoff[-1]
