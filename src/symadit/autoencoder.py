@@ -279,10 +279,10 @@ class Autoencoder:
         the same latents and stream decode the same crystals. Zero-DOF
         positions are never chosen twice within one crystal (already-used
         slots are masked out, orbit by orbit), and each pick is one of the
-        group's own positions.
-        Raises DecodeError when a crystal exhausts its admissible Wyckoff
-        slots. Pathology events (length clamps, closing-cell pulls) are
-        tallied into `counters` when given.
+        group's own positions. Decoding cannot fail: every group's general
+        position has free parameters, so the no-repeat rule never masks it
+        and every orbit has a pick. Pathology events (length clamps,
+        closing-cell pulls) are tallied into `counters` when given.
         """
         if mode not in ("argmax", "sample"):
             raise ValueError(f"unknown decode mode {mode!r}")
@@ -308,10 +308,6 @@ class Autoencoder:
             logits = wy_logits[j, start:stop].copy()
             for gi in used_zero_dof:
                 logits[gi] = NEG_INF
-            if np.max(logits) <= NEG_INF / 2:
-                raise DecodeError(
-                    f"group {group}: admissible Wyckoff slots exhausted",
-                    "slots_exhausted")
             if mode == "argmax":
                 pick = int(np.argmax(logits))
             else:
@@ -383,19 +379,6 @@ class Autoencoder:
         store, manifest = ParameterStore.load(path)
         return cls(config_from(AEConfig, manifest["config"], path), catalog,
                    store=store)
-
-
-class DecodeError(RuntimeError):
-    """A crystal could not be decoded; `reason` is one of DECODE_REJECTIONS."""
-
-    def __init__(self, message: str, reason: str):
-        super().__init__(message)
-        self.reason = reason
-
-
-# Why a decode is rejected: the no-repeat constraint left no admissible
-# Wyckoff slot.
-DECODE_REJECTIONS = ("slots_exhausted",)
 
 
 def _ensure_closing_cell(ell: np.ndarray, lattice_class) -> np.ndarray:

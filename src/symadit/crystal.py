@@ -382,13 +382,11 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
             a, b = b.copy(), a.copy()
             c = -c
             continue
-        A, B, C, xi, eta, zeta = params()
         # 2
         if B > C + e or (abs(B - C) <= e and abs(eta) > abs(zeta) + e):
             b, c = c.copy(), b.copy()
             a = -a
             continue
-        A, B, C, xi, eta, zeta = params()
         signs = [1.0 if v > e else -1.0 if v < -e else 0.0
                  for v in (xi, eta, zeta)]
         lp, ln = signs.count(1.0), signs.count(-1.0)

@@ -176,11 +176,6 @@ def structure_match(a: FullCrystal, b: FullCrystal,
     return _one_way_match(a, b, params) or _one_way_match(b, a, params)
 
 
-def _match_key(s: FullCrystal) -> tuple:
-    """The parts of a structure that `structure_match` requires to be equal."""
-    return s.match_key
-
-
 def uniqueness_and_novelty(
     gen: list[FullCrystal],
     train: list[FullCrystal],
@@ -191,7 +186,7 @@ def uniqueness_and_novelty(
 ) -> tuple[float, float, dict]:
     """Percent unique among the (pre-filtered valid) generations, then
     percent of a subsample of the unique set absent from training. Only
-    pairs with equal `_match_key` reach `structure_match`, in all-pairs
+    pairs with equal `match_key` reach `structure_match`, in all-pairs
     order; the pairs compared and pruned are tallied into `counters`."""
     tally = counters if counters is not None else {}
     for name in ("match_pairs_compared", "match_pairs_pruned"):
@@ -209,7 +204,7 @@ def uniqueness_and_novelty(
     unique: list[tuple[tuple, FullCrystal]] = []
     unique_buckets: dict[tuple, list[FullCrystal]] = {}
     for s in gen:
-        key = _match_key(s)
+        key = s.match_key
         if not seen(s, key, unique_buckets, len(unique)):
             unique.append((key, s))
             unique_buckets.setdefault(key, []).append(s)
@@ -225,7 +220,7 @@ def uniqueness_and_novelty(
             flags["novelty_subsample_truncated"] = len(unique)
     train_buckets: dict[tuple, list[FullCrystal]] = {}
     for t in train:
-        train_buckets.setdefault(_match_key(t), []).append(t)
+        train_buckets.setdefault(t.match_key, []).append(t)
     novel = sum(not seen(s, key, train_buckets, len(train))
                 for key, s in subsample)
     novelty = 100.0 * novel / len(subsample) if subsample else 0.0

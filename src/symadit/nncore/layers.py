@@ -199,7 +199,7 @@ def mhsa(
     if pad_mask is not None:
         pm = np.asarray(pad_mask, dtype=bool)
         bias = np.where(pm, 0.0, NEG_INF)[:, None, None, :]  # mask keys
-        scores = scores + Tensor(np.broadcast_to(bias, scores.shape).copy())
+        scores = scores + Tensor(bias)
     attn = _token_softmax(scores)
     out = _attend(attn, v).swapaxes(1, 2).reshape(b, n, d)
     out = linear(out, wo)

@@ -35,7 +35,6 @@ __all__ = [
     "SymmetryCatalog",
     "WyckoffPos",
     "default_catalog",
-    "dof_info",
     "load_catalog",
     "orbit_expand",
     "site_from_parameters",
@@ -399,16 +398,6 @@ def default_catalog() -> SymmetryCatalog:
 # ---------------------------------------------------------------------------
 # Symmetrizers and masks
 # ---------------------------------------------------------------------------
-
-
-def dof_info(w: WyckoffPos):
-    """(dof, dof_mask, bindings): free variable -> first-occurrence slot."""
-    bindings = {
-        name: int(slot)
-        for name, slot, free in zip("xyz", w.binding_slots, w.dof_mask)
-        if free
-    }
-    return w.dof, w.dof_mask, bindings
 
 
 def free_parameters(w: WyckoffPos, frac) -> np.ndarray:

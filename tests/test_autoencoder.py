@@ -5,10 +5,9 @@ from conftest import random_asu
 from symadit import crystal as cr
 from symadit import symcat
 from symadit.autoencoder import (
-    DECODE_REJECTIONS,
     AEConfig,
     Autoencoder,
-    DecodeError,
+    LatentBatch,
     augment,
     batchify,
     reconstruction_metrics,
@@ -142,7 +141,6 @@ def test_decode_lattice_constraints(catalog, desk_model):
 
 def test_decode_no_repeat_zero_dof(catalog, desk_model):
     rng = np.random.default_rng(3)
-    from symadit.autoencoder import LatentBatch
 
     # many orbits in group 225 force repeated sampling of discrete heads;
     # decoded zero-DOF letters must stay unique
@@ -152,11 +150,8 @@ def test_decode_no_repeat_zero_dof(catalog, desk_model):
         groups=np.array([225]),
     )
     for seed in range(5):
-        try:
-            decoded = desk_model.decode(
-                latent, mode="sample", rng=np.random.default_rng(seed))
-        except Exception:
-            continue
+        decoded = desk_model.decode(
+            latent, mode="sample", rng=np.random.default_rng(seed))
         zero_dof = [s.wyckoff for s in decoded[0].sites
                     if catalog.group(225).position(s.wyckoff).dof == 0]
         assert len(zero_dof) == len(set(zero_dof))
@@ -174,13 +169,25 @@ def _assemble(model, catalog, group, picks, ell_pred, counters):
                            np.ones(n, dtype=bool), "argmax", None, counters)
 
 
-def test_decode_rejections_carry_their_reason(catalog, desk_model):
-    start, _ = catalog.mask_range(2)       # P-1: 1a, zero DOF
-    cubic = [5.0] * 3 + [90.0] * 3
-    with pytest.raises(DecodeError) as exhausted:
-        _assemble(desk_model, catalog, 2, [[start], [start]], cubic, {})
-    assert exhausted.value.reason == "slots_exhausted"
-    assert (exhausted.value.reason,) == DECODE_REJECTIONS
+@pytest.mark.parametrize("mode", ["argmax", "sample"])
+def test_decoding_is_total_in_every_group(catalog, mode):
+    """With two orbits more than a group has zero-DOF positions, the
+    no-repeat rule uses up every such position and still leaves the general
+    position, so every orbit of every group decodes to a valid unit."""
+    model = Autoencoder(AEConfig.desk(d_model=32, n_heads=2, d_latent=4,
+                                      seed=11), catalog)
+    rng = np.random.default_rng(12)
+    orbits = np.array([sum(w.dof == 0 for w in entry.wyckoff) + 2
+                       for entry in catalog.groups])
+    mask = np.arange(orbits.max())[None, :] < orbits[:, None]
+    latent = LatentBatch(
+        z=rng.normal(size=mask.shape + (4,)) * mask[:, :, None], mask=mask,
+        groups=np.array([entry.number for entry in catalog.groups]))
+    decoded = model.decode(latent, mode=mode, rng=rng)
+    assert [asu.spacegroup for asu in decoded] == list(range(1, 231))
+    assert [len(asu.sites) for asu in decoded] == list(orbits)
+    for asu in decoded:
+        asu.validate(catalog)
 
 
 def test_decode_counts_closing_cell_pulls(catalog, desk_model):

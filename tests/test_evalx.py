@@ -516,7 +516,7 @@ def test_matcher_runs_only_on_equal_key_pairs(catalog, monkeypatch):
     counters = {}
     uniqueness_and_novelty(gen, train, counters=counters)
     assert calls
-    assert all(evalx._match_key(a) == evalx._match_key(b) for a, b in calls)
+    assert all(a.match_key == b.match_key for a, b in calls)
     assert counters["match_pairs_compared"] == len(calls)
     assert counters["match_pairs_pruned"] > 0
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,37 @@ def test_priors_json_roundtrip(catalog, rng):
     back = EmpiricalPriors.from_json(priors.to_json())
     assert back.p_group == priors.p_group
     assert back.p_orbits_given_group == priors.p_orbits_given_group
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ({}, 'expected an object with "G" and "O_given_G"'),
+    ([1], 'expected an object with "G" and "O_given_G"'),
+    ({"G": {"1": 0.5, "2": 0.5}, "O_given_G": {"1": {"1": 1.0}}},
+     "group 2 has no O_given_G table"),
+    ({"G": {"1": 0.0}, "O_given_G": {"1": {"1": 1.0}}},
+     "G[1] weight 0.0 is not a positive finite number"),
+    ({"G": {"1": 1.0}, "O_given_G": {"1": {"1": 0}}},
+     "O_given_G[1][1] weight 0 is not a positive finite number"),
+    ({"G": {"1": -1.0}, "O_given_G": {"1": {"1": 1.0}}},
+     "G[1] weight -1.0 is not a positive finite number"),
+    ({"G": {"1": 1.0, "2": -0.1}, "O_given_G": {"1": {"1": 1.0},
+                                               "2": {"1": 1.0}}},
+     "G[2] weight -0.1 is not a positive finite number"),
+    ({"G": {"1": "0.5"}, "O_given_G": {"1": {"1": 1.0}}},
+     "G[1] weight '0.5' is not a positive finite number"),
+    ({"G": {"1": 1.0}, "O_given_G": {"1": [1]}},
+     "O_given_G[1] is not a non-empty object"),
+    ({"G": {"x": 1.0}, "O_given_G": {"1": {"1": 1.0}}},
+     "G key 'x' is not a positive integer"),
+    ({"G": {"231": 1.0}, "O_given_G": {"231": {"1": 1.0}}},
+     "G names group 231, outside 1..230"),
+    ({"G": {"1": 1.0}, "O_given_G": {"1": {"0": 1.0}}},
+     "O_given_G[1] key '0' is not a positive integer"),
+])
+def test_priors_from_json_names_the_problem(payload, problem):
+    with pytest.raises(ValueError) as refused:
+        EmpiricalPriors.from_json(json.dumps(payload))
+    assert problem in str(refused.value)
 
 
 def test_prior_sampling_frequency_chi2(catalog, rng):
@@ -532,8 +565,10 @@ def test_sampler_determinism(catalog, rng):
     )
     cfg = SamplerConfig(steps=5, cfg_scale=2.0, seed=77)
     a, stats_a = sample(priors, cfg, den, ae, count=6)
-    b, stats_b = sample(priors, cfg, den, ae, count=6)
-    assert len(a) == len(b)
+    tally = {}
+    b, stats_b = sample(priors, cfg, den, ae, count=6, counters=tally)
+    assert set(tally) <= {"lattice_clamps", "closing_cell_pulls"}
+    assert len(a) == len(b) == 6
     for x, y in zip(a, b):
         assert x.spacegroup == y.spacegroup
         assert np.array_equal(x.lattice, y.lattice)
@@ -552,7 +587,8 @@ def test_sampled_units_satisfy_invariants(catalog, rng):
     )
     asus, stats = sample(priors, SamplerConfig(steps=4, seed=3), den, ae,
                          count=10)
-    assert stats.requested == 10
+    assert len(asus) == stats.requested == 10
+    assert stats.decode_rejections == stats.failures == 0
     for asu in asus:
         asu.validate(catalog)
 

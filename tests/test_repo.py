@@ -1,8 +1,9 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, every
-export resolves, no import goes unused, and every package name the
-benchmark reaches exists."""
+export resolves, no import goes unused, and every package name and
+sampler statistic the benchmark reaches exists."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -177,16 +178,71 @@ def test_benchmark_reach_into_the_package_resolves():
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append(f"{path.name}:{node.lineno}: "
                                    f"{node.value.id}.{node.attr}")
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    for owner, attr, *_ in layers.SPAN_POINTS:
+    for owner, attr, *_ in _perfbench_layers().SPAN_POINTS:
         checked += 1
         if not hasattr(owner, attr):
             missing.append(f"layers.py SPAN_POINTS: {owner.__name__}.{attr}")
     assert checked > 100
     assert missing == []
+
+
+def _perfbench_layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def _unpacks_sample_stats(value, out_param) -> bool:
+    """Whether `value` is a `sample(...)` call, or the traced output handed
+    to the span counter of `flowmatch.sample`."""
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) == "sample"
+    return isinstance(value, ast.Name) and value.id == out_param
+
+
+def _sample_stats_reads():
+    """(file:line, attribute) for each attribute perfbench reads off the
+    stats that `flowmatch.sample` returns, the second of the two names a
+    sample result is unpacked into."""
+    from symadit import flowmatch
+
+    counters = {point[3].__name__ for point in _perfbench_layers().SPAN_POINTS
+                if point[:2] == (flowmatch, "sample") and point[3]}
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            out_param = (fn.args.args[-1].arg if path.name == "layers.py"
+                         and fn.name in counters else None)
+            names = {node.targets[0].elts[1].id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.targets[0], ast.Tuple)
+                     and len(node.targets[0].elts) == 2
+                     and isinstance(node.targets[0].elts[1], ast.Name)
+                     and _unpacks_sample_stats(node.value, out_param)}
+            reads.update((f"{path.name}:{node.lineno}", node.attr)
+                         for node in ast.walk(fn)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in names)
+    return sorted(reads)
+
+
+def test_benchmark_reads_only_fields_of_sample_stats():
+    """The benchmark reads its sample counts off `SampleStats`; a field it
+    reads must not be dropped, though only a `generate` run would reach it."""
+    from symadit.flowmatch import SampleStats
+
+    fields = {f.name for f in dataclasses.fields(SampleStats)}
+    reads = _sample_stats_reads()
+    assert reads
+    assert [f"{where}: stats.{attr}" for where, attr in reads
+            if attr not in fields] == []
 
 
 def _benchmark_calls():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from symadit import symcat
 from symadit.symcat import (
     CatalogError,
-    dof_info,
     orbit_expand,
     symmetrize_lattice,
     symmetrize_site,
@@ -51,14 +50,14 @@ def test_global_indices_contiguous(catalog):
     assert idx == list(range(1731))
 
 
-def test_dof_info_examples(catalog):
+def test_dof_examples(catalog):
     # 225 a: point site, no free parameters
-    dof, mask, bindings = dof_info(catalog.group(225).position("a"))
-    assert dof == 0 and mask == (False, False, False) and bindings == {}
-    # group 1 general position
-    dof, mask, bindings = dof_info(catalog.group(1).wyckoff[0])
-    assert dof == 3 and mask == (True, True, True)
-    assert bindings == {"x": 0, "y": 1, "z": 2}
+    w = catalog.group(225).position("a")
+    assert w.dof == 0 and w.dof_mask == (False, False, False)
+    # group 1 general position: x, y, z bind slots 0, 1, 2
+    w = catalog.group(1).wyckoff[0]
+    assert w.dof == 3 and w.dof_mask == (True, True, True)
+    assert list(w.binding_slots) == [0, 1, 2]
 
 
 def test_dof_mask_tied_coordinates(catalog):
@@ -69,8 +68,7 @@ def test_dof_mask_tied_coordinates(catalog):
             if (m[0][0] == 1 and m[1][0] == 1 and m[2][2] == 1
                     and m[0][2] == 0 and w.dof == 2):
                 assert w.dof_mask == (True, False, True)
-                _, _, bindings = dof_info(w)
-                assert bindings["x"] == 0 and bindings["z"] == 2
+                assert w.binding_slots[0] == 0 and w.binding_slots[2] == 2
                 return
     pytest.skip("no x,x,z style site in catalog")
 
