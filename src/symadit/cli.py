@@ -305,12 +305,12 @@ def cmd_train_fm(args) -> int:
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
+    priors_path = Path(args.priors or Path(args.fm).parent / "priors.json")
+    priors = EmpiricalPriors.from_json(priors_path.read_text())
     catalog = _load_catalog(args)
     model = Autoencoder.load(args.ae, catalog)
     denoiser = Denoiser.load(args.fm)
     denoiser.check_pair(model)
-    priors_path = Path(args.priors or Path(args.fm).parent / "priors.json")
-    priors = EmpiricalPriors.from_json(priors_path.read_text())
 
     cfg = SamplerConfig(steps=args.steps, cfg_scale=args.cfg_scale,
                         seed=args.seed, condition=not args.no_condition)

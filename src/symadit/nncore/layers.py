@@ -2,7 +2,11 @@
 adaptive layer norm (split into the conditioning-only modulation and its
 application to the activations), multi-head self-attention (no positional
 signal), the pre-norm transformer block, and stable log-softmax /
-cross-entropy."""
+cross-entropy.
+
+Each layer is one tape node. Its backward replays, in the same order, the
+numpy operations the equivalent chain of elementary Tensor ops would run,
+so values and gradients are bitwise those of that chain."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .params import ParameterStore
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast, matmul_backward, matmul_grads
 
 __all__ = [
     "Modulation",
@@ -71,10 +75,19 @@ def embedding(table: Tensor, indices) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     _check_matmul(x, weight, "linear")
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
+    out = x.data @ weight.data
+    if bias is None:
+        parents = (x, weight)
+    else:
+        out = out + bias.data
+        parents = (x, weight, bias)
+
+    def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        matmul_backward(x, weight, g)
+
+    return Tensor._make(out, parents, backward)
 
 
 def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -84,15 +97,46 @@ def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
 
 def layer_norm(x: Tensor, gamma: Tensor | None = None,
                beta: Tensor | None = None, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
+    """(x - mean) / sqrt(var + eps) over the last axis, times gamma plus
+    beta. The backward keeps the gradient steps of mean, x - mu, c * c,
+    mean, + eps, sqrt, divide, * gamma and + beta apart, in reverse."""
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    out = normed
+    parents = [x]
     if gamma is not None:
-        normed = normed * gamma
+        out = out * gamma.data
+        parents.append(gamma)
     if beta is not None:
-        normed = normed + beta
-    return normed
+        out = out + beta.data
+        parents.append(beta)
+
+    def backward(g):
+        if beta is not None and beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if gamma is not None:
+            if gamma.requires_grad:
+                gamma._accumulate(_unbroadcast(g * normed, gamma.shape))
+            g = _unbroadcast(g * gamma.data, normed.shape)
+        if not x.requires_grad:
+            return
+        g_centered = g / std
+        g_std = _unbroadcast(-g * centered / std**2, std.shape)
+        g_sq = np.broadcast_to((g_std * 0.5 / std) * inv_n, centered.shape)
+        g_sq_c = g_sq * centered          # once for each factor of c * c
+        g_centered += g_sq_c
+        g_centered += g_sq_c
+        g_mu = -_unbroadcast(g_centered, mu.shape)
+        # two accumulations, as the chain made: summing the two terms
+        # first rounds differently once x already holds a gradient
+        x._accumulate(g_centered)
+        x._accumulate(np.broadcast_to(g_mu * inv_n, x.shape).copy())
+
+    return Tensor._make(out, tuple(parents), backward)
 
 
 Modulation = tuple[Tensor, Tensor]  # adaLN (1 + scale, shift), each (B, 1, D)
@@ -112,7 +156,7 @@ def modulate(x: Tensor, modulation: Modulation) -> Tensor:
     """The half of adaptive layer norm that reads the activations
     x (B, N, D)."""
     gain, shift = modulation
-    return layer_norm(x) * gain + shift
+    return layer_norm(x, gain, shift)
 
 
 def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -148,12 +192,16 @@ def cross_entropy(logits: Tensor, targets, valid_mask=None) -> Tensor:
 
 def _token_softmax(scores: Tensor) -> Tensor:
     """Softmax over the key axis with an order-independent denominator."""
-    shifted = scores - Tensor(np.max(scores.data, axis=-1, keepdims=True))
-    e = shifted.exp()
-    denom = Tensor._make(
-        _sorted_reduce(e.data, -1)[..., None], (e,),
-        lambda g: e._accumulate(np.broadcast_to(g, e.shape).copy()))
-    return e / denom
+    e = np.exp(scores.data - np.max(scores.data, axis=-1, keepdims=True))
+    denom = _sorted_reduce(e, -1)[..., None]
+
+    def backward(g):
+        g_e = g / denom
+        g_e += np.broadcast_to(
+            _unbroadcast(-g * e / denom**2, denom.shape), e.shape)
+        scores._accumulate(g_e * e)
+
+    return Tensor._make(e / denom, (scores,), backward)
 
 
 def _attend(attn: Tensor, v: Tensor) -> Tensor:
@@ -175,6 +223,57 @@ def _attend(attn: Tensor, v: Tensor) -> Tensor:
     return Tensor._make(out_data, (attn, v), backward)
 
 
+def _split_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+    """x (B, N, D) @ w, split into heads: (B, H, N, D / H)."""
+    _check_matmul(x, w, "mhsa")
+    b, n, _ = x.shape
+    d = w.shape[-1]
+    flat = x.data @ w.data
+
+    def backward(g):
+        matmul_backward(x, w, np.swapaxes(g, 1, 2).reshape(b, n, d))
+
+    heads = np.swapaxes(flat.reshape(b, n, n_heads, d // n_heads), 1, 2)
+    return Tensor._make(heads, (x, w), backward)
+
+
+def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
+    """Scaled dot products q k^T / sqrt(hd) (B, H, N, N), plus the
+    key-padding bias."""
+    k_t = np.swapaxes(k.data, 2, 3)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    out = (q.data @ k_t) * scale
+    if key_bias is not None:
+        out = out + key_bias
+
+    def backward(g):
+        gq, gk = matmul_grads(q.data, k_t, g * scale,
+                              q.requires_grad, k.requires_grad)
+        if gq is not None:
+            q._accumulate(gq)
+        if gk is not None:
+            k._accumulate(np.swapaxes(gk, 2, 3))
+
+    return Tensor._make(out, (q, k), backward)
+
+
+def _merge_heads(heads: Tensor, wo: Tensor) -> Tensor:
+    """Heads (B, H, N, hd) joined back to (B, N, H * hd), then @ wo."""
+    b, h, n, hd = heads.shape
+    flat = np.swapaxes(heads.data, 1, 2).reshape(b, n, h * hd)
+
+    def backward(g):
+        g_flat, gw = matmul_grads(flat, wo.data, g,
+                                  heads.requires_grad, wo.requires_grad)
+        if g_flat is not None:
+            heads._accumulate(
+                np.swapaxes(g_flat.reshape(b, n, h, hd), 1, 2))
+        if gw is not None:
+            wo._accumulate(gw)
+
+    return Tensor._make(flat @ wo.data, (heads, wo), backward)
+
+
 def mhsa(
     x: Tensor,
     wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -185,24 +284,23 @@ def mhsa(
 
     x: (B, N, D); pad_mask: optional (B, N) boolean, True = real token.
     Padded keys receive no attention mass; padded query rows are zeroed.
-    All reductions over the token axis are order-independent, so permuting
-    input tokens permutes the output bitwise.
+    The softmax and value reductions over the token axis are
+    order-independent, so permuting input tokens permutes the output
+    bitwise at head dim 4; at head dims of 32 and more the BLAS q k^T
+    product can break that (a known defect).
     """
-    b, n, d = x.shape
+    d = x.shape[-1]
     if d % n_heads:
         raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
-    hd = d // n_heads
-    q = linear(x, wq).reshape(b, n, n_heads, hd).swapaxes(1, 2)
-    k = linear(x, wk).reshape(b, n, n_heads, hd).swapaxes(1, 2)
-    v = linear(x, wv).reshape(b, n, n_heads, hd).swapaxes(1, 2)
-    scores = (q @ k.swapaxes(2, 3)) * (1.0 / np.sqrt(hd))   # (B, H, N, N)
+    q = _split_heads(x, wq, n_heads)
+    k = _split_heads(x, wk, n_heads)
+    v = _split_heads(x, wv, n_heads)
+    key_bias = None
     if pad_mask is not None:
         pm = np.asarray(pad_mask, dtype=bool)
-        bias = np.where(pm, 0.0, NEG_INF)[:, None, None, :]  # mask keys
-        scores = scores + Tensor(bias)
-    attn = _token_softmax(scores)
-    out = _attend(attn, v).swapaxes(1, 2).reshape(b, n, d)
-    out = linear(out, wo)
+        key_bias = np.where(pm, 0.0, NEG_INF)[:, None, None, :]
+    attn = _token_softmax(_scores(q, k, key_bias))     # (B, H, N, N)
+    out = _merge_heads(_attend(attn, v), wo)
     if pad_mask is not None:
         out = out * Tensor(pm[:, :, None].astype(np.float64))
     return out
@@ -252,8 +350,11 @@ def attention_block(
     params maps names under `prefix` (e.g. a ParameterStore). A plain
     layer-norm gain is stored as an offset from 1, so zero-initialised
     gains start as the identity. cond holds the block's precomputed ln1
-    and ln2 modulations (see `block_modulations`).
+    and ln2 modulations (see `block_modulations`). A mask with no padded
+    token is no mask: multiplying by 1 and adding a 0 bias change no bit.
     """
+    if pad_mask is not None and np.all(pad_mask):
+        pad_mask = None
 
     def norm(t: Tensor, which: int) -> Tensor:
         if cond is not None:

@@ -39,6 +39,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray,
+                 need_a: bool = True, need_b: bool = True):
+    """Gradients (ga, gb) of a @ b for the output gradient g, each summed
+    down to its operand's shape; None where not needed."""
+    ga = gb = None
+    if need_a:
+        ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+    if need_b:
+        if b.ndim == 2 and g.ndim > 2:
+            # batched input x 2-D weight: contract the batch axes flat
+            # instead of building a stack of outer products
+            k = a.shape[-1]
+            gb = a.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+def matmul_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
+    """Accumulate the gradients of a.data @ b.data into a and b."""
+    ga, gb = matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
+    if ga is not None:
+        a._accumulate(ga)
+    if gb is not None:
+        b._accumulate(gb)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -96,11 +123,19 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
-        out = Tensor(data)
+        # callers pass float64 numpy results: skip __init__'s checks
+        out = Tensor.__new__(Tensor)
+        out.data = (data if type(data) is np.ndarray
+                    else np.asarray(data, dtype=np.float64))
+        out.grad = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
         return out
 
     # -- arithmetic ---------------------------------------------------------
@@ -162,22 +197,8 @@ class Tensor:
     def __matmul__(self, other):
         other = self._coerce(other)
 
-        def backward(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                if other.data.ndim == 2 and g.ndim > 2:
-                    # batched input x 2-D weight: contract the batch axes
-                    # flat instead of building a stack of outer products
-                    k = self.data.shape[-1]
-                    gb = self.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-                    other._accumulate(gb)
-                else:
-                    gb = np.swapaxes(self.data, -1, -2) @ g
-                    other._accumulate(_unbroadcast(gb, other.shape))
-
-        return Tensor._make(self.data @ other.data, (self, other), backward)
+        return Tensor._make(self.data @ other.data, (self, other),
+                            lambda g: matmul_backward(self, other, g))
 
     def __pow__(self, exponent: float):
         def backward(g):

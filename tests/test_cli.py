@@ -537,3 +537,14 @@ def test_generate_refuses_malformed_priors(trained_pair, tmp_path, capsys):
                      "--steps", "2"]) == 2
         assert "validation failure: priors:" in capsys.readouterr().err
     assert not (work / "gen").exists()
+
+
+def test_generate_reads_priors_before_the_checkpoints(tmp_path, capsys):
+    # neither checkpoint exists: a malformed priors file is reported first
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"G": {"1": 1.0}, "O_given_G": {}}')
+    assert main(["generate", "--fm", str(tmp_path / "fm.ckpt"),
+                 "--ae", str(tmp_path / "ae.ckpt"), "--priors", str(bad),
+                 "--out", str(tmp_path / "gen"), "--count", "1"]) == 2
+    assert "validation failure: priors:" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
