@@ -135,7 +135,6 @@ class Autoencoder:
         self.config = config
         self.catalog = catalog
         self.store = store if store is not None else self._build(config)
-        self._group_mask_cache: dict[int, np.ndarray] = {}
 
     @staticmethod
     def _build(cfg: AEConfig) -> ParameterStore:
@@ -200,8 +199,8 @@ class Autoencoder:
 
     # -- encoder ----------------------------------------------------------------
 
-    def encode_batch(self, batch: Batch) -> tuple[Tensor, LatentBatch]:
-        """Returns (z tensor for training graphs, detached LatentBatch)."""
+    def encode_batch(self, batch: Batch) -> Tensor:
+        """Per-orbit latents z (B, N, d_latent), zero on padded orbits."""
         st, cfg = self.store, self.config
         h_loc = embedding(st["enc.elem_emb"], batch.elem_idx)
         h_loc = h_loc + embedding(st["enc.wyck_emb"], batch.wyck_idx)
@@ -220,15 +219,13 @@ class Autoencoder:
         z_raw = linear(h, st["enc.down.w"], st["enc.down.b"])
         s = cfg.saturation
         z = z_raw / (1.0 + (z_raw * (1.0 / s)) ** 2).sqrt()
-        z = z * Tensor(batch.mask[:, :, None].astype(np.float64))
-        latent = LatentBatch(z=z.data.copy(), mask=batch.mask.copy(),
-                             groups=batch.groups.copy())
-        return z, latent
+        return z * Tensor(batch.mask[:, :, None].astype(np.float64))
 
     def encode(self, asus: list[CrystalASU]) -> LatentBatch:
+        batch = batchify(asus, self.catalog)
         with no_grad():
-            _, latent = self.encode_batch(batchify(asus, self.catalog))
-        return latent
+            z = self.encode_batch(batch)
+        return LatentBatch(z=z.data, mask=batch.mask, groups=batch.groups)
 
     def encode_dataset(self, asus: list[CrystalASU]) -> list[np.ndarray]:
         """Frozen-encoder latents, one (orbits, d_latent) array per crystal.
@@ -251,8 +248,11 @@ class Autoencoder:
         h = linear(z, st["dec.up.w"], st["dec.up.b"])
         h = self._run_blocks(h, "dec", mask)
         wy = linear(h, st["dec.wyck.w"], st["dec.wyck.b"])
-        group_bias = np.stack(
-            [self._group_logit_bias(g) for g in groups])  # (B, 1731)
+        start, stop = np.array(
+            [self.catalog.mask_range(int(g)) for g in groups]).T
+        column = np.arange(wy.shape[-1])
+        inside = (column >= start[:, None]) & (column < stop[:, None])
+        group_bias = np.where(inside, 0.0, NEG_INF)  # (B, 1731)
         wy = wy + Tensor(group_bias[:, None, :])
         atom = linear(h, st["dec.atom.w"], st["dec.atom.b"])
         frac = silu_mlp(h, st["dec.fmlp.w1"], st["dec.fmlp.b1"],
@@ -263,20 +263,12 @@ class Autoencoder:
                        st["dec.lmlp.w2"], st["dec.lmlp.b2"])
         return wy, atom, frac, lat
 
-    def _group_logit_bias(self, group: int) -> np.ndarray:
-        if group not in self._group_mask_cache:
-            allowed = symcat.wyckoff_mask(self.catalog, group)
-            self._group_mask_cache[group] = np.where(allowed, 0.0, NEG_INF)
-        return self._group_mask_cache[group]
-
-    def decode(self, latent: LatentBatch, mode: str = "argmax",
-               rng: np.random.Generator | None = None,
+    def decode(self, latent: LatentBatch, rng: np.random.Generator,
                counters: dict | None = None) -> list[CrystalASU]:
         """Reconstruct asymmetric units from latents.
 
-        mode "argmax" picks the most probable discrete choices; "sample"
-        draws from the categorical heads with `rng`, which it requires, so
-        the same latents and stream decode the same crystals. Zero-DOF
+        Each discrete choice is drawn from its categorical head with `rng`,
+        so the same latents and stream decode the same crystals. Zero-DOF
         positions are never chosen twice within one crystal (already-used
         slots are masked out, orbit by orbit), and each pick is one of the
         group's own positions. Decoding cannot fail: every group's general
@@ -284,21 +276,17 @@ class Autoencoder:
         and every orbit has a pick. Pathology events (length clamps,
         closing-cell pulls) are tallied into `counters` when given.
         """
-        if mode not in ("argmax", "sample"):
-            raise ValueError(f"unknown decode mode {mode!r}")
-        if mode == "sample" and rng is None:
-            raise ValueError('decode mode "sample" needs an rng')
         with no_grad():
             wy_t, atom_t, frac_t, lat_t = self.decode_heads(
                 Tensor(latent.z), latent.groups, latent.mask)
         lattice = self.denormalize_lattice(lat_t.data)
         return [self._assemble(int(g), wy_t.data[i], atom_t.data[i],
                                frac_t.data[i], lattice[i], latent.mask[i],
-                               mode, rng, counters)
+                               rng, counters)
                 for i, g in enumerate(latent.groups)]
 
     def _assemble(self, group, wy_logits, atom_logits, frac, ell_pred,
-                  mask, mode, rng, counters=None) -> CrystalASU:
+                  mask, rng, counters) -> CrystalASU:
         entry = self.catalog.group(group)
         start, stop = self.catalog.mask_range(group)
         used_zero_dof: set[int] = set()
@@ -308,18 +296,12 @@ class Autoencoder:
             logits = wy_logits[j, start:stop].copy()
             for gi in used_zero_dof:
                 logits[gi] = NEG_INF
-            if mode == "argmax":
-                pick = int(np.argmax(logits))
-            else:
-                p = _softmax_1d(logits)
-                pick = int(rng.choice(len(p), p=p))
+            p = _softmax_1d(logits)
+            pick = int(rng.choice(len(p), p=p))
             w = entry.wyckoff[pick]
             if w.dof == 0:
                 used_zero_dof.add(pick)
-            if mode == "argmax":
-                el = int(np.argmax(atom_logits[j])) + 1
-            else:
-                el = int(rng.choice(MAX_ELEMENT, p=_softmax_1d(atom_logits[j]))) + 1
+            el = int(rng.choice(MAX_ELEMENT, p=_softmax_1d(atom_logits[j]))) + 1
             f = symcat.symmetrize_site(w, frac[j])
             sites.append(Site(element=el, wyckoff=w.letter, frac=f))
         if counters is not None and symcat.lattice_was_clamped(
@@ -462,9 +444,8 @@ def reconstruction_metrics(model: Autoencoder, asus: list[CrystalASU]
     """Argmax accuracies and mean circular coordinate error on free slots."""
     batch = batchify(asus, model.catalog)
     with no_grad():
-        z, latent = model.encode_batch(batch)
-        wy, atom, frac, _ = model.decode_heads(
-            Tensor(latent.z), batch.groups, batch.mask)
+        z = model.encode_batch(batch)
+        wy, atom, frac, _ = model.decode_heads(z, batch.groups, batch.mask)
     m = batch.mask
     atom_ok = (np.argmax(atom.data, axis=-1) == batch.elem_idx)[m]
     wyck_ok = (np.argmax(wy.data, axis=-1) == batch.wyck_idx)[m]
@@ -495,7 +476,7 @@ def ae_train_step(model: Autoencoder, asus: list[CrystalASU],
     ]
     batch = batchify(noisy, model.catalog)
     model.store.zero_grad()
-    z, _ = model.encode_batch(batch)
+    z = model.encode_batch(batch)
     heads = model.decode_heads(z, batch.groups, batch.mask)
     loss, breakdown = model.reconstruction_loss(batch, heads)
     loss.backward()

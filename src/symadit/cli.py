@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count-like flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     seed: int | None, **extra) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,10 +214,11 @@ def cmd_ingest(args) -> int:
 
 def _training_kwargs(args) -> dict:
     # paper-scale training defaults: batch 512, up to 7000 epochs
-    desk = args.profile == "desk"
+    batch_size, epochs = (32, 200) if args.profile == "desk" else (512, 7000)
     return dict(seed=args.seed, lr=args.lr,
-                batch_size=args.batch_size or (32 if desk else 512),
-                epochs=args.epochs or (200 if desk else 7000))
+                batch_size=batch_size if args.batch_size is None
+                else args.batch_size,
+                epochs=epochs if args.epochs is None else args.epochs)
 
 
 def _lattice_stats(asus: list[CrystalASU]) -> tuple[float, float]:
@@ -420,16 +432,16 @@ def build_parser() -> _Parser:
         c.add_argument("--data", required=True)
         c.add_argument("--out", required=True)
         c.add_argument("--profile", choices=("desk", "paper"), default="desk")
-        c.add_argument("--steps", type=int, default=None,
+        c.add_argument("--steps", type=_positive_int, default=None,
                        help="hard step budget (overrides epochs)")
-        c.add_argument("--epochs", type=int, default=None,
+        c.add_argument("--epochs", type=_positive_int, default=None,
                        help="default 200 (desk) / 7000 (paper)")
-        c.add_argument("--batch-size", type=int, default=None,
+        c.add_argument("--batch-size", type=_positive_int, default=None,
                        help="default 32 (desk) / 512 (paper)")
         c.add_argument("--lr", type=float, default=3e-4)
         c.add_argument("--seed", type=int, default=0)
         c.add_argument("--resume", help="checkpoint to continue from")
-        c.add_argument("--log-every", type=int, default=50)
+        c.add_argument("--log-every", type=_positive_int, default=50)
         if name == "train-fm":
             c.add_argument("--ae", required=True,
                            help="frozen stage-1 checkpoint")
@@ -442,8 +454,8 @@ def build_parser() -> _Parser:
     c.add_argument("--ae", required=True)
     c.add_argument("--priors", help="priors JSON (default: next to fm)")
     c.add_argument("--out", required=True)
-    c.add_argument("--count", type=int, default=100)
-    c.add_argument("--steps", type=int, default=1000)
+    c.add_argument("--count", type=_positive_int, default=100)
+    c.add_argument("--steps", type=_positive_int, default=1000)
     c.add_argument("--cfg-scale", type=float, default=2.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--no-condition", action="store_true",
@@ -457,7 +469,7 @@ def build_parser() -> _Parser:
     c.add_argument("--ltol", type=float, default=0.2)
     c.add_argument("--stol", type=float, default=0.3)
     c.add_argument("--angle-tol", type=float, default=10.0)
-    c.add_argument("--n-novelty", type=int, default=1000)
+    c.add_argument("--n-novelty", type=_positive_int, default=1000)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_evaluate)
 

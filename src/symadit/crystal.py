@@ -37,6 +37,8 @@ __all__ = [
 MAX_ELEMENT = 100
 MIN_DISTANCE = 0.5  # Angstrom
 MIN_VOLUME = 0.1    # Angstrom^3
+NIGGLI_EPS = 1e-5   # comparison tolerance, relative to the squared cell scale
+NIGGLI_MAX_ITER = 100
 
 
 class IngestError(ValueError):
@@ -360,13 +362,13 @@ def structural_validity(structure: FullCrystal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
+def niggli_reduce(L) -> np.ndarray:
     """Niggli-reduce a row-vector cell; the output spans the same lattice."""
     L = np.asarray(L, dtype=np.float64)
     if np.linalg.det(L) <= 0:
         raise ValueError("lattice matrix must have positive determinant")
     scale = float(np.cbrt(abs(np.linalg.det(L))))
-    e = eps * scale**2
+    e = NIGGLI_EPS * scale**2
     a, b, c = _size_reduce(L, e)   # else steps 5-7 crawl on long cells
 
     def params():
@@ -375,7 +377,7 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
             2.0 * float(b @ c), 2.0 * float(a @ c), 2.0 * float(a @ b),
         )
 
-    for _ in range(max_iter):
+    for _ in range(NIGGLI_MAX_ITER):
         A, B, C, xi, eta, zeta = params()
         # 1
         if A > B + e or (abs(A - B) <= e and abs(xi) > abs(eta) + e):
@@ -424,7 +426,8 @@ def niggli_reduce(L, eps: float = 1e-5, max_iter: int = 100) -> np.ndarray:
         if np.linalg.det(out) < 0:
             out = -out
         return out
-    raise RuntimeError(f"Niggli reduction did not converge in {max_iter} steps")
+    raise RuntimeError(
+        f"Niggli reduction did not converge in {NIGGLI_MAX_ITER} steps")
 
 
 def _size_reduce(L: np.ndarray, e: float) -> list:

@@ -279,7 +279,6 @@ class GenerationReport:
     wasserstein_atoms: float
     p1_rate: float
     composition: dict
-    rejections: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     compositional_validity_rate: float | None = None
 
@@ -313,7 +312,6 @@ def evaluate_pipeline(
     n_novelty: int = 1000,
     seed: int = 0,
     validity_hook=None,
-    rejections: dict | None = None,
     counters: dict | None = None,
 ) -> GenerationReport:
     """Full pipeline: validity filter, uniqueness, novelty subsample, then
@@ -360,7 +358,6 @@ def evaluate_pipeline(
         ),
         p1_rate=p1_rate(gen),
         composition=composition_stats(valid_asus),
-        rejections=rejections or {},
         flags=flags,
     )
     if validity_hook is not None:

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 NEG_INF = -1e30  # representable stand-in for -infinity in masked logits
+LN_EPS = 1e-6    # layer-norm variance floor
 
 
 def _sorted_reduce(data: np.ndarray, axis: int) -> np.ndarray:
@@ -96,15 +97,15 @@ def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
 
 
 def layer_norm(x: Tensor, gamma: Tensor | None = None,
-               beta: Tensor | None = None, eps: float = 1e-6) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over the last axis, times gamma plus
+               beta: Tensor | None = None) -> Tensor:
+    """(x - mean) / sqrt(var + LN_EPS) over the last axis, times gamma plus
     beta. The backward keeps the gradient steps of mean, x - mu, c * c,
     mean, + eps, sqrt, divide, * gamma and + beta apart, in reverse."""
     inv_n = 1.0 / x.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * inv_n
     centered = x.data - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + LN_EPS)
     normed = centered / std
     out = normed
     parents = [x]
@@ -165,24 +166,23 @@ def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return modulate(x, adaln_modulation(cond, w, b))
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = x - Tensor(np.max(x.data, axis=-1, keepdims=True))
+    return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
 
 
-def cross_entropy(logits: Tensor, targets, valid_mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, valid_mask) -> Tensor:
     """Mean negative log-likelihood over valid rows.
 
-    logits: (..., K); targets: integer array (...); valid_mask: optional
-    boolean array (...) excluding padded rows from the mean.
+    logits: (..., K); targets: integer array (...); valid_mask: boolean
+    array (...) excluding padded rows from the mean.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     flat = logp.reshape(-1, logits.shape[-1])
     rows = np.arange(flat.shape[0])
     picked = flat[rows, targets.reshape(-1)]
-    if valid_mask is None:
-        return -picked.mean()
     weights = np.asarray(valid_mask, dtype=np.float64).reshape(-1)
     total = weights.sum()
     if total == 0:

@@ -32,6 +32,11 @@ __all__ = ["CheckpointError", "ParameterStore", "adam_step",
 
 _MAGIC = b"CKPT v1\n"
 
+# adaptive-moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class CheckpointError(ValueError):
     """A checkpoint lacks its manifest, does not match the hash the manifest
@@ -65,12 +70,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def names(self) -> list[str]:
-        return list(self.params)
 
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -173,32 +172,26 @@ def config_from(config_cls, config: dict, path):
     return config_cls(**config)
 
 
-def adam_step(
-    store: ParameterStore,
-    lr: float = 3e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    warmup: int = 100,
-) -> None:
+def adam_step(store: ParameterStore, lr: float = 3e-4,
+              warmup: int = 100) -> None:
     """Adaptive-moment update; deterministic given gradient contents."""
     store.step_count += 1
     t = store.step_count
     if warmup > 0:
         lr = lr * min(1.0, t / warmup)
     # bias-corrected update folded into scalar factors (fewer temporaries)
-    alpha = lr * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
-    eps_hat = eps * np.sqrt(1.0 - beta2**t)
+    alpha = lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+    eps_hat = ADAM_EPS * np.sqrt(1.0 - BETA2**t)
     for name, p in store.params.items():
         if p.grad is None:
             continue
         g = p.grad
         m = store.moment1.setdefault(name, np.zeros_like(p.data))
         v = store.moment2.setdefault(name, np.zeros_like(p.data))
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * (g * g)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * (g * g)
         denom = np.sqrt(v)
         denom += eps_hat
         p.data -= alpha * m / denom

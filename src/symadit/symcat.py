@@ -221,9 +221,6 @@ class SymmetryCatalog:
             raise ValueError(
                 f"space group number {number} outside 1..230") from None
 
-    def position(self, group_number: int, letter: str) -> WyckoffPos:
-        return self.group(group_number).position(letter)
-
     def mask_range(self, group_number: int) -> tuple[int, int]:
         wyckoff = self.group(group_number).wyckoff
         return wyckoff[0].global_index, wyckoff[-1].global_index + 1

@@ -83,9 +83,6 @@ class AffineForm:
         )
         return AffineForm(rows, trans)
 
-    def is_identity(self) -> bool:
-        return self == AffineForm.identity()
-
     def rotation_rank(self) -> int:
         """Rank of the linear part (exact Gaussian elimination)."""
         rows = [list(r) for r in self.matrix]

@@ -76,25 +76,15 @@ def test_latent_bound_holds(catalog, desk_model):
 def test_decode_satisfies_invariants(catalog, desk_model):
     asus = small_dataset(catalog, n=6)
     latent = desk_model.encode(asus)
-    decoded = desk_model.decode(latent, mode="argmax")
+    decoded = desk_model.decode(latent, np.random.default_rng(0))
     for asu in decoded:
         asu.validate(catalog)
-
-
-def test_decode_sample_needs_an_rng(catalog, desk_model):
-    # an unseeded fallback stream would make the same latents decode
-    # differently from run to run
-    latent = desk_model.encode(small_dataset(catalog, n=2))
-    with pytest.raises(ValueError, match="rng"):
-        desk_model.decode(latent, mode="sample")
-    with pytest.raises(ValueError, match="mode"):
-        desk_model.decode(latent, mode="greedy")
 
 
 def test_decode_group_masking(catalog, desk_model):
     asus = small_dataset(catalog, n=3)
     latent = desk_model.encode(asus)
-    decoded = desk_model.decode(latent, mode="argmax")
+    decoded = desk_model.decode(latent, np.random.default_rng(1))
     wy, *_ = desk_model.decode_heads(Tensor(latent.z), latent.groups,
                                      latent.mask)
     for i, asu in enumerate(asus):
@@ -116,8 +106,7 @@ def test_decode_zero_dof_sites_exact(catalog, desk_model):
         mask=np.ones((1, 2), dtype=bool),
         groups=np.array([225]),
     )
-    decoded = desk_model.decode(latent, mode="sample",
-                                rng=np.random.default_rng(0))
+    decoded = desk_model.decode(latent, np.random.default_rng(0))
     entry = catalog.group(225)
     for site in decoded[0].sites:
         w = entry.position(site.wyckoff)
@@ -129,7 +118,7 @@ def test_decode_zero_dof_sites_exact(catalog, desk_model):
 def test_decode_lattice_constraints(catalog, desk_model):
     asus = small_dataset(catalog, n=6)
     latent = desk_model.encode(asus)
-    decoded = desk_model.decode(latent)
+    decoded = desk_model.decode(latent, np.random.default_rng(2))
     for asu in decoded:
         lc = catalog.group(asu.spacegroup).lattice_class
         assert np.allclose(
@@ -150,8 +139,7 @@ def test_decode_no_repeat_zero_dof(catalog, desk_model):
         groups=np.array([225]),
     )
     for seed in range(5):
-        decoded = desk_model.decode(
-            latent, mode="sample", rng=np.random.default_rng(seed))
+        decoded = desk_model.decode(latent, np.random.default_rng(seed))
         zero_dof = [s.wyckoff for s in decoded[0].sites
                     if catalog.group(225).position(s.wyckoff).dof == 0]
         assert len(zero_dof) == len(set(zero_dof))
@@ -159,18 +147,19 @@ def test_decode_no_repeat_zero_dof(catalog, desk_model):
 
 def _assemble(model, catalog, group, picks, ell_pred, counters):
     """Decode one crystal whose Wyckoff head allows only `picks[j]` (global
-    position indices) at orbit j."""
+    position indices) at orbit j: every other logit is NEG_INF, so the
+    seeded draw cannot pick another."""
     n = len(picks)
     wy = np.full((n, len(catalog.positions)), NEG_INF)
     for j, allowed in enumerate(picks):
         wy[j, allowed] = 0.0
     return model._assemble(group, wy, np.zeros((n, MAX_ELEMENT)),
                            np.full((n, 3), 0.3), np.asarray(ell_pred, float),
-                           np.ones(n, dtype=bool), "argmax", None, counters)
+                           np.ones(n, dtype=bool), np.random.default_rng(0),
+                           counters)
 
 
-@pytest.mark.parametrize("mode", ["argmax", "sample"])
-def test_decoding_is_total_in_every_group(catalog, mode):
+def test_decoding_is_total_in_every_group(catalog):
     """With two orbits more than a group has zero-DOF positions, the
     no-repeat rule uses up every such position and still leaves the general
     position, so every orbit of every group decodes to a valid unit."""
@@ -183,7 +172,7 @@ def test_decoding_is_total_in_every_group(catalog, mode):
     latent = LatentBatch(
         z=rng.normal(size=mask.shape + (4,)) * mask[:, :, None], mask=mask,
         groups=np.array([entry.number for entry in catalog.groups]))
-    decoded = model.decode(latent, mode=mode, rng=rng)
+    decoded = model.decode(latent, rng)
     assert [asu.spacegroup for asu in decoded] == list(range(1, 231))
     assert [len(asu.sites) for asu in decoded] == list(orbits)
     for asu in decoded:
@@ -363,7 +352,7 @@ def test_training_resume_is_deterministic(catalog, tmp_path):
     resumed = Autoencoder.load(tmp_path / "half.ckpt", catalog)
     resumed_model, _ = train_autoencoder(
         asus, resumed.config, catalog, max_steps=20, model=resumed)
-    for name in full_model.store.names():
+    for name in full_model.store.params:
         assert np.allclose(full_model.store[name].data,
                            resumed_model.store[name].data, atol=1e-12), name
 

@@ -49,6 +49,35 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
+TRAINING_FLAGS = ("--steps", "--epochs", "--batch-size", "--log-every")
+NUMERIC_FLAGS = ([("train-ae", f) for f in TRAINING_FLAGS]
+                 + [("train-fm", f) for f in TRAINING_FLAGS]
+                 + [("generate", "--count"), ("generate", "--steps"),
+                    ("evaluate", "--n-novelty")])
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+def test_numeric_flags_must_be_positive_integers(tmp_path, capsys, command,
+                                                 flag, value):
+    # refused while parsing: no input is read and no output folder is made
+    out = tmp_path / "out"
+    required = {
+        "train-ae": ["--data", str(tmp_path / "d.jsonl"), "--out", str(out)],
+        "train-fm": ["--data", str(tmp_path / "d.jsonl"),
+                     "--ae", str(tmp_path / "ae.ckpt"), "--out", str(out)],
+        "generate": ["--fm", str(tmp_path / "fm.ckpt"),
+                     "--ae", str(tmp_path / "ae.ckpt"), "--out", str(out)],
+        "evaluate": ["--gen", str(tmp_path / "g.jsonl"),
+                     "--train", str(tmp_path / "t.jsonl"),
+                     "--out", str(out / "report.json")],
+    }[command]
+    assert main([command, *required, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
 def test_missing_file_is_validation_or_runtime(tmp_path):
     rc = main(["train-ae", "--data", str(tmp_path / "none.jsonl"),
                "--out", str(tmp_path)])

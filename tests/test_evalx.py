@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -634,8 +635,10 @@ def test_pipeline_on_synthetic_corpus(catalog):
     assert report.jsd_group == pytest.approx(0.0, abs=1e-12)
     assert report.wasserstein_atoms == pytest.approx(0.0, abs=1e-12)
     assert 0 <= report.p1_rate <= 100
-    payload = report.to_json()
-    assert "structural_validity_rate" in payload
+    assert set(json.loads(report.to_json())) == {
+        "n_generated", "structural_validity_rate", "uniqueness", "novelty",
+        "jsd_group", "jsd_wyckoff", "wasserstein_atoms", "p1_rate",
+        "composition", "flags", "compositional_validity_rate"}
     table = report.to_table()
     assert "JSD_Wy" in table
 

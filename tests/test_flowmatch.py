@@ -219,24 +219,31 @@ def test_train_step_decreases_loss(rng):
     first = np.mean([train_step(den, z1, groups, mask, rng) for _ in range(5)])
     for _ in range(150):
         train_step(den, z1, groups, mask, rng)
-    last = np.mean([
-        train_step(den, z1, groups, mask, rng, update=False) for _ in range(5)
-    ])
+
+    def trained():
+        # a fresh seeded copy, so measuring a loss leaves `den` as trained
+        copy = Denoiser(cfg)
+        for name, p in den.store.params.items():
+            copy.store[name].data = p.data.copy()
+        return copy
+
+    last = np.mean([train_step(trained(), z1, groups, mask, rng)
+                    for _ in range(5)])
     assert last < first
 
 
 def test_loss_excludes_padding(rng):
     cfg = DenoiserConfig.desk(d_latent=4, n_layers=1, d_model=32, n_heads=2)
-    den = Denoiser(cfg)
     z1 = rng.normal(size=(2, 3, 4))
     mask = np.array([[True, True, False], [True, False, False]])
     z1_masked = z1 * mask[:, :, None]
     groups = np.array([1, 2], dtype=np.int64)
     seed_rng = lambda: np.random.default_rng(99)
-    base = train_step(den, z1_masked, groups, mask, seed_rng(), update=False)
+    # each call steps its own fresh seeded denoiser
+    base = train_step(Denoiser(cfg), z1_masked, groups, mask, seed_rng())
     z1_junk = z1_masked.copy()
     z1_junk[~mask] = 1e6
-    again = train_step(den, z1_junk, groups, mask, seed_rng(), update=False)
+    again = train_step(Denoiser(cfg), z1_junk, groups, mask, seed_rng())
     assert base == again
 
 
@@ -283,7 +290,7 @@ def test_train_step_conditions_once_and_matches_per_forward_conditioning(
         ref = _reference_train_step(want, z1, groups, mask,
                                     np.random.default_rng(seed))
         assert loss == ref
-        for name in got.store.names():
+        for name in got.store.params:
             assert np.array_equal(got.store[name].data, want.store[name].data)
     assert forwards_per_step == {1, 2}   # both self-conditioning branches
 

@@ -260,7 +260,7 @@ def test_add_attention_block_layout(rng):
         store = ParameterStore(seed=0)
         add_attention_block(store, "blk", d, adaptive=adaptive)
         layout = _block_layout(d, adaptive)
-        assert store.names() == list(layout)
+        assert list(store.params) == list(layout)
         assert [store[n].shape for n in layout] == list(layout.values())
         for name in layout:
             if ".ln" in name or name.endswith(".b"):
@@ -356,9 +356,9 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     loaded, manifest = ParameterStore.load(tmp_path / "model.ckpt")
     assert manifest["hash"] == digest
     assert manifest["config"] == {"d": 4}
-    assert loaded.names() == store.names()
+    assert list(loaded.params) == list(store.params)
     assert loaded.step_count == 1
-    for name in store.names():
+    for name in store.params:
         assert np.array_equal(loaded[name].data, store[name].data)
         assert np.array_equal(loaded.moment1[name], store.moment1[name])
 

@@ -1,9 +1,11 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, every
-export resolves, no import goes unused, and every package name and
-sampler statistic the benchmark reaches exists."""
+export resolves, no import goes unused, every defaulted parameter has a
+caller outside the tests, and every package name and sampler statistic the
+benchmark reaches exists."""
 
 import ast
 import dataclasses
+import fnmatch
 import importlib
 import importlib.util
 import inspect
@@ -131,6 +133,97 @@ def test_no_module_issues_or_filters_warnings():
 
 
 PERFBENCH = ROOT / "perfbench"
+CALLERS = (PACKAGE, PERFBENCH, ROOT / "tools")
+
+# defaulted parameters that no caller outside the tests sets, with the reason
+UNSET_DEFAULTS_ALLOWED = {
+    "evaluate_pipeline.validity_hook":
+        "the paper's compositional-validity column; the SMACT checker it "
+        "needs is a download, so nothing in the repository can pass one yet",
+    "Tensor.*":
+        "Tensor's elementary ops, which the test oracles compose",
+}
+
+
+def _defaulted_parameters(path):
+    """(qualified name, callee name, parameter, positional index) for each
+    defaulted parameter of a function in the module. The index of a
+    keyword-only parameter is None; a method's index does not count self.
+    A class's `__init__` is called by the class name."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{cls}.{node.name}" if cls else node.name
+                callee = cls if node.name == "__init__" else node.name
+                bound = cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                out.extend((qual, callee, arg.arg, i - bound) for i, arg in
+                           enumerate(positional[first:], first))
+                out.extend((qual, callee, arg.arg, None) for arg, default in
+                           zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text()).body, None)
+    return out
+
+
+def _calls_by_name():
+    """Callee name -> [(positional count, keyword names)] for every call in
+    the package, perfbench and tools, resolved by name only. `cls(...)`
+    names its enclosing class; a starred argument counts as every position
+    and `**` as every keyword (the name None)."""
+    calls = {}
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred)
+                                         for a in node.args)
+                     else len(node.args))
+            calls.setdefault(cls if name == "cls" else name, []).append(
+                (n_pos, {kw.arg for kw in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            visit(ast.parse(path.read_text()), None)
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
+    """A default that no caller in the package, perfbench or tools ever
+    overrides is a constant in disguise: one more configuration for the
+    suite to cover, which nothing uses."""
+    calls = _calls_by_name()
+    unset, allowed = [], set()
+    for path in _modules():
+        for qual, callee, param, index in _defaulted_parameters(path):
+            if any(param in keywords or None in keywords
+                   or (index is not None and n_pos > index)
+                   for n_pos, keywords in calls.get(callee, [])):
+                continue
+            matched = {pattern for pattern in UNSET_DEFAULTS_ALLOWED
+                       if fnmatch.fnmatchcase(f"{qual}.{param}", pattern)}
+            if matched:
+                allowed |= matched
+            else:
+                unset.append(f"{path.relative_to(PACKAGE)}: {qual}.{param}")
+    assert unset == []
+    assert allowed == set(UNSET_DEFAULTS_ALLOWED)  # no stale entry
 
 
 def _resolve_from(module: str, name: str):

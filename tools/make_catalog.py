@@ -684,8 +684,9 @@ def build_ops(gens, centering, inv_w):
 def wyckoff_positions(ops):
     """Derive Wyckoff positions: list of dicts with subspace/mult/letter."""
     elementary = []
+    ident = AffineForm.identity()
     for op in ops:
-        if op.is_identity():
+        if op == ident:
             continue
         elementary.extend(fixed_components(op))
     elementary = dedupe_subspaces(elementary)
