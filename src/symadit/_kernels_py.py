@@ -35,18 +35,28 @@ def _min_image_sq(diff: np.ndarray, lattice: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray) -> float:
+def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray,
+                          reps=None) -> float:
     """Minimum distance over atom pairs and periodic self-images (Angstrom).
 
     frac: (M, 3) fractional coordinates; lattice: (3, 3) row-vector cell.
     A single atom yields its shortest self-image distance in the sweep.
-    Pairs i < j only; sqrt of the minimum square equals the minimum sqrt.
+    reps: indices of one representative atom per symmetry orbit, or None,
+    which makes every atom a representative. The pairs measured are (r, j)
+    for each representative r and each other atom j that is not a
+    representative or comes after r; with every atom a representative that
+    is the pairs i < j. Sqrt of the minimum square equals the minimum sqrt.
     """
     frac = np.asarray(frac, dtype=np.float64)
     lattice = np.asarray(lattice, dtype=np.float64)
     self_images = _SHIFTS[1:] @ lattice
     best = float(np.min(np.einsum("sk,sk->s", self_images, self_images)))
-    i, j = np.triu_indices(frac.shape[0], k=1)
+    m = frac.shape[0]
+    reps = np.arange(m) if reps is None else np.asarray(reps, dtype=np.intp)
+    other = np.ones(m, dtype=bool)
+    other[reps] = False
+    row, j = np.nonzero((np.arange(m) > reps[:, None]) | other)
+    i = reps[row]
     best = np.min(_min_image_sq(frac[i] - frac[j], lattice), initial=best)
     return float(np.sqrt(best))
 

@@ -91,17 +91,13 @@ class CrystalASU:
         """Check all structural invariants; raises ValueError on violation."""
         entry = catalog.group(self.spacegroup)
         lc = entry.lattice_class
-        projected = symcat.symmetrize_lattice(lc, self.lattice)
-        if not np.allclose(projected, self.lattice, atol=1e-9):
+        if not _on_lattice_class(lc, self.lattice):
             raise ValueError(
                 f"lattice {self.lattice} violates {lc.family} constraints")
         zero_dof_used: set[str] = set()
         for site in self.sites:
             w = entry.position(site.wyckoff)
-            snapped = symcat.symmetrize_site(w, site.frac)
-            d = np.abs(snapped - site.frac)
-            d = np.minimum(d, 1.0 - d)
-            if np.any(d > 1e-9):
+            if not symcat.on_form(w, site.frac):
                 raise ValueError(
                     f"site {site.frac} off its {w.key} parametric form")
             if w.dof == 0:
@@ -121,6 +117,8 @@ class FullCrystal:
     frac: np.ndarray               # (M, 3) fractional coordinates in [0, 1)
     spacegroup: int | None = None
     label: str | None = None       # H-M symbol from the expanding catalog
+    # index of each orbit's first atom when the cell is exactly symmetric
+    orbit_starts: np.ndarray | None = None
 
     def __post_init__(self):
         self.lattice = np.asarray(self.lattice, dtype=np.float64)
@@ -211,9 +209,15 @@ def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
     An orbit whose free parameters sit on a special value collapses to
     fewer than its multiplicity of points; each such orbit adds 1 to
     `counters["degenerate_orbits"]` when `counters` is given.
+
+    When the lattice is on its class within FORM_TOL and every site is on
+    its form, the group's operations are isometries that map the atom set
+    onto itself, and `orbit_starts` records each orbit's first atom (the
+    site itself) for `min_pairwise_distance`. Otherwise it is None.
     """
     entry = catalog.group(asu.spacegroup)
     L, _ = lattice_matrix(asu.lattice)
+    symmetric = _on_lattice_class(entry.lattice_class, asu.lattice)
     elements: list[int] = []
     coords: list[np.ndarray] = []
     for site in asu.sites:
@@ -222,15 +226,25 @@ def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
         if counters is not None and len(pts) != w.multiplicity:
             counters["degenerate_orbits"] = counters.get(
                 "degenerate_orbits", 0) + 1
+        symmetric = symmetric and symcat.on_form(w, site.frac)
         coords.append(pts)
         elements.extend([site.element] * len(pts))
+    sizes = [len(pts) for pts in coords]
     return FullCrystal(
         lattice=L,
         elements=np.array(elements),
         frac=np.concatenate(coords, axis=0),
         spacegroup=asu.spacegroup,
         label=entry.label,
+        orbit_starts=(np.cumsum([0] + sizes[:-1]) if symmetric else None),
     )
+
+
+def _on_lattice_class(lattice_class, ell) -> bool:
+    """Whether the six lattice parameters are within FORM_TOL, absolute,
+    of their projection onto the class."""
+    projected = symcat.symmetrize_lattice(lattice_class, ell)
+    return bool(np.all(np.abs(projected - ell) <= symcat.FORM_TOL))
 
 
 def _wrap_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -345,9 +359,14 @@ def assign_wyckoff(
 
 def min_pairwise_distance(structure: FullCrystal) -> float:
     """Shortest interatomic distance including periodic self-images,
-    measured on the Niggli cell."""
+    measured on the Niggli cell.
+
+    With `orbit_starts` set, only pairs that start at an orbit's first atom
+    are measured: a group operation maps any atom pair onto such a pair
+    and keeps its distance. Without them every pair is measured."""
     R, M = structure.reduced
-    return float(kernels.min_pairwise_distance(structure.frac @ M, R))
+    return float(kernels.min_pairwise_distance(
+        structure.frac @ M, R, reps=structure.orbit_starts))
 
 
 def structural_validity(structure: FullCrystal) -> bool:

@@ -320,15 +320,20 @@ def evaluate_pipeline(
     validity_hook: optional predicate on CrystalASU implementing an external
     compositional-validity check; when given, its pass rate is reported but
     not used for filtering. counters: `degenerate_orbits` (collapsed
-    generated orbits), `invalid_volume`, `invalid_distance`, and the
-    matcher tallies of `uniqueness_and_novelty`.
+    generated orbits), `off_form_structures` (generated structures whose
+    lattice or sites are off their forms, so validity measures all atom
+    pairs), `invalid_volume`, `invalid_distance`, and the matcher tallies
+    of `uniqueness_and_novelty`.
     """
     if not gen:
         raise ValueError("empty generation set")
     tally = counters if counters is not None else {}
-    for name in ("degenerate_orbits", "invalid_volume", "invalid_distance"):
+    for name in ("degenerate_orbits", "off_form_structures",
+                 "invalid_volume", "invalid_distance"):
         tally.setdefault(name, 0)
     expanded = [cr.expand_asu(a, catalog, tally) for a in gen]
+    tally["off_form_structures"] += sum(s.orbit_starts is None
+                                        for s in expanded)
     valid_mask = [cr.structural_validity(s) for s in expanded]
     n_volume = sum(s.volume < cr.MIN_VOLUME for s in expanded)
     tally["invalid_volume"] += n_volume

@@ -36,6 +36,7 @@ __all__ = [
     "WyckoffPos",
     "default_catalog",
     "load_catalog",
+    "on_form",
     "orbit_expand",
     "site_from_parameters",
     "symmetrize_lattice",
@@ -48,6 +49,12 @@ N_WYCKOFF = 1731
 
 MIN_LENGTH = 0.1  # Angstrom floor for projected lattice lengths
 ORBIT_TOL = 1e-6
+# how far a site (periodic distance) or a lattice parameter (absolute) may
+# sit from its form and still count as on it
+FORM_TOL = 1e-9
+# Largest absolute row sum of any catalog rotation: an operation stretches
+# each coordinate gap by at most this factor (pinned by a test).
+MAX_ROW_SUM = 2
 
 ENV_CATALOG = "SYMADIT_CATALOG"
 
@@ -182,6 +189,15 @@ class WyckoffPos:
     def generator_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Orbit generators as rotations (m, 3, 3) and translations (m, 3)."""
         return _stack(self.orbit_generators)
+
+    @cached_property
+    def site_rows(self) -> tuple:
+        """The site form as plain floats for 3-vector arithmetic: each
+        coordinate's (row of the linear part, translation), and the
+        binding slots."""
+        return (tuple(zip(map(tuple, self.site_matrix.tolist()),
+                          self.site_translation.tolist())),
+                tuple(self.binding_slots.tolist()))
 
 
 @dataclass(frozen=True)
@@ -443,15 +459,45 @@ def lattice_was_clamped(lattice_class: LatticeClass, ell) -> bool:
     )
 
 
+def on_form(w: WyckoffPos, f) -> bool:
+    """Whether the fractional triple f lies on the position's form:
+    re-evaluating the form at the free variables read from f lands within
+    FORM_TOL of f in every coordinate, periodically. A non-finite f is off
+    its form. Plain float arithmetic: this runs once per orbit."""
+    rows, slots = w.site_rows
+    f = np.asarray(f, dtype=np.float64).tolist()
+    u = [f[k] for k in slots]
+    for (m, t), v in zip(rows, f):
+        d = (m[0] * u[0] + m[1] * u[1] + m[2] * u[2] + t - v) % 1.0
+        if not min(d, 1.0 - d) <= FORM_TOL:
+            return False
+    return True
+
+
 def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     """Expand a symmetrized representative to its orbit in [0, 1)^3.
 
     Returns `w.multiplicity` points for generic parameters. If the free
     parameters hit a special value the orbit collapses: the deduplicated
-    points are returned, fewer than `w.multiplicity` of them.
+    points are returned, fewer than `w.multiplicity` of them. Point 0 is
+    the representative itself (every first generator is the identity).
+
+    For a site on its form, a screen against point 0 decides the generic
+    case. If points i and j coincide, the inverse of generator i maps them
+    onto point 0 and another orbit point k. It stretches each coordinate
+    gap by at most MAX_ROW_SUM, so point k lies within MAX_ROW_SUM
+    ORBIT_TOL of point 0, up to the form's tolerance. The screen looks
+    twice as far; if it finds no point there, no two points coincide. A
+    hit, or a site off its form, takes the full dedup.
     """
     rot, trans = w.generator_arrays
-    pts = wrap_unit(rot @ wrap_unit(f_free) + trans)
+    f = wrap_unit(f_free)
+    pts = wrap_unit(rot @ f + trans)
+    if on_form(w, f):
+        d = np.abs(pts[1:] - pts[0])
+        gap = np.minimum(d, 1.0 - d).max(axis=1)
+        if not np.any(gap < 2 * MAX_ROW_SUM * ORBIT_TOL):
+            return pts
     close = np.ones((len(pts), len(pts)), dtype=bool)  # one axis at a time
     for col in pts.T:
         d = np.abs(col[:, None] - col[None, :])

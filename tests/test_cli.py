@@ -289,6 +289,7 @@ def test_evaluate_counts_invalid_and_degenerate(tmp_path, nacl):
     assert counters["invalid_distance"] == 1
     assert counters["invalid_volume"] == 1
     assert counters["degenerate_orbits"] == 1
+    assert counters["off_form_structures"] == 0
     assert "counters" not in report
 
 
@@ -346,7 +347,8 @@ def test_full_pipeline_desk_scale(catalog, dataset, tmp_path, capsys):
     counters = manifest["counters"]
     assert set(counters) == {"match_pairs_compared", "match_pairs_pruned",
                              "invalid_distance", "invalid_volume",
-                             "degenerate_orbits"}
+                             "degenerate_orbits", "off_form_structures"}
+    assert counters["off_form_structures"] == 0    # decoded units are exact
     n_valid = round(report["structural_validity_rate"] * len(produced) / 100)
     assert counters["invalid_distance"] + counters["invalid_volume"] == \
         len(produced) - n_valid

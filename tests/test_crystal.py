@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_asu
 from symadit import crystal as cr
-from symadit import kernels
+from symadit import kernels, symcat
 from symadit.crystal import (
     CrystalASU,
     FullCrystal,
@@ -295,6 +295,159 @@ def test_validity_invariant_under_site_permutation(catalog, nacl):
                          lattice=nacl.lattice)
     assert structural_validity(expand_asu(flipped, catalog)) == \
         structural_validity(expand_asu(nacl, catalog))
+
+
+def triu_min_pairwise_distance(frac, lattice):
+    """The all-pairs kernel as it was before orbit representatives: every
+    pair i < j in `triu_indices` order, through the same image sweep."""
+    from symadit import _kernels_py
+    frac = np.asarray(frac, float)
+    self_images = _kernels_py._SHIFTS[1:] @ lattice
+    best = float(np.min(np.einsum("sk,sk->s", self_images, self_images)))
+    i, j = np.triu_indices(len(frac), k=1)
+    best = np.min(_kernels_py._min_image_sq(frac[i] - frac[j], lattice),
+                  initial=best)
+    return float(np.sqrt(best))
+
+
+def test_kernel_without_representatives_is_the_upper_triangle():
+    rng = np.random.default_rng(31)
+    for L in oblique_cells(rng, 60):
+        frac = rng.uniform(0, 1, (int(rng.integers(1, 80)), 3))
+        assert kernels.min_pairwise_distance(frac, L) == \
+            triu_min_pairwise_distance(frac, L)
+        reps = np.arange(len(frac))
+        assert kernels.min_pairwise_distance(frac, L, reps=reps) == \
+            triu_min_pairwise_distance(frac, L)
+
+
+def symmetric_cells(catalog, group, rng, count):
+    """Lattice parameters on the group's class: lengths 3-9 Angstrom and
+    free angles uniform over 10-170 degrees, drawn until the cell closes."""
+    lc = catalog.group(group).lattice_class
+    cells = []
+    while len(cells) < count:
+        ell = np.concatenate([rng.uniform(3, 9, 3), rng.uniform(10, 170, 3)])
+        ell = symcat.symmetrize_lattice(lc, ell)
+        try:
+            lattice_matrix(ell)
+        except ValueError:
+            continue
+        cells.append(ell)
+    return cells
+
+
+def symmetric_asu(catalog, group, rng, ell, grid):
+    """One to three sites on their forms: uniform free parameters, or with
+    grid > 0 parameters on the 1/grid grid, which collapses orbits."""
+    entry = catalog.group(group)
+    sites, used = [], set()
+    for _ in range(int(rng.integers(1, 4))):
+        w = entry.wyckoff[int(rng.integers(len(entry.wyckoff)))]
+        if w.dof == 0 and w.letter in used:
+            continue
+        used.add(w.letter)
+        draw = (rng.integers(0, grid, 3) / grid if grid
+                else rng.uniform(0, 1, 3))
+        sites.append(Site(element=int(rng.integers(1, 101)), wyckoff=w.letter,
+                          frac=symcat.symmetrize_site(w, draw)))
+    return CrystalASU(spacegroup=group, sites=sites, lattice=ell)
+
+
+def all_pairs_distance(full):
+    R, M = full.reduced
+    return kernels.min_pairwise_distance(full.frac @ M, R)
+
+
+def test_validity_from_representatives_matches_all_pairs_in_every_group(
+        catalog):
+    """Oracle: on cells whose lattice and sites sit on their forms, the
+    minimum over pairs that start at an orbit's first atom equals the
+    all-pairs minimum within 1e-12 relative, and no decision differs. All
+    230 groups, 10-170 degree cells, uniform and grid parameters."""
+    rng = np.random.default_rng(41)
+    checked = collapsed = 0
+    for group in range(1, 231):
+        cells = symmetric_cells(catalog, group, rng, 6)
+        for ell, grid in zip(cells, (0, 0, 2, 3, 4, 6)):
+            asu = symmetric_asu(catalog, group, rng, ell, grid)
+            counters = {}
+            full = expand_asu(asu, catalog, counters)
+            assert full.orbit_starts is not None
+            assert len(full.orbit_starts) == len(asu.sites)
+            got, want = min_pairwise_distance(full), all_pairs_distance(full)
+            # coinciding atoms measure about 1e-16 either way
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), group
+            assert (got >= cr.MIN_DISTANCE) == (want >= cr.MIN_DISTANCE)
+            checked += 1
+            collapsed += "degenerate_orbits" in counters
+    assert checked == 1380
+    assert collapsed > 100
+
+
+def test_distances_fall_back_to_all_pairs_off_the_forms(catalog):
+    """A lattice off its class by 2e-9 to 1e-6, a site off its form, or a
+    crystal read from a CIF has no representatives; its distance is the
+    all-pairs kernel's, bitwise."""
+    from symadit import cif
+    rng = np.random.default_rng(43)
+    cases = []
+    for group in (75, 160, 191, 221, 229):
+        entry = catalog.group(group)
+        base = random_asu(catalog, group, rng)
+        for k, eps in enumerate(np.geomspace(2e-9, 1e-6, 4)):
+            ell = base.lattice.copy()
+            ell[(1, 5)[k % 2]] += eps      # b and gamma are tied here
+            cases.append(CrystalASU(spacegroup=group, sites=base.sites,
+                                    lattice=ell))
+        w = entry.wyckoff[-2]          # a special position, dof < 3
+        off = symcat.symmetrize_site(w, rng.uniform(0, 1, 3)) + 1e-7
+        cases.append(CrystalASU(
+            spacegroup=group, lattice=base.lattice,
+            sites=[*base.sites, Site(element=8, wyckoff=w.letter, frac=off)]))
+    for asu in cases:
+        with pytest.raises(ValueError):
+            asu.validate(catalog)
+        full = expand_asu(asu, catalog)
+        assert full.orbit_starts is None
+        assert min_pairwise_distance(full) == all_pairs_distance(full)
+        read = cif.read_cif(cif.write_cif(full, name="x"))
+        assert read.orbit_starts is None
+        assert min_pairwise_distance(read) == all_pairs_distance(read)
+
+
+def test_validate_holds_the_lattice_to_its_class_within_1e9_absolute(
+        catalog):
+    """Oracle for the relative tolerance numpy's allclose adds by default:
+    at 5 Angstrom it let lattices 4e-5 off their class through."""
+    base = [5.0, 5.0, 5.0, 90.0, 90.0, 90.0]
+    site = [Site(element=11, wyckoff="a", frac=np.zeros(3))]
+
+    def unit(slot, delta):
+        ell = np.array(base)
+        ell[slot] += delta
+        return CrystalASU(spacegroup=225, sites=site, lattice=ell)
+
+    for slot, delta in ((2, 4e-5), (2, 1e-4), (5, 8e-4), (1, 2e-9)):
+        with pytest.raises(ValueError, match="violates cubic"):
+            unit(slot, delta).validate(catalog)
+        assert expand_asu(unit(slot, delta), catalog).orbit_starts is None
+    for slot, delta in ((2, 5e-10), (5, -5e-10)):
+        unit(slot, delta).validate(catalog)
+        assert expand_asu(unit(slot, delta), catalog).orbit_starts is not None
+
+
+def test_validate_holds_sites_to_their_forms(catalog, nacl):
+    nacl.validate(catalog)
+    for shift in ((5e-10, 0, 0), (0, -5e-10, 0)):
+        CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+            Site(element=11, wyckoff="a", frac=np.array(shift))]
+        ).validate(catalog)
+    for shift in ((2e-9, 0, 0), (0, 0, 1 - 2e-9)):
+        with pytest.raises(ValueError, match="off its 225_4a"):
+            CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+                Site(element=11, wyckoff="a", frac=np.array(shift))]
+            ).validate(catalog)
 
 
 # ---------------------------------------------------------------------------

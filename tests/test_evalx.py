@@ -643,6 +643,26 @@ def test_pipeline_on_synthetic_corpus(catalog):
     assert "JSD_Wy" in table
 
 
+def test_pipeline_counts_structures_off_their_forms(catalog, nacl):
+    """A generated cell whose lattice or site is off its form takes the
+    all-pairs validity path and is counted; the report does not change."""
+    stretched = CrystalASU(spacegroup=225, sites=nacl.sites,
+                           lattice=nacl.lattice + [0, 0, 1e-7, 0, 0, 0])
+    nudged = CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+        nacl.sites[0], Site(element=17, wyckoff="b",
+                            frac=np.array([0.5, 0.5, 0.5 + 1e-7]))])
+    counters = {}
+    report = evalx.evaluate_pipeline([nacl, stretched, nudged, nacl], [nacl],
+                                     catalog, n_novelty=1, counters=counters)
+    assert counters["off_form_structures"] == 2
+    assert report.structural_validity_rate == 100.0
+    assert "off_form_structures" not in json.loads(report.to_json())
+    counters = {}
+    evalx.evaluate_pipeline([nacl], [stretched], catalog, n_novelty=1,
+                            counters=counters)
+    assert counters["off_form_structures"] == 0    # references do not count
+
+
 def test_pipeline_rejects_empty(catalog):
     with pytest.raises(ValueError):
         evalx.evaluate_pipeline([], [], catalog)

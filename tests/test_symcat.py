@@ -328,22 +328,82 @@ def _orbit_expand_full_sweep(entry, w, f_free):
 
 
 def test_orbit_expand_matches_full_sweep_everywhere(catalog):
-    """The per-coordinate coincidence test gives the (m, m, 3) sweep's
-    points bitwise at every position, for a seeded uniform draw and a
-    quarter-grid draw (which collapses some orbits)."""
+    """The point-0 screen and the per-coordinate coincidence test give the
+    (m, m, 3) sweep's points bitwise at every position, for a seeded
+    uniform draw, a quarter-grid and a third-grid draw (which collapse some
+    orbits), and an off-form draw (which skips the screen)."""
     rng = np.random.default_rng(23)
-    collapsed = 0
+    checked = collapsed = off_form = 0
     for entry in catalog.groups:
         for w in entry.wyckoff:
             for draw in (rng.uniform(0.0, 1.0, 3),
-                         rng.integers(0, 4, 3) / 4):
+                         rng.integers(0, 4, 3) / 4,
+                         rng.integers(0, 3, 3) / 3):
                 f = symmetrize_site(w, draw)
                 want = _orbit_expand_full_sweep(entry, w, f)
                 got = orbit_expand(entry, w, f)
                 assert got.shape == want.shape, w.key
                 assert got.tobytes() == want.tobytes(), w.key
+                checked += 1
                 collapsed += len(want) != w.multiplicity
-    assert collapsed > 0
+            f = symmetrize_site(w, rng.integers(0, 4, 3) / 4)
+            f = symcat.wrap_unit(f + np.array([1.0, -2.0, 3.0]) * 1e-7)
+            off_form += not symcat.on_form(w, f)
+            want = _orbit_expand_full_sweep(entry, w, f)
+            assert orbit_expand(entry, w, f).tobytes() == want.tobytes(), w.key
+    assert checked == 3 * 1731
+    assert collapsed > 500
+    assert off_form == sum(w.dof < 3 for w in catalog.positions)
+
+
+def test_orbit_screen_looks_past_the_coincidence_tolerance(catalog):
+    """P6's general position near the 6-fold axis: the coinciding pair is
+    points 1 and 5, while point 0's nearest neighbour is 1.2 tolerances
+    away. The screen must reach past 1 tolerance to send this to the full
+    dedup; and a neighbour at 1.8 tolerances without a coinciding pair
+    must come back whole."""
+    entry = catalog.group(168)
+    w = entry.wyckoff[-1]
+    tol = symcat.ORBIT_TOL
+    for (a, b), collapses in (((0.6, -0.6), True), ((1.2, -0.6), False)):
+        f = symcat.wrap_unit([a * tol, b * tol, 0.3])
+        assert symcat.on_form(w, f)
+        want = _orbit_expand_full_sweep(entry, w, f)
+        got = orbit_expand(entry, w, f)
+        assert got.tobytes() == want.tobytes()
+        assert (len(got) < w.multiplicity) == collapses
+        rot, trans = w.generator_arrays
+        full = symcat.wrap_unit(rot @ f + trans)
+        d = np.abs(full[1:] - full[0])
+        gap = np.minimum(d, 1.0 - d).max(axis=1).min()
+        assert tol <= gap < 2 * tol
+
+
+def test_every_rotation_stretches_a_gap_at_most_twofold(catalog):
+    """The point-0 screen's bound: every catalog operation's rotation has
+    absolute row sums of at most MAX_ROW_SUM = 2, and every position's first
+    orbit generator is the identity, so point 0 is the site itself."""
+    sums = []
+    for entry in catalog.groups:
+        rot, _ = entry.operation_arrays
+        sums.append(np.abs(rot).sum(axis=2).max())
+        for w in entry.wyckoff:
+            rot, trans = w.generator_arrays
+            assert np.array_equal(rot[0], np.eye(3)) and not trans[0].any()
+    assert max(sums) == symcat.MAX_ROW_SUM == 2
+
+
+def test_on_form_agrees_with_symmetrize_site(catalog):
+    rng = np.random.default_rng(29)
+    for w in catalog.positions:
+        f = symmetrize_site(w, rng.uniform(0.0, 1.0, 3))
+        assert symcat.on_form(w, f), w.key
+        # within the tolerance for site-form coefficients up to 2
+        assert symcat.on_form(w, symcat.wrap_unit(f + [4e-10, 0, 0])), w.key
+        if w.dof < 3:
+            off = symcat.wrap_unit(f + np.array([2.0, -3.0, 4.0]) * 1e-9)
+            assert not symcat.on_form(w, off), w.key
+        assert not symcat.on_form(w, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_float_views_are_read_only(catalog):
