@@ -45,17 +45,19 @@ __all__ = [
     "train_autoencoder",
 ]
 
+SATURATION = 5.0       # s of the latent map z' / sqrt(1 + (z'/s)^2)
+LAMBDA_ATOM = 1.0      # weights of the four reconstruction terms
+LAMBDA_WYCKOFF = 1.0
+LAMBDA_FRAC = 5.0
+LAMBDA_LATTICE = 1.0
+
+
 @dataclass
 class AEConfig:
     d_model: int = 512
     d_latent: int = 32
     n_heads: int = 8
     n_layers: int = 8
-    saturation: float = 5.0
-    lambda_atom: float = 1.0
-    lambda_wyckoff: float = 1.0
-    lambda_frac: float = 5.0
-    lambda_lattice: float = 1.0
     sigma_frac: float = 0.01
     sigma_length: float = 0.02   # relative, multiplicative
     sigma_angle: float = 1.0     # degrees, additive
@@ -64,20 +66,17 @@ class AEConfig:
     length_log_mean: float = 1.6
     length_log_std: float = 0.5
     lr: float = 3e-4
-    warmup: int = 100
-    batch_size: int = 32
-    epochs: int = 200
+    batch_size: int = 512
+    epochs: int = 7000
     seed: int = 0
 
     @classmethod
     def desk(cls, **overrides) -> "AEConfig":
         """Small profile for tests and smoke runs."""
-        base = dict(d_model=128, d_latent=16, n_heads=4, n_layers=2)
+        base = dict(d_model=128, d_latent=16, n_heads=4, n_layers=2,
+                    batch_size=32, epochs=200)
         base.update(overrides)
         return cls(**base)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -201,7 +200,7 @@ class Autoencoder:
 
     def encode_batch(self, batch: Batch) -> Tensor:
         """Per-orbit latents z (B, N, d_latent), zero on padded orbits."""
-        st, cfg = self.store, self.config
+        st = self.store
         h_loc = embedding(st["enc.elem_emb"], batch.elem_idx)
         h_loc = h_loc + embedding(st["enc.wyck_emb"], batch.wyck_idx)
         f_in = Tensor(np.concatenate([batch.frac, batch.dof_mask], axis=-1))
@@ -217,8 +216,7 @@ class Autoencoder:
         h = h_loc + h_glob.reshape(h_glob.shape[0], 1, h_glob.shape[1])
         h = self._run_blocks(h, "enc", batch.mask)
         z_raw = linear(h, st["enc.down.w"], st["enc.down.b"])
-        s = cfg.saturation
-        z = z_raw / (1.0 + (z_raw * (1.0 / s)) ** 2).sqrt()
+        z = z_raw / (1.0 + (z_raw * (1.0 / SATURATION)) ** 2).sqrt()
         return z * Tensor(batch.mask[:, :, None].astype(np.float64))
 
     def encode(self, asus: list[CrystalASU]) -> LatentBatch:
@@ -325,7 +323,6 @@ class Autoencoder:
         lattice slots in normalized space. Constrained slots contribute
         exactly zero.
         """
-        cfg = self.config
         wy, atom, frac, lat = heads
         valid = batch.mask.astype(np.float64)
         l_atom = cross_entropy(atom, batch.elem_idx, batch.mask)
@@ -342,8 +339,8 @@ class Autoencoder:
         dl = (lat - target_norm) * lat_free
         l_lat = (dl * dl).sum() / max(float(batch.lat_free.sum()), 1.0)
 
-        total = (cfg.lambda_atom * l_atom + cfg.lambda_wyckoff * l_wyck
-                 + cfg.lambda_frac * l_frac + cfg.lambda_lattice * l_lat)
+        total = (LAMBDA_ATOM * l_atom + LAMBDA_WYCKOFF * l_wyck
+                 + LAMBDA_FRAC * l_frac + LAMBDA_LATTICE * l_lat)
         breakdown = {
             "atom": l_atom.item(), "wyckoff": l_wyck.item(),
             "frac": l_frac.item(), "lattice": l_lat.item(),
@@ -354,7 +351,7 @@ class Autoencoder:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path, seed: int | None = None) -> str:
-        return self.store.save(path, config=self.config.to_dict(), seed=seed)
+        return self.store.save(path, config=asdict(self.config), seed=seed)
 
     @classmethod
     def load(cls, path, catalog: SymmetryCatalog) -> "Autoencoder":
@@ -480,7 +477,7 @@ def ae_train_step(model: Autoencoder, asus: list[CrystalASU],
     heads = model.decode_heads(z, batch.groups, batch.mask)
     loss, breakdown = model.reconstruction_loss(batch, heads)
     loss.backward()
-    adam_step(model.store, lr=config.lr, warmup=config.warmup)
+    adam_step(model.store, lr=config.lr)
     return breakdown
 
 

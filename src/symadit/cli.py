@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of the rate and tolerance flags: finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < np.inf:   # false for nan too
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive and finite")
     return value
 
 
@@ -140,8 +152,9 @@ def cmd_ingest(args) -> int:
     if not isinstance(sg_table, dict):
         raise ValueError(f"--sg-table {args.sg_table} is not a JSON object")
     for name, sg in sg_table.items():
-        if type(sg) is not int:  # refuses bool, float, str, list
-            raise ValueError(f"--sg-table: {name!r} maps to {sg!r}, not an int")
+        if type(sg) is not int or not 1 <= sg <= 230:   # bool is not int
+            raise ValueError(f"--sg-table: {name!r} maps to {sg!r}, not a "
+                             "space group number")
 
     asus, ids = [], []
     skipped = dict.fromkeys(("cif_parse", "missing_space_group",
@@ -213,12 +226,10 @@ def cmd_ingest(args) -> int:
 
 
 def _training_kwargs(args) -> dict:
-    # paper-scale training defaults: batch 512, up to 7000 epochs
-    batch_size, epochs = (32, 200) if args.profile == "desk" else (512, 7000)
-    return dict(seed=args.seed, lr=args.lr,
-                batch_size=batch_size if args.batch_size is None
-                else args.batch_size,
-                epochs=epochs if args.epochs is None else args.epochs)
+    """The training flags the user gave; the profile supplies the rest."""
+    given = dict(seed=args.seed, lr=args.lr, batch_size=args.batch_size,
+                 epochs=args.epochs)
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _lattice_stats(asus: list[CrystalASU]) -> tuple[float, float]:
@@ -265,7 +276,7 @@ def cmd_train_ae(args) -> int:
     ckpt = out_dir / "ae.ckpt"
     digest = model.save(ckpt, seed=config.seed)
     metrics = reconstruction_metrics(model, asus)
-    _write_manifest(out_dir, "train-ae", config.to_dict(), config.seed,
+    _write_manifest(out_dir, "train-ae", asdict(config), config.seed,
                     checkpoint_hash=digest, metrics=metrics,
                     data_hash=checkpoint_hash(args.data))
     print(f"trained {model.store.step_count} steps; "
@@ -302,7 +313,7 @@ def cmd_train_fm(args) -> int:
     priors = fit_priors(asus)
     (out_dir / "priors.json").write_text(priors.to_json() + "\n")
     digest = denoiser.save(out_dir / "fm.ckpt", seed=config.seed)
-    _write_manifest(out_dir, "train-fm", config.to_dict(), config.seed,
+    _write_manifest(out_dir, "train-fm", asdict(config), config.seed,
                     checkpoint_hash=digest, ae_checkpoint_hash=ae_hash,
                     data_hash=checkpoint_hash(args.data))
     print(f"trained {denoiser.store.step_count} steps; "
@@ -424,7 +435,7 @@ def build_parser() -> _Parser:
     c.add_argument("--out", required=True)
     c.add_argument("--sg-table",
                    help="JSON {filename: spacegroup} for CIFs without tags")
-    c.add_argument("--tol", type=float, default=1e-3)
+    c.add_argument("--tol", type=_positive_float, default=1e-3)
     c.set_defaults(fn=cmd_ingest)
 
     for name in ("train-ae", "train-fm"):
@@ -438,7 +449,7 @@ def build_parser() -> _Parser:
                        help="default 200 (desk) / 7000 (paper)")
         c.add_argument("--batch-size", type=_positive_int, default=None,
                        help="default 32 (desk) / 512 (paper)")
-        c.add_argument("--lr", type=float, default=3e-4)
+        c.add_argument("--lr", type=_positive_float, help="default 3e-4")
         c.add_argument("--seed", type=int, default=0)
         c.add_argument("--resume", help="checkpoint to continue from")
         c.add_argument("--log-every", type=_positive_int, default=50)
@@ -466,9 +477,9 @@ def build_parser() -> _Parser:
     c.add_argument("--gen", required=True)
     c.add_argument("--train", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--ltol", type=float, default=0.2)
-    c.add_argument("--stol", type=float, default=0.3)
-    c.add_argument("--angle-tol", type=float, default=10.0)
+    c.add_argument("--ltol", type=_positive_float, default=0.2)
+    c.add_argument("--stol", type=_positive_float, default=0.3)
+    c.add_argument("--angle-tol", type=_positive_float, default=10.0)
     c.add_argument("--n-novelty", type=_positive_int, default=1000)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_evaluate)

@@ -52,8 +52,9 @@ class MatchParams:
     angle_tol: float = 10.0
 
     def __post_init__(self):
-        if min(self.ltol, self.stol, self.angle_tol) <= 0:
-            raise ValueError("match tolerances must be positive")
+        tolerances = (self.ltol, self.stol, self.angle_tol)
+        if not all(0 < tol < math.inf for tol in tolerances):  # and not nan
+            raise ValueError("match tolerances must be finite and positive")
 
 
 @dataclass
@@ -252,6 +253,29 @@ def _wrap_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
+def _orbits(entry, frac: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Atom indices of each orbit, in order of their first atom: the atoms
+    that some operation maps an atom onto, within `tol` per coordinate.
+    An atom already in an earlier orbit is not taken again."""
+    m = len(frac)
+    partners = np.zeros((m, m), dtype=bool)
+    for rot, trans in zip(*entry.operation_arrays):
+        mapped = symcat.wrap_unit(frac @ rot.T + trans)
+        hit = np.all(_wrap_delta(mapped[:, None], frac) < tol, axis=2)
+        lonely = np.flatnonzero(~hit.any(axis=1))
+        if len(lonely):
+            raise IngestError(
+                f"atom {lonely[0]} has no symmetry partner under "
+                f"{entry.label}; structure is not in the conventional setting")
+        partners |= hit
+    orbits, placed = [], np.zeros(m, dtype=bool)
+    for i in range(m):
+        if not placed[i]:
+            orbits.append(np.flatnonzero(partners[i] & ~placed))
+            placed[orbits[-1]] = True
+    return orbits
+
+
 def assign_wyckoff(
     structure: FullCrystal,
     spacegroup: int,
@@ -268,39 +292,8 @@ def assign_wyckoff(
     entry = catalog.group(spacegroup)
     frac = symcat.wrap_unit(structure.frac)
     m = structure.n_atoms
-
-    # union-find over atoms related by a symmetry operation
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for rot, trans in zip(*entry.operation_arrays):
-        mapped = symcat.wrap_unit(frac @ rot.T + trans)
-        for i in range(m):
-            d = _wrap_delta(mapped[i][None, :], frac)
-            hits = np.where(np.all(d < tol, axis=1))[0]
-            if len(hits) == 0:
-                raise IngestError(
-                    f"atom {i} has no symmetry partner under {entry.label}; "
-                    "structure is not in the conventional setting"
-                )
-            union(i, int(hits[0]))
-
-    orbits: dict[int, list[int]] = {}
-    for i in range(m):
-        orbits.setdefault(find(i), []).append(i)
-
     sites: list[Site] = []
-    for members in orbits.values():
+    for members in _orbits(entry, frac, tol):
         elems = {int(structure.elements[i]) for i in members}
         if len(elems) > 1:
             raise IngestError(f"mixed elements {sorted(elems)} within one orbit")

@@ -191,29 +191,28 @@ def target_field(z_t: np.ndarray, z1: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+COND_DROP = 0.1        # share of training rows without their group label
+SELF_COND_PROB = 0.5   # chance of a training step's self-conditioning pass
+TIME_FEATURES = 64     # sinusoidal features of the time
+
+
 @dataclass
 class DenoiserConfig:
     d_latent: int = 32
     d_model: int = 512
     n_heads: int = 8           # head dim 64, as in the autoencoder
     n_layers: int = 12
-    cond_drop: float = 0.1
-    self_cond_prob: float = 0.5
-    time_features: int = 64
     lr: float = 3e-4
-    warmup: int = 100
-    batch_size: int = 32
-    epochs: int = 200
+    batch_size: int = 512
+    epochs: int = 7000
     seed: int = 0
 
     @classmethod
     def desk(cls, **overrides) -> "DenoiserConfig":
-        base = dict(d_model=128, d_latent=16, n_heads=4, n_layers=2)
+        base = dict(d_model=128, d_latent=16, n_heads=4, n_layers=2,
+                    batch_size=32, epochs=200)
         base.update(overrides)
         return cls(**base)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -243,7 +242,7 @@ class Denoiser:
         st.add("in.w", (2 * d, dm))
         st.add("in.b", (dm,), scale=0.0)
         st.add("group_emb", (N_GROUPS + 1, dm), scale=0.02)
-        st.add("time.w1", (2 * (cfg.time_features // 2), dm))
+        st.add("time.w1", (TIME_FEATURES, dm))
         st.add("time.b1", (dm,), scale=0.0)
         st.add("time.w2", (dm, dm))
         st.add("time.b2", (dm,), scale=0.0)
@@ -262,7 +261,7 @@ class Denoiser:
         modulation maps all live here, so `forward` runs the latent trunk
         only."""
         st, cfg = self.store, self.config
-        t_feat = Tensor(time_embedding(t, cfg.time_features))
+        t_feat = Tensor(time_embedding(t, TIME_FEATURES))
         cond = silu_mlp(t_feat, st["time.w1"], st["time.b1"],
                         st["time.w2"], st["time.b2"])
         cond = cond + st["group_emb"][np.asarray(cond_idx, dtype=np.int64)]
@@ -292,7 +291,7 @@ class Denoiser:
         return out * Tensor(mask[:, :, None].astype(np.float64))
 
     def save(self, path, seed: int | None = None) -> str:
-        cfg = self.config.to_dict()
+        cfg = asdict(self.config)
         cfg["ae_checkpoint_hash"] = self.ae_checkpoint_hash
         return self.store.save(path, config=cfg, seed=seed)
 
@@ -327,19 +326,18 @@ def train_step(denoiser: Denoiser, z1: np.ndarray, groups: np.ndarray,
     self-conditioning coin (first prediction gradient-detached) and the
     condition-dropout coin, then regresses the masked MSE to z1.
     """
-    cfg = denoiser.config
     b, n, d = z1.shape
     z0 = rng.standard_normal(z1.shape)
     t = rng.uniform(0.0, 1.0, size=b)
     z_t = interpolate(z0, z1, t)
 
     cond_idx = groups.astype(np.int64) - 1
-    drop = rng.uniform(size=b) < cfg.cond_drop
+    drop = rng.uniform(size=b) < COND_DROP
     cond_idx = np.where(drop, NULL_CONDITION, cond_idx)
 
     cond = denoiser.condition(t, cond_idx)
     self_cond = None
-    if rng.uniform() < cfg.self_cond_prob:
+    if rng.uniform() < SELF_COND_PROB:
         with no_grad():
             first = denoiser.forward(Tensor(z_t), cond, mask)
         self_cond = Tensor(first.data.copy())
@@ -351,7 +349,7 @@ def train_step(denoiser: Denoiser, z1: np.ndarray, groups: np.ndarray,
     denom = max(float(mask.sum()) * d, 1.0)
     loss = (diff * diff * m).sum() / denom
     loss.backward()
-    adam_step(denoiser.store, lr=cfg.lr, warmup=cfg.warmup)
+    adam_step(denoiser.store, lr=denoiser.config.lr)
     return loss.item()
 
 

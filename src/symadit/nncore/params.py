@@ -32,6 +32,7 @@ __all__ = ["CheckpointError", "ParameterStore", "adam_step",
 
 _MAGIC = b"CKPT v1\n"
 
+WARMUP = 100   # steps of linear learning-rate warm-up
 # adaptive-moment decay rates and denominator floor
 BETA1 = 0.9
 BETA2 = 0.999
@@ -172,13 +173,12 @@ def config_from(config_cls, config: dict, path):
     return config_cls(**config)
 
 
-def adam_step(store: ParameterStore, lr: float = 3e-4,
-              warmup: int = 100) -> None:
-    """Adaptive-moment update; deterministic given gradient contents."""
+def adam_step(store: ParameterStore, lr: float = 3e-4) -> None:
+    """Adaptive-moment update after WARMUP steps of linear warm-up;
+    deterministic given gradient contents."""
     store.step_count += 1
     t = store.step_count
-    if warmup > 0:
-        lr = lr * min(1.0, t / warmup)
+    lr = lr * min(1.0, t / WARMUP)
     # bias-corrected update folded into scalar factors (fewer temporaries)
     alpha = lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     eps_hat = ADAM_EPS * np.sqrt(1.0 - BETA2**t)

@@ -56,13 +56,18 @@ NUMERIC_FLAGS = ([("train-ae", f) for f in TRAINING_FLAGS]
                     ("evaluate", "--n-novelty")])
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
-def test_numeric_flags_must_be_positive_integers(tmp_path, capsys, command,
-                                                 flag, value):
-    # refused while parsing: no input is read and no output folder is made
+FLOAT_FLAGS = [("ingest", "--tol"), ("train-ae", "--lr"), ("train-fm", "--lr"),
+               ("evaluate", "--ltol"), ("evaluate", "--stol"),
+               ("evaluate", "--angle-tol")]
+
+
+def _refused_while_parsing(tmp_path, capsys, command, flag, value):
+    """A bad flag value is a usage error (exit 1) found while parsing: no
+    input is read and no output folder is made."""
     out = tmp_path / "out"
     required = {
+        "ingest": ["--input", str(tmp_path / "cifs"),
+                   "--out", str(out / "data.jsonl")],
         "train-ae": ["--data", str(tmp_path / "d.jsonl"), "--out", str(out)],
         "train-fm": ["--data", str(tmp_path / "d.jsonl"),
                      "--ae", str(tmp_path / "ae.ckpt"), "--out", str(out)],
@@ -76,6 +81,20 @@ def test_numeric_flags_must_be_positive_integers(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "usage error" in err and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+def test_numeric_flags_must_be_positive_integers(tmp_path, capsys, command,
+                                                 flag, value):
+    _refused_while_parsing(tmp_path, capsys, command, flag, value)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+def test_float_flags_must_be_positive_and_finite(tmp_path, capsys, command,
+                                                 flag, value):
+    _refused_while_parsing(tmp_path, capsys, command, flag, value)
 
 
 def test_missing_file_is_validation_or_runtime(tmp_path):
@@ -178,15 +197,19 @@ def test_one_bad_cif_is_a_skip(catalog, tmp_path, nacl):
     ({"nacl.cif": 225, "unknown.cif": [225]}, "'unknown.cif'"),
     ({"unknown.cif": 2.7}, "'unknown.cif'"),
     ({"unknown.cif": True}, "'unknown.cif'"),
+    ({"unknown.cif": 231}, "'unknown.cif'"),   # the file has no tag
+    ({"nacl.cif": 231}, "'nacl.cif'"),         # the file's tag wins
+    ({"nacl.cif": 0}, "'nacl.cif'"),
 ])
 def test_sg_table_must_map_names_to_integers(catalog, tmp_path, nacl, capsys,
                                              table, offender):
-    """A table that is not an object of plain integers is refused where it
-    is loaded (exit 2, naming the key), before any CIF is read."""
+    """A table that is not an object of plain integers in 1..230 is refused
+    where it is loaded (exit 2, naming the key), before any CIF is read."""
     cif_dir = tmp_path / "cifs"
     cif_dir.mkdir()
     text = cifio.write_cif(cr.expand_asu(nacl, catalog))
     tag = "_symmetry_Int_Tables_number      225"
+    (cif_dir / "nacl.cif").write_text(text)
     (cif_dir / "unknown.cif").write_text(
         text.replace(tag, "_symmetry_Int_Tables_number ?"))
     path = tmp_path / "sg.json"
@@ -533,10 +556,10 @@ def test_missing_checkpoint_is_a_runtime_failure(dataset, trained_pair,
     assert _train_fm(dataset, work) == 3
 
 
-def _add_config_key(sidecar: Path) -> str:
+def _add_config_key(sidecar: Path, key="renamed_field", value=1) -> str:
     original = sidecar.read_text()
     manifest = json.loads(original)
-    manifest["config"]["renamed_field"] = 1   # the hash still matches
+    manifest["config"][key] = value   # the hash still matches
     sidecar.write_text(json.dumps(manifest))
     return original
 
@@ -554,6 +577,20 @@ def test_unknown_config_key_is_a_validation_failure(dataset, trained_pair,
     _add_config_key(work / "fm" / "fm.ckpt.json")
     assert _generate(work) == 2
     assert "renamed_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, key, value", [
+    ("ae", "lambda_frac", 5.0), ("ae", "warmup", 100),
+    ("fm", "cond_drop", 0.1), ("fm", "time_features", 64)])
+def test_sidecar_with_a_field_that_became_a_constant_is_refused(
+        trained_pair, tmp_path, capsys, stage, key, value):
+    # a checkpoint written while the hyperparameters were config fields
+    work = _copy_pair(trained_pair, tmp_path)
+    _add_config_key(work / stage / f"{stage}.ckpt.json", key, value)
+    assert _generate(work) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and key in err
+    assert not (work / "gen").exists()
 
 
 def test_generate_refuses_malformed_priors(trained_pair, tmp_path, capsys):

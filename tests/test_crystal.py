@@ -584,17 +584,102 @@ def test_roundtrip_random_groups(catalog):
     for g in groups:
         asu = random_asu(catalog, int(g), rng)
         full = expand_asu(asu, catalog)
-        try:
-            back = assign_wyckoff(full, int(g), catalog)
-        except IngestError:
-            # random free parameters occasionally collapse an orbit;
-            # regenerate a clearly generic unit instead
-            continue
+        back = assign_wyckoff(full, int(g), catalog)
         want = sorted((s.element, s.wyckoff) for s in asu.sites)
         got = sorted((s.element, s.wyckoff) for s in back.sites)
         assert got == want, f"group {g}"
         rebuilt = expand_asu(back, catalog)
         assert rebuilt.n_atoms == full.n_atoms
+
+
+def _union_find_orbits(entry, frac, tol):
+    """Oracle: the partition assign_wyckoff made before its partner
+    matrices, union-find over each atom and its first partner under each
+    operation."""
+    m = len(frac)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for rot, trans in zip(*entry.operation_arrays):
+        mapped = symcat.wrap_unit(frac @ rot.T + trans)
+        for i in range(m):
+            d = cr._wrap_delta(mapped[i][None, :], frac)
+            hits = np.where(np.all(d < tol, axis=1))[0]
+            if len(hits) == 0:
+                raise IngestError(
+                    f"atom {i} has no symmetry partner under {entry.label}; "
+                    "structure is not in the conventional setting")
+            ri, rj = find(i), find(int(hits[0]))
+            if ri != rj:
+                parent[rj] = ri
+    orbits: dict[int, list[int]] = {}
+    for i in range(m):
+        orbits.setdefault(find(i), []).append(i)
+    return list(orbits.values())
+
+
+def _assignment(structure, group, catalog):
+    try:
+        return cr.asu_to_record(assign_wyckoff(structure, group, catalog))
+    except IngestError as exc:
+        return str(exc)
+
+
+def test_partner_matrices_partition_as_union_find_did(catalog, monkeypatch):
+    """Every group, with the atoms permuted and jittered by 1e-5; every
+    fourth group also with a near-duplicate atom, with noise up to 6e-4 and
+    with an atom dropped. The records and error messages must be those of
+    the union-find partition."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for g in range(1, 231):
+        full = expand_asu(random_asu(catalog, g, rng, max_sites=2,
+                                     min_length=6.0), catalog)
+        m = full.n_atoms
+        perm = rng.permutation(m)
+        variants = [("jitter", full.elements[perm],
+                     full.frac[perm] + rng.normal(0, 1e-5, (m, 3)))]
+        if g % 4 == 0 and m > 1:
+            twin = full.frac[:1] + rng.choice([-2e-4, 2e-4], (1, 3))
+            variants += [
+                ("twin", np.append(full.elements, full.elements[0]),
+                 np.vstack([full.frac, twin])),
+                ("noise", full.elements,
+                 full.frac + rng.uniform(-6e-4, 6e-4, (m, 3))),
+                ("drop", full.elements[1:], full.frac[1:])]
+        cases += [(kind, g, FullCrystal(lattice=full.lattice,
+                                        elements=elements, frac=frac))
+                  for kind, elements, frac in variants]
+    got = [_assignment(structure, g, catalog) for _, g, structure in cases]
+    monkeypatch.setattr(cr, "_orbits", _union_find_orbits)
+    want = [_assignment(structure, g, catalog) for _, g, structure in cases]
+    assert got == want
+    outcomes = {}
+    for (kind, _, _), outcome in zip(cases, want):
+        outcomes.setdefault(kind, set()).add(isinstance(outcome, str))
+    assert outcomes == {"jitter": {False}, "twin": {True},
+                        "noise": {False, True}, "drop": {True}}
+
+
+def test_a_placed_atom_joins_no_later_orbit(catalog):
+    # P-1 along x: 8e-4 is within tol of 0 and of 16e-4, whose inversion
+    # image is 1 - 16e-4; so 0's orbit takes 8e-4, and 16e-4's does not
+    frac = np.array([[0.0, 0, 0], [8e-4, 0, 0], [16e-4, 0, 0],
+                     [1 - 16e-4, 0, 0]])
+    orbits = cr._orbits(catalog.group(2), frac, 1e-3)
+    assert [list(orbit) for orbit in orbits] == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["ltol", "stol", "angle_tol"])
+def test_match_tolerances_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        cr.MatchParams(**{name: value})
 
 
 def test_mixed_elements_rejected(catalog):

@@ -23,6 +23,7 @@ from symadit.nncore import (
 )
 from symadit.nncore import layers
 from symadit.nncore.layers import NEG_INF, token_sum
+from symadit.nncore.params import WARMUP
 
 
 def numeric_grad(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -306,7 +307,7 @@ def test_zero_gradient_leaves_parameters(rng):
     p = store.add("w", (4,))
     before = p.data.copy()
     p.grad = np.zeros(4)
-    adam_step(store, lr=0.1, warmup=0)
+    adam_step(store, lr=0.1)
     assert np.array_equal(p.data, before)
 
 
@@ -316,10 +317,11 @@ def test_quadratic_bowl_decreases():
     p.data = np.array([5.0, -4.0, 3.0])
     start = float(np.sum(p.data**2))
     last = np.inf
+    store.step_count = WARMUP   # past the warm-up: every step takes full lr
     for _ in range(100):
         store.zero_grad()
         p.grad = 2.0 * p.data   # gradient of sum(w^2)
-        adam_step(store, lr=0.05, warmup=0)
+        adam_step(store, lr=0.05)
         val = float(np.sum(p.data**2))
         assert val <= last + 1e-12
         last = val

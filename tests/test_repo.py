@@ -1,7 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, every
-export resolves, no import goes unused, every defaulted parameter has a
-caller outside the tests, and every package name and sampler statistic the
-benchmark reaches exists."""
+export resolves, no import goes unused, every defaulted parameter and
+dataclass field has a caller outside the tests, and every package name and
+sampler statistic the benchmark reaches exists."""
 
 import ast
 import dataclasses
@@ -224,6 +224,178 @@ def test_every_defaulted_parameter_has_a_caller_outside_the_tests():
                 unset.append(f"{path.relative_to(PACKAGE)}: {qual}.{param}")
     assert unset == []
     assert allowed == set(UNSET_DEFAULTS_ALLOWED)  # no stale entry
+
+
+# defaulted dataclass fields that no code outside the tests sets, with the
+# reason
+UNSET_FIELDS_ALLOWED = {
+    "AEConfig.sigma_*":
+        "the paper's augmentation noise; criterion 6 trains without "
+        "augmentation by setting all three to zero, and its recipe must not "
+        "change",
+    "SampleStats.*":
+        "decode_rejections and failures are always 0, and perfbench's "
+        "generate workload and sample counters read them",
+}
+
+
+def _dataclasses(path):
+    """Class name -> (field names in order, defaulted field names,
+    classmethod names) for each dataclass in the module."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.ClassDef) and any(
+                _callee(getattr(d, "func", d)) == "dataclass"
+                for d in node.decorator_list)):
+            continue
+        fields = [item for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)]
+        out[node.name] = (
+            [f.target.id for f in fields],
+            {f.target.id for f in fields if f.value is not None},
+            {item.name for item in node.body
+             if isinstance(item, ast.FunctionDef) and any(
+                 getattr(d, "id", None) == "classmethod"
+                 for d in item.decorator_list)})
+    return out
+
+
+def _callee(func):
+    return (func.attr if isinstance(func, ast.Attribute)
+            else getattr(func, "id", None))
+
+
+def _keyword_flow(trees):
+    """(carried, envs): `carried(expr, env)` is the set of keyword names a
+    value can carry, and `envs` maps each module and function node to the
+    names its local variables carry. A value carries the keywords of each
+    `dict(...)` call in it, of each variable it reads and of the return
+    value of each function it calls, resolved by name only."""
+    scopes = [node for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.Module, ast.FunctionDef))]
+    envs = {scope: {} for scope in scopes}
+    returns: dict[str, set] = {}
+
+    def carried(expr, env):
+        out = set()
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Name):
+                out |= env.get(node.id, set())
+            elif isinstance(node, ast.Call):
+                if _callee(node.func) == "dict":
+                    out |= {kw.arg for kw in node.keywords if kw.arg}
+                out |= returns.get(_callee(node.func), set())
+        return out
+
+    def grow(table, key, names) -> bool:
+        if names <= table.setdefault(key, set()):
+            return False
+        table[key] |= names
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for scope in scopes:
+            env = envs[scope]
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            changed |= grow(env, target.id,
+                                            carried(node.value, env))
+                elif (isinstance(node, ast.Return) and node.value
+                        and isinstance(scope, ast.FunctionDef)):
+                    changed |= grow(returns, scope.name,
+                                    carried(node.value, env))
+    return carried, envs
+
+
+def _fields_set_outside_the_tests(classes):
+    """Class name -> the fields some code in the package, perfbench or tools
+    sets: by keyword or position in a call to the class or one of its
+    classmethods (`cls(...)` inside the class), by the keywords of a
+    `dict(...)` that reaches such a call through `**`, or by assigning the
+    attribute of that name on anything but `self`."""
+    trees = [ast.parse(path.read_text()) for root in CALLERS
+             for path in sorted(root.rglob("*.py"))]
+    carried, envs = _keyword_flow(trees)
+    assigned, by_class = set(), {name: set() for name in classes}
+
+    def named(node, enclosing):
+        name = _callee(node)
+        return enclosing if name == "cls" else name
+
+    def target_class(func, enclosing):
+        """The dataclass a call constructs, through the class or `cls`, or
+        through a classmethod of either."""
+        name = named(func, enclosing)
+        if name in classes:
+            return name
+        if isinstance(func, ast.Attribute):
+            name = named(func.value, enclosing)
+            if name in classes and func.attr in classes[name][2]:
+                return name
+        return None
+
+    def attributes(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [a for elt in target.elts for a in attributes(elt)]
+        if isinstance(target, ast.Starred):
+            return attributes(target.value)
+        if (isinstance(target, ast.Attribute)
+                and getattr(target.value, "id", None) != "self"):
+            return [target.attr]
+        return []
+
+    def visit(node, enclosing, env):
+        if isinstance(node, ast.ClassDef):
+            enclosing = node.name
+        elif isinstance(node, ast.FunctionDef):
+            env = envs[node]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            assigned.update(a for target in targets
+                            for a in attributes(target))
+        elif isinstance(node, ast.Call):
+            cls = target_class(node.func, enclosing)
+            if cls is not None:
+                names = by_class[cls]
+                for kw in node.keywords:
+                    names |= ({kw.arg} if kw.arg
+                              else carried(kw.value, env))
+                if named(node.func, enclosing) == cls:   # not a classmethod
+                    names.update(classes[cls][0][:len(node.args)])
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, env)
+
+    for tree in trees:
+        visit(tree, None, envs[tree])
+    return {name: names | (set(classes[name][0]) & assigned)
+            for name, names in by_class.items()}
+
+
+def test_every_defaulted_dataclass_field_has_a_setter_outside_the_tests():
+    """A config field that no code outside the tests sets is a constant in
+    disguise: a settable value that every checkpoint sidecar and train
+    manifest records, and that nothing ever changes."""
+    classes = {}
+    for path in _modules():
+        classes.update(_dataclasses(path))
+    set_fields = _fields_set_outside_the_tests(classes)
+    unset, allowed = [], set()
+    for name, (_, defaulted, _) in sorted(classes.items()):
+        for field in sorted(defaulted - set_fields[name]):
+            matched = {pattern for pattern in UNSET_FIELDS_ALLOWED
+                       if fnmatch.fnmatchcase(f"{name}.{field}", pattern)}
+            if matched:
+                allowed |= matched
+            else:
+                unset.append(f"{name}.{field}")
+    assert unset == []
+    assert allowed == set(UNSET_FIELDS_ALLOWED)  # no stale entry
 
 
 def _resolve_from(module: str, name: str):
