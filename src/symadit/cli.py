@@ -58,26 +58,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count-like flags: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _bounded(kind, low, what: str):
+    """argparse type: a finite number of `kind` above `low`, else `what`
+    is the usage error's complaint."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = low
+        if not low < value < np.inf:   # false for nan too
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of the rate and tolerance flags: finite and above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0.0 < value < np.inf:   # false for nan too
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive and finite")
-    return value
+_positive_int = _bounded(int, 0, "a positive integer")       # counts
+_seed = _bounded(int, -1, "a non-negative integer")          # --seed
+_positive_float = _bounded(float, 0.0, "positive and finite")  # rates, tols
+_finite_float = _bounded(float, -np.inf, "finite")           # --cfg-scale
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
@@ -426,7 +424,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("catalog", help="validate the symmetry catalog")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(fn=cmd_catalog)
 
     c = sub.add_parser("ingest", help="build a dataset from CIFs or JSONL")
@@ -450,7 +448,7 @@ def build_parser() -> _Parser:
         c.add_argument("--batch-size", type=_positive_int, default=None,
                        help="default 32 (desk) / 512 (paper)")
         c.add_argument("--lr", type=_positive_float, help="default 3e-4")
-        c.add_argument("--seed", type=int, default=0)
+        c.add_argument("--seed", type=_seed, default=0)
         c.add_argument("--resume", help="checkpoint to continue from")
         c.add_argument("--log-every", type=_positive_int, default=50)
         if name == "train-fm":
@@ -467,8 +465,8 @@ def build_parser() -> _Parser:
     c.add_argument("--out", required=True)
     c.add_argument("--count", type=_positive_int, default=100)
     c.add_argument("--steps", type=_positive_int, default=1000)
-    c.add_argument("--cfg-scale", type=float, default=2.0)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--cfg-scale", type=_finite_float, default=2.0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--no-condition", action="store_true",
                    help="disable space-group conditioning")
     c.set_defaults(fn=cmd_generate)
@@ -481,7 +479,7 @@ def build_parser() -> _Parser:
     c.add_argument("--stol", type=_positive_float, default=0.3)
     c.add_argument("--angle-tol", type=_positive_float, default=10.0)
     c.add_argument("--n-novelty", type=_positive_int, default=1000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(fn=cmd_evaluate)
 
     c = sub.add_parser("export-latents", help="per-crystal pooled latents")

@@ -8,6 +8,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "IngestError",
     "MatchParams",
     "Site",
+    "asu_match_key",
     "assign_wyckoff",
     "dataset_lines",
     "expand_asu",
@@ -143,9 +145,7 @@ class FullCrystal:
     @functools.cached_property
     def match_key(self) -> tuple:
         """(atom count, reduced composition), which a match must equal."""
-        els, counts = np.unique(self.elements, return_counts=True)
-        counts //= np.gcd.reduce(counts)
-        return self.n_atoms, tuple(zip(els.tolist(), counts.tolist()))
+        return _match_key(Counter(self.elements.tolist()))
 
     @functools.cached_property
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +239,26 @@ def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
         label=entry.label,
         orbit_starts=(np.cumsum([0] + sizes[:-1]) if symmetric else None),
     )
+
+
+def asu_match_key(asu: CrystalASU, catalog: SymmetryCatalog) -> tuple:
+    """`expand_asu(asu, catalog).match_key` without building the cell.
+
+    Each site adds the points `orbit_expand` gives its orbit, so a collapsed
+    orbit counts its distinct points, not its multiplicity."""
+    entry = catalog.group(asu.spacegroup)
+    counts: Counter = Counter()
+    for site in asu.sites:
+        w = entry.position(site.wyckoff)
+        counts[site.element] += len(symcat.orbit_expand(entry, w, site.frac))
+    return _match_key(counts)
+
+
+def _match_key(counts: Counter) -> tuple:
+    """(atom count, reduced composition) from the atoms of each element."""
+    divisor = math.gcd(*counts.values())
+    return (sum(counts.values()),
+            tuple((el, counts[el] // divisor) for el in sorted(counts)))
 
 
 def _on_lattice_class(lattice_class, ell) -> bool:

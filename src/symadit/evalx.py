@@ -3,7 +3,9 @@ matcher for uniqueness/novelty, distribution distances (base-2 JSD over
 space groups, sample-weighted JSD over Wyckoff occupancies, exact W1 over
 atom counts), the trivial-symmetry rate, and composition statistics.
 Uniqueness and novelty match only pairs with an equal atom count and reduced
-composition; the matcher refuses all others, so no decision changes."""
+composition; the matcher refuses all others, so no decision changes. A
+reference's key comes from its orbit sizes, and only the references whose
+key a valid generated structure shares are expanded to full cells."""
 
 from __future__ import annotations
 
@@ -183,11 +185,15 @@ def uniqueness_and_novelty(
     n_novelty: int = 1000,
     seed: int = 0,
     counters: dict | None = None,
+    n_train: int | None = None,
 ) -> tuple[float, float, dict]:
     """Percent unique among the (pre-filtered valid) generations, then
     percent of a subsample of the unique set absent from training. Only
     pairs with equal `match_key` reach `structure_match`, in all-pairs
-    order; the pairs compared and pruned are tallied into `counters`."""
+    order; the pairs compared and pruned are tallied into `counters`.
+    n_train: the size of the reference set when `train` holds only the
+    references that share a key with some generation (default len(train));
+    the pruned pairs count against all of them."""
     tally = counters if counters is not None else {}
     for name in ("match_pairs_compared", "match_pairs_pruned"):
         tally.setdefault(name, 0)
@@ -221,8 +227,8 @@ def uniqueness_and_novelty(
     train_buckets: dict[tuple, list[FullCrystal]] = {}
     for t in train:
         train_buckets.setdefault(t.match_key, []).append(t)
-    novel = sum(not seen(s, key, train_buckets, len(train))
-                for key, s in subsample)
+    pool = len(train) if n_train is None else n_train
+    novel = sum(not seen(s, key, train_buckets, pool) for key, s in subsample)
     novelty = 100.0 * novel / len(subsample) if subsample else 0.0
     return uniqueness, novelty, flags
 
@@ -322,14 +328,20 @@ def evaluate_pipeline(
     not used for filtering. counters: `degenerate_orbits` (collapsed
     generated orbits), `off_form_structures` (generated structures whose
     lattice or sites are off their forms, so validity measures all atom
-    pairs), `invalid_volume`, `invalid_distance`, and the matcher tallies
-    of `uniqueness_and_novelty`.
+    pairs), `invalid_volume`, `invalid_distance`, `references_expanded`,
+    and the matcher tallies of `uniqueness_and_novelty`.
+
+    A reference's match key and atom count come from its orbit sizes
+    (`crystal.asu_match_key`). Only the references whose key a valid
+    generated structure shares can match, so only those are expanded
+    (`references_expanded`), in their original order: every matcher
+    bucket, and so every decision, is that of expanding all of them.
     """
     if not gen:
         raise ValueError("empty generation set")
     tally = counters if counters is not None else {}
     for name in ("degenerate_orbits", "off_form_structures",
-                 "invalid_volume", "invalid_distance"):
+                 "invalid_volume", "invalid_distance", "references_expanded"):
         tally.setdefault(name, 0)
     expanded = [cr.expand_asu(a, catalog, tally) for a in gen]
     tally["off_form_structures"] += sum(s.orbit_starts is None
@@ -342,11 +354,16 @@ def evaluate_pipeline(
     valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
     if not valid_asus:
         raise ValueError("no generated structure passes structural validity")
-    train_structs = [cr.expand_asu(a, catalog) for a in train]
+    train_keys = [cr.asu_match_key(a, catalog) for a in train]
+    gen_keys = {s.match_key for s in valid_structs}
+    train_structs = [cr.expand_asu(a, catalog)
+                     for a, key in zip(train, train_keys) if key in gen_keys]
+    tally["references_expanded"] += len(train_structs)
 
     validity_rate = 100.0 * len(valid_asus) / len(gen)
     uniq, novel, flags = uniqueness_and_novelty(
-        valid_structs, train_structs, params, n_novelty, seed, tally)
+        valid_structs, train_structs, params, n_novelty, seed, tally,
+        n_train=len(train))
 
     gen_groups = Counter(a.spacegroup for a in valid_asus)
     ref_groups = Counter(a.spacegroup for a in train)
@@ -359,7 +376,7 @@ def evaluate_pipeline(
         jsd_wyckoff=jsd_wyckoff(valid_asus, train),
         wasserstein_atoms=wasserstein_atoms(
             [s.n_atoms for s in valid_structs],
-            [s.n_atoms for s in train_structs],
+            [n_atoms for n_atoms, _ in train_keys],
         ),
         p1_rate=p1_rate(gen),
         composition=composition_stats(valid_asus),

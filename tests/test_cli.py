@@ -10,7 +10,7 @@ from conftest import random_asu
 from symadit import cif as cifio
 from symadit import crystal as cr
 from symadit import symcat
-from symadit.cli import main
+from symadit.cli import build_parser, main
 from symadit.flowmatch import Denoiser, DenoiserConfig
 
 
@@ -66,6 +66,7 @@ def _refused_while_parsing(tmp_path, capsys, command, flag, value):
     input is read and no output folder is made."""
     out = tmp_path / "out"
     required = {
+        "catalog": [],
         "ingest": ["--input", str(tmp_path / "cifs"),
                    "--out", str(out / "data.jsonl")],
         "train-ae": ["--data", str(tmp_path / "d.jsonl"), "--out", str(out)],
@@ -95,6 +96,32 @@ def test_numeric_flags_must_be_positive_integers(tmp_path, capsys, command,
 def test_float_flags_must_be_positive_and_finite(tmp_path, capsys, command,
                                                  flag, value):
     _refused_while_parsing(tmp_path, capsys, command, flag, value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "x"])
+def test_cfg_scale_must_be_finite(tmp_path, capsys, value):
+    _refused_while_parsing(tmp_path, capsys, "generate", "--cfg-scale", value)
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-2.5", "7"])
+def test_every_finite_cfg_scale_is_accepted(value):
+    args = build_parser().parse_args(
+        ["generate", "--fm", "fm.ckpt", "--ae", "ae.ckpt", "--out", "out",
+         "--cfg-scale", value])
+    assert args.cfg_scale == float(value)
+
+
+@pytest.mark.parametrize("command", ["catalog", "train-ae", "train-fm",
+                                     "generate", "evaluate"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
+    for value in ("-1", "1.5"):
+        _refused_while_parsing(tmp_path, capsys, command, "--seed", value)
+
+
+def test_seed_zero_is_accepted():
+    args = build_parser().parse_args(
+        ["evaluate", "--gen", "g", "--train", "t", "--out", "o", "--seed", "0"])
+    assert args.seed == 0
 
 
 def test_missing_file_is_validation_or_runtime(tmp_path):
@@ -370,7 +397,9 @@ def test_full_pipeline_desk_scale(catalog, dataset, tmp_path, capsys):
     counters = manifest["counters"]
     assert set(counters) == {"match_pairs_compared", "match_pairs_pruned",
                              "invalid_distance", "invalid_volume",
-                             "degenerate_orbits", "off_form_structures"}
+                             "degenerate_orbits", "off_form_structures",
+                             "references_expanded"}
+    assert counters["references_expanded"] <= len(asus)
     assert counters["off_form_structures"] == 0    # decoded units are exact
     n_valid = round(report["structural_validity_rate"] * len(produced) / 100)
     assert counters["invalid_distance"] + counters["invalid_volume"] == \

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -159,13 +160,18 @@ def test_expansion_counts_match_multiplicities(catalog):
         assert full.n_atoms == expected
 
 
-def test_expand_asu_counts_each_collapsed_orbit(catalog, nacl):
-    # 225 e is (x,0,0); at x = 0 and x = 1/2 it collapses onto 4a and 4b
-    collapsed = CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+def collapsed_rock_salt(nacl):
+    """Rock salt plus three 24-point 225 e sites, (x,0,0): at x = 0 and
+    x = 1/2 the orbit collapses onto 4a and 4b, at x = 0.2 it does not."""
+    return CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
         *nacl.sites,
         Site(element=8, wyckoff="e", frac=np.zeros(3)),
         Site(element=9, wyckoff="e", frac=[0.5, 0, 0]),
         Site(element=6, wyckoff="e", frac=[0.2, 0, 0])])
+
+
+def test_expand_asu_counts_each_collapsed_orbit(catalog, nacl):
+    collapsed = collapsed_rock_salt(nacl)
     counters = {"degenerate_orbits": 3}
     full = expand_asu(collapsed, catalog, counters)
     assert counters == {"degenerate_orbits": 5}
@@ -174,6 +180,48 @@ def test_expand_asu_counts_each_collapsed_orbit(catalog, nacl):
     counters = {}
     expand_asu(nacl, catalog, counters)
     assert counters == {}
+
+
+def multiplicity_key(asu, catalog):
+    """The match key from Wyckoff multiplicities alone, which is wrong when
+    an orbit collapses."""
+    entry = catalog.group(asu.spacegroup)
+    counts = Counter()
+    for site in asu.sites:
+        counts[site.element] += entry.position(site.wyckoff).multiplicity
+    return cr._match_key(counts)
+
+
+def test_asu_match_key_counts_collapsed_orbits(catalog, nacl):
+    collapsed = collapsed_rock_salt(nacl)
+    key = (40, ((6, 6), (8, 1), (9, 1), (11, 1), (17, 1)))
+    assert cr.asu_match_key(collapsed, catalog) == key
+    assert expand_asu(collapsed, catalog).match_key == key
+    assert multiplicity_key(collapsed, catalog) == \
+        (80, ((6, 6), (8, 6), (9, 6), (11, 1), (17, 1)))
+    assert cr.asu_match_key(nacl, catalog) == (8, ((11, 1), (17, 1)))
+
+
+def test_asu_match_key_is_the_expanded_key_in_every_group(catalog):
+    """Oracle: in all 230 groups the key from orbit sizes equals the key of
+    the expanded cell, for generic and collapsed sites on their forms and
+    with the last site nudged by 1e-7, off its form when it is special; a
+    key from multiplicities equals it exactly when no orbit collapses."""
+    rng = np.random.default_rng(47)
+    collapsed = 0
+    for group in range(1, 231):
+        cells = symmetric_cells(catalog, group, rng, 4)
+        for ell, grid in zip(cells, (0, 2, 4, 0)):
+            asu = symmetric_asu(catalog, group, rng, ell, grid)
+            if grid == 0 and len(asu.sites) > 1:
+                asu.sites[-1].frac = asu.sites[-1].frac + 1e-7
+            counters = {}
+            key = expand_asu(asu, catalog, counters).match_key
+            assert cr.asu_match_key(asu, catalog) == key, group
+            assert (multiplicity_key(asu, catalog) == key) == \
+                ("degenerate_orbits" not in counters)
+            collapsed += "degenerate_orbits" in counters
+    assert collapsed > 100
 
 
 # ---------------------------------------------------------------------------

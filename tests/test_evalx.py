@@ -577,6 +577,166 @@ def test_pipeline_reduces_each_structure_at_most_once(catalog, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reference expansion
+# ---------------------------------------------------------------------------
+
+
+def eager_evaluate_pipeline(gen, train, catalog, params=MatchParams(),
+                            n_novelty=1000, seed=0, counters=None):
+    """Oracle: the pipeline that expands every reference to its full cell
+    and takes each reference's key and atom count from that cell.
+    `references_expanded` counts the references whose key a valid
+    generated structure shares."""
+    tally = counters if counters is not None else {}
+    for name in ("degenerate_orbits", "off_form_structures",
+                 "invalid_volume", "invalid_distance"):
+        tally.setdefault(name, 0)
+    expanded = [cr.expand_asu(a, catalog, tally) for a in gen]
+    tally["off_form_structures"] += sum(s.orbit_starts is None
+                                        for s in expanded)
+    valid_mask = [cr.structural_validity(s) for s in expanded]
+    n_volume = sum(s.volume < cr.MIN_VOLUME for s in expanded)
+    tally["invalid_volume"] += n_volume
+    tally["invalid_distance"] += valid_mask.count(False) - n_volume
+    valid_asus = [a for a, ok in zip(gen, valid_mask) if ok]
+    valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
+    train_structs = [cr.expand_asu(a, catalog) for a in train]
+    gen_keys = {s.match_key for s in valid_structs}
+    tally["references_expanded"] = sum(t.match_key in gen_keys
+                                       for t in train_structs)
+    uniq, novel, flags = uniqueness_and_novelty(
+        valid_structs, train_structs, params, n_novelty, seed, tally)
+    return evalx.GenerationReport(
+        n_generated=len(gen),
+        structural_validity_rate=100.0 * len(valid_asus) / len(gen),
+        uniqueness=uniq,
+        novelty=novel,
+        jsd_group=jsd(Counter(a.spacegroup for a in valid_asus),
+                      Counter(a.spacegroup for a in train)),
+        jsd_wyckoff=jsd_wyckoff(valid_asus, train),
+        wasserstein_atoms=wasserstein_atoms(
+            [s.n_atoms for s in valid_structs],
+            [t.n_atoms for t in train_structs]),
+        p1_rate=p1_rate(gen),
+        composition=composition_stats(valid_asus),
+        flags=flags,
+    )
+
+
+def _valid_asus(catalog, groups, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in groups:
+        while True:
+            asu = random_asu(catalog, g, rng, max_sites=3)
+            if cr.structural_validity(cr.expand_asu(asu, catalog)):
+                break
+        out.append(asu)
+    return out
+
+
+def _reference_sets(catalog, nacl):
+    """(generated, references) pairs named by what the references hold."""
+    gen = [nacl, *_valid_asus(catalog, (1, 1, 2, 14, 62, 139, 191, 229), 11)]
+    gen.append(gen[3])                                   # a duplicate
+    others = _valid_asus(catalog, (1, 2, 14, 62, 139, 191, 225, 229), 12)
+
+    def sites(*pairs):
+        return [Site(element=el, wyckoff=w, frac=np.asarray(f, dtype=float))
+                for el, w, f in pairs]
+
+    # 225 e is (x,0,0); at x = 0 it collapses onto 4a: rock salt again
+    collapsed_nacl = CrystalASU(spacegroup=225, lattice=nacl.lattice,
+                                sites=sites((11, "e", [0, 0, 0]),
+                                            (17, "b", [0.5] * 3)))
+    collapsed_more = CrystalASU(spacegroup=225, lattice=nacl.lattice,
+                                sites=[*nacl.sites, *sites((8, "e", [0.5, 0, 0]),
+                                                           (6, "e", [0.2, 0, 0]))])
+    stretched = CrystalASU(spacegroup=225, sites=nacl.sites,
+                           lattice=nacl.lattice + [0, 0, 1e-7, 0, 0, 0])
+    nudged = CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=sites(
+        (11, "a", [0, 0, 0]), (17, "b", [0.5, 0.5, 0.5 + 1e-7])))
+    origin_shifted = CrystalASU(spacegroup=225, lattice=nacl.lattice,
+                                sites=sites((11, "b", [0.5] * 3),
+                                            (17, "a", [0, 0, 0])))
+    p1 = gen[1]
+    p1_shifted = CrystalASU(spacegroup=1, lattice=p1.lattice, sites=sites(
+        *((s.element, "a", s.frac + [0.3, 0.1, 0.7]) for s in p1.sites)))
+    return {
+        "collapsed": (gen, [others[0], collapsed_nacl, collapsed_more,
+                            others[1]]),
+        "off_form": (gen, [stretched, others[2], nudged]),
+        "unshared": (gen, others),
+        "copies": (gen, [others[3], gen[4], origin_shifted, others[4],
+                         p1_shifted, gen[8], gen[4]]),
+        "mixed": (gen, [*others[:4], collapsed_nacl, stretched, p1_shifted,
+                        gen[6], *others[4:], nudged]),
+        "disjoint": ([nacl, gen[5]], others),
+    }
+
+
+def _recorded_matches(monkeypatch):
+    """The pairs `structure_match` is called on, by their atoms."""
+    calls = []
+
+    def recorded(a, b, params=MatchParams()):
+        calls.append(tuple(x.tobytes() for x in (a.elements, a.frac,
+                                                 b.elements, b.frac)))
+        return structure_match(a, b, params)
+
+    monkeypatch.setattr(evalx, "structure_match", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["collapsed", "off_form", "unshared",
+                                  "copies", "mixed", "disjoint"])
+def test_lazy_reference_expansion_agrees_with_eager_oracle(
+        catalog, nacl, monkeypatch, case):
+    """Expanding only the references whose key a valid generated structure
+    shares gives the eager pipeline's report and counters, and runs the
+    matcher on the same pairs in the same order."""
+    gen, train = _reference_sets(catalog, nacl)[case]
+    calls = _recorded_matches(monkeypatch)
+    for n_novelty, seed in ((1000, 0), (3, 1)):
+        want_counters, got_counters = {}, {}
+        want = eager_evaluate_pipeline(gen, train, catalog,
+                                       n_novelty=n_novelty, seed=seed,
+                                       counters=want_counters)
+        want_calls = calls[:]
+        calls.clear()
+        got = evalx.evaluate_pipeline(gen, train, catalog,
+                                      n_novelty=n_novelty, seed=seed,
+                                      counters=got_counters)
+        assert got.to_json() == want.to_json()
+        assert got_counters == want_counters
+        assert calls == want_calls
+        calls.clear()
+    expected = {"collapsed": 1, "off_form": 2, "unshared": 0, "copies": 5,
+                "mixed": 5, "disjoint": 0}[case]
+    assert got_counters["references_expanded"] == expected
+
+
+def test_pipeline_expands_only_the_references_it_can_match(catalog, nacl,
+                                                           monkeypatch):
+    gen, train = _reference_sets(catalog, nacl)["mixed"]
+    expanded = []
+    real = cr.expand_asu
+
+    def counted(asu, *args):
+        expanded.append(asu)
+        return real(asu, *args)
+
+    monkeypatch.setattr(cr, "expand_asu", counted)
+    counters = {}
+    evalx.evaluate_pipeline(gen, train, catalog, counters=counters)
+    assert [id(a) for a in expanded[:len(gen)]] == [id(a) for a in gen]
+    references = [id(a) for a in expanded[len(gen):]]
+    shared = [id(a) for i, a in enumerate(train) if i in (4, 5, 6, 7, 12)]
+    assert references == shared                 # in their original order
+    assert counters["references_expanded"] == 5
+
+
+# ---------------------------------------------------------------------------
 # composition stats and P1 rate
 # ---------------------------------------------------------------------------
 
