@@ -478,8 +478,9 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
 
 def _rows(cond: Conditioning, start: int, stop: int) -> Conditioning:
     """Rows start:stop of a conditioning table, off the tape."""
-    return [tuple((Tensor(gain.data[start:stop]),
-                   Tensor(shift.data[start:stop])) for gain, shift in block)
+    return [tuple((Tensor._make(gain.data[start:stop], (), None),
+                   Tensor._make(shift.data[start:stop], (), None))
+                  for gain, shift in block)
             for block in cond]
 
 

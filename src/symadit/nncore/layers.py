@@ -6,7 +6,15 @@ cross-entropy.
 
 Each layer is one tape node. Its backward replays, in the same order, the
 numpy operations the equivalent chain of elementary Tensor ops would run,
-so values and gradients are bitwise those of that chain."""
+so values and gradients are bitwise those of that chain.
+
+Sums over tokens (attention's value sum, the softmax denominator,
+`token_sum`) add their addends in value order, bitwise
+np.add.reduce(np.sort(x, axis), axis), so permuting tokens cannot change
+them. `_sorted_reduce` sorts only what can reorder: two addends or fewer
+are summed as they come, since a + b == b + a; 3 to NETWORK_MAX addends on
+a strided axis go through a compare-exchange network and are summed in
+numpy's sequential order; longer axes and the inner axis keep np.sort."""
 
 from __future__ import annotations
 
@@ -38,15 +46,63 @@ NEG_INF = -1e30  # representable stand-in for -infinity in masked logits
 LN_EPS = 1e-6    # layer-norm variance floor
 
 
+# Optimal compare-exchange networks (Knuth, TAOCP 5.3.4) for the token
+# counts the network path serves; each sorts all 2**n 0/1 inputs, hence all.
+SORT_NETWORKS = {
+    3: ((0, 2), (0, 1), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
+        (1, 2)),
+    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
+        (1, 4), (2, 4), (1, 3), (2, 3)),
+    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
+        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
+    8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7),
+        (0, 1), (2, 3), (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6),
+        (1, 2), (3, 4), (5, 6)),
+}
+NETWORK_MAX = max(SORT_NETWORKS)  # longest axis sorted by a network
+
+
 def _sorted_reduce(data: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along axis with addends in value order.
+    """Sum along axis with addends in value order: bitwise
+    np.add.reduce(np.sort(data, axis), axis).
 
     Float addition is commutative but not associative; fixing the reduction
     order by the values themselves (not their positions) makes the result a
     function of the addend multiset, so permuting tokens cannot change it.
+    Only what can reorder is sorted:
+
+    - n <= 2 addends: the plain reduce. a + b == b + a, so any order is
+      value order.
+    - 3 <= n <= NETWORK_MAX on a strided axis of a C-contiguous array: a
+      compare-exchange network of np.minimum/np.maximum over the axis's
+      slices, then the slices summed first to last. numpy reduces an axis
+      that is not its inner loop in that sequence, after a start of +0.0
+      that only turns a sum of -0.0s into +0.0; adding +0.0 last does the
+      same. So this is the sum of np.sort's output. Ties between -0.0
+      and +0.0 may land in either order; a zero changes no nonzero partial
+      sum and two zeros add to -0.0 only when both are, so the bits agree.
+    - Longer axes, other layouts and the inner axis (the last, or one
+      followed only by axes of length 1) keep np.sort, which sorts a
+      contiguous lane fast; numpy may reduce the inner axis pairwise.
     """
-    ordered = np.sort(data, axis=axis)
-    return np.add.reduce(ordered, axis=axis)
+    n = data.shape[axis]
+    if n <= 2:
+        return np.add.reduce(data, axis=axis)
+    if (n > NETWORK_MAX or not data.flags.c_contiguous
+            or data.strides[axis] == data.itemsize):
+        return np.add.reduce(np.sort(data, axis=axis), axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    lanes = [data[lead + (i,)] for i in range(n)]
+    for i, j in SORT_NETWORKS[n]:
+        lanes[i], lanes[j] = (np.minimum(lanes[i], lanes[j]),
+                              np.maximum(lanes[i], lanes[j]))
+    total = lanes[0] + lanes[1]
+    for lane in lanes[2:]:
+        total += lane
+    total += 0.0
+    return total
 
 
 def token_sum(x: Tensor, axis: int) -> Tensor:
@@ -231,16 +287,16 @@ def _split_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     flat = x.data @ w.data
 
     def backward(g):
-        matmul_backward(x, w, np.swapaxes(g, 1, 2).reshape(b, n, d))
+        matmul_backward(x, w, g.swapaxes(1, 2).reshape(b, n, d))
 
-    heads = np.swapaxes(flat.reshape(b, n, n_heads, d // n_heads), 1, 2)
+    heads = flat.reshape(b, n, n_heads, d // n_heads).swapaxes(1, 2)
     return Tensor._make(heads, (x, w), backward)
 
 
 def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
     """Scaled dot products q k^T / sqrt(hd) (B, H, N, N), plus the
     key-padding bias."""
-    k_t = np.swapaxes(k.data, 2, 3)
+    k_t = k.data.swapaxes(2, 3)
     scale = 1.0 / np.sqrt(q.shape[-1])
     out = (q.data @ k_t) * scale
     if key_bias is not None:
@@ -252,7 +308,7 @@ def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
         if gq is not None:
             q._accumulate(gq)
         if gk is not None:
-            k._accumulate(np.swapaxes(gk, 2, 3))
+            k._accumulate(gk.swapaxes(2, 3))
 
     return Tensor._make(out, (q, k), backward)
 
@@ -260,14 +316,13 @@ def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
 def _merge_heads(heads: Tensor, wo: Tensor) -> Tensor:
     """Heads (B, H, N, hd) joined back to (B, N, H * hd), then @ wo."""
     b, h, n, hd = heads.shape
-    flat = np.swapaxes(heads.data, 1, 2).reshape(b, n, h * hd)
+    flat = heads.data.swapaxes(1, 2).reshape(b, n, h * hd)
 
     def backward(g):
         g_flat, gw = matmul_grads(flat, wo.data, g,
                                   heads.requires_grad, wo.requires_grad)
         if g_flat is not None:
-            heads._accumulate(
-                np.swapaxes(g_flat.reshape(b, n, h, hd), 1, 2))
+            heads._accumulate(g_flat.reshape(b, n, h, hd).swapaxes(1, 2))
         if gw is not None:
             wo._accumulate(gw)
 

@@ -229,18 +229,34 @@ def test_mhsa_single_token_is_value_path(rng):
     ws = [Tensor(rng.normal(size=(d, d)) / np.sqrt(d)) for _ in range(4)]
     out = mhsa(x, *ws, heads)
     direct = ((x.data @ ws[2].data) @ ws[3].data)
-    assert np.allclose(out.data, direct, atol=1e-12)
+    # one key: the softmax weight is exactly 1.0 and the value sum has one
+    # addend, so attention is the value path bit for bit
+    assert out.data.tobytes() == direct.tobytes()
 
 
 def test_mhsa_permutation_equivariance_bitwise(rng):
+    # token counts on both sides of every sort network and of NETWORK_MAX
+    d, heads = 16, 4
+    for n in (2, 3, 4, 5, 6, 7, 8, 9):
+        x = rng.normal(size=(1, n, d))
+        ws = [Tensor(rng.normal(size=(d, d)) / np.sqrt(d)) for _ in range(4)]
+        out = mhsa(Tensor(x), *ws, heads).data
+        for trial in range(5):
+            perm = rng.permutation(n)
+            out_p = mhsa(Tensor(x[:, perm]), *ws, heads).data
+            assert np.array_equal(out_p, out[:, perm]), n
+
+
+def test_mhsa_permutation_equivariance_bitwise_padded_batch(rng):
     d, heads, n = 16, 4, 6
-    x = rng.normal(size=(1, n, d))
+    x = rng.normal(size=(2, n, d))
+    mask = np.array([[True] * n, [True] * 4 + [False] * (n - 4)])
     ws = [Tensor(rng.normal(size=(d, d)) / np.sqrt(d)) for _ in range(4)]
-    out = mhsa(Tensor(x), *ws, heads).data
+    out = mhsa(Tensor(x), *ws, heads, mask).data
     for trial in range(5):
         perm = rng.permutation(n)
-        out_p = mhsa(Tensor(x[:, perm]), *ws, heads).data
-        assert np.array_equal(out_p, out[:, perm])
+        out_p = mhsa(Tensor(x[:, perm]), *ws, heads, mask[:, perm]).data
+        assert out_p.tobytes() == out[:, perm].tobytes()
 
 
 def _block_layout(d: int, adaptive: bool) -> dict:
@@ -290,11 +306,72 @@ def test_add_attention_block_layout(rng):
 
 
 def test_token_sum_order_independent(rng):
-    x = rng.normal(size=(1, 7, 5))
-    base = token_sum(Tensor(x), axis=1).data
-    for _ in range(5):
-        perm = rng.permutation(7)
-        assert np.array_equal(token_sum(Tensor(x[:, perm]), axis=1).data, base)
+    for n in range(2, 10):
+        x = rng.normal(size=(1, n, 5))
+        base = token_sum(Tensor(x), axis=1).data
+        for _ in range(5):
+            perm = rng.permutation(n)
+            assert np.array_equal(
+                token_sum(Tensor(x[:, perm]), axis=1).data, base), n
+
+
+def _hard_addends(rng, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """Uniform addends in (-100, 100), each lane along `axis` scaled by one
+    factor from 1e-298 to 1e298, so magnitudes span 1e-300 to 1e300 while
+    the grouping of a lane's sum still shows in its bits; some +-0.0,
+    +-inf and +-1.0 mixed in; some lanes end on a copy of their first
+    addend, some hold only -0.0 and some only zeros of both signs."""
+    lane_shape = np.moveaxis(np.empty(shape), axis, -1).shape[:-1]
+    scale = np.expand_dims(10.0 ** rng.uniform(-298, 298, size=lane_shape),
+                           axis)
+    x = scale * rng.uniform(-100, 100, size=shape)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+    pick = rng.random(shape) < 0.1
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    lanes = np.moveaxis(x, axis, -1)       # a view: writes land in x
+    kind = rng.integers(0, 6, size=lane_shape)
+    lanes[kind == 0, -1] = lanes[kind == 0, 0]
+    lanes[kind == 1] = -0.0
+    lanes[kind == 2] = rng.choice([0.0, -0.0], size=lanes[kind == 2].shape)
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sorted_reduce_is_sort_then_reduce_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        # attention's values, the softmax denominator and token_sum's
+        # (B, N, D); then layouts whose axis numpy may reduce pairwise: a
+        # trailing axis of one, and an axis innermost in memory but not
+        # unit-strided
+        strided_inner = _hard_addends(rng, (3, 6, 2 * n), 2).transpose(
+            0, 2, 1)[:, ::2]
+        cases = [(_hard_addends(rng, (2, 3, n, n, 5), 3), 3),
+                 (_hard_addends(rng, (2, 3, n, n), -1), -1),
+                 (_hard_addends(rng, (3, n, 6), 1), 1),
+                 (_hard_addends(rng, (3, n, 1), 1), 1),
+                 (strided_inner, 1)]
+        for data, axis in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(np.sort(data, axis=axis), axis=axis)
+                got = layers._sorted_reduce(data, axis)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64),
+                                  want.view(np.int64)), (data.shape, axis)
+
+
+def test_sort_networks_sort_every_zero_one_input():
+    # the 0/1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    for n, network in layers.SORT_NETWORKS.items():
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        lanes = list(bits.T)
+        for i, j in network:
+            lanes[i], lanes[j] = (np.minimum(lanes[i], lanes[j]),
+                                  np.maximum(lanes[i], lanes[j]))
+        assert np.array_equal(np.stack(lanes, axis=1),
+                              np.sort(bits, axis=1)), n
+    assert layers.NETWORK_MAX == max(layers.SORT_NETWORKS)
 
 
 # ---------------------------------------------------------------------------
