@@ -12,9 +12,10 @@ Sums over tokens (attention's value sum, the softmax denominator,
 `token_sum`) add their addends in value order, bitwise
 np.add.reduce(np.sort(x, axis), axis), so permuting tokens cannot change
 them. `_sorted_reduce` sorts only what can reorder: two addends or fewer
-are summed as they come, since a + b == b + a; 3 to NETWORK_MAX addends on
-a strided axis go through a compare-exchange network and are summed in
-numpy's sequential order; longer axes and the inner axis keep np.sort."""
+are summed as they come, since a + b == b + a; of three addends on any
+axis but the last, two compare-exchanges move the largest to the end, and
+the slices are summed in numpy's sequential order; more addends and the
+last axis keep np.sort."""
 
 from __future__ import annotations
 
@@ -46,24 +47,6 @@ NEG_INF = -1e30  # representable stand-in for -infinity in masked logits
 LN_EPS = 1e-6    # layer-norm variance floor
 
 
-# Optimal compare-exchange networks (Knuth, TAOCP 5.3.4) for the token
-# counts the network path serves; each sorts all 2**n 0/1 inputs, hence all.
-SORT_NETWORKS = {
-    3: ((0, 2), (0, 1), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-    5: ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
-        (1, 2)),
-    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
-        (1, 4), (2, 4), (1, 3), (2, 3)),
-    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
-        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
-    8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7),
-        (0, 1), (2, 3), (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6),
-        (1, 2), (3, 4), (5, 6)),
-}
-NETWORK_MAX = max(SORT_NETWORKS)  # longest axis sorted by a network
-
-
 def _sorted_reduce(data: np.ndarray, axis: int) -> np.ndarray:
     """Sum along axis with addends in value order: bitwise
     np.add.reduce(np.sort(data, axis), axis).
@@ -75,32 +58,33 @@ def _sorted_reduce(data: np.ndarray, axis: int) -> np.ndarray:
 
     - n <= 2 addends: the plain reduce. a + b == b + a, so any order is
       value order.
-    - 3 <= n <= NETWORK_MAX on a strided axis of a C-contiguous array: a
-      compare-exchange network of np.minimum/np.maximum over the axis's
-      slices, then the slices summed first to last. numpy reduces an axis
-      that is not its inner loop in that sequence, after a start of +0.0
-      that only turns a sum of -0.0s into +0.0; adding +0.0 last does the
-      same. So this is the sum of np.sort's output. Ties between -0.0
-      and +0.0 may land in either order; a zero changes no nonzero partial
-      sum and two zeros add to -0.0 only when both are, so the bits agree.
-    - Longer axes, other layouts and the inner axis (the last, or one
-      followed only by axes of length 1) keep np.sort, which sorts a
-      contiguous lane fast; numpy may reduce the inner axis pairwise.
+    - n == 3 on any axis but the last: value order adds the two smaller
+      addends first, in either order, then the largest, so it is enough to
+      move the largest to the end with the compare-exchanges (0, 2) and
+      (1, 2) of np.minimum/np.maximum over the axis's slices, then sum the
+      slices first to last. numpy reduces three addends in that sequence,
+      after a start of +0.0 that only turns a sum of -0.0s into +0.0;
+      adding +0.0 last does the same. Ties between -0.0 and +0.0 may land
+      in either order; a zero changes no nonzero partial sum and two zeros
+      add to -0.0 only when both are, so the bits agree.
+    - More addends and the last axis keep np.sort, which sorts a contiguous
+      lane fast. A network costs about 1 us per comparator whatever the
+      lane count, so longer ones beat np.sort on attention's many lanes
+      but lose on few, such as `token_sum` over one crystal of five
+      orbits; no benchmark workload has more than three orbits to settle
+      that trade.
     """
     n = data.shape[axis]
     if n <= 2:
         return np.add.reduce(data, axis=axis)
-    if (n > NETWORK_MAX or not data.flags.c_contiguous
-            or data.strides[axis] == data.itemsize):
+    if n > 3 or axis % data.ndim == data.ndim - 1:
         return np.add.reduce(np.sort(data, axis=axis), axis=axis)
     lead = (slice(None),) * (axis % data.ndim)
-    lanes = [data[lead + (i,)] for i in range(n)]
-    for i, j in SORT_NETWORKS[n]:
-        lanes[i], lanes[j] = (np.minimum(lanes[i], lanes[j]),
-                              np.maximum(lanes[i], lanes[j]))
-    total = lanes[0] + lanes[1]
-    for lane in lanes[2:]:
-        total += lane
+    a, b, c = (data[lead + (i,)] for i in range(3))
+    a, c = np.minimum(a, c), np.maximum(a, c)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    total = a + b
+    total += c
     total += 0.0
     return total
 

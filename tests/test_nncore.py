@@ -235,7 +235,7 @@ def test_mhsa_single_token_is_value_path(rng):
 
 
 def test_mhsa_permutation_equivariance_bitwise(rng):
-    # token counts on both sides of every sort network and of NETWORK_MAX
+    # token counts on both sides of the three-addend compare-exchange path
     d, heads = 16, 4
     for n in (2, 3, 4, 5, 6, 7, 8, 9):
         x = rng.normal(size=(1, n, d))
@@ -358,20 +358,6 @@ def test_sorted_reduce_is_sort_then_reduce_bitwise(n):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64),
                                   want.view(np.int64)), (data.shape, axis)
-
-
-def test_sort_networks_sort_every_zero_one_input():
-    # the 0/1 principle: a comparator network that sorts every 0/1 input
-    # sorts every input
-    for n, network in layers.SORT_NETWORKS.items():
-        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-        lanes = list(bits.T)
-        for i, j in network:
-            lanes[i], lanes[j] = (np.minimum(lanes[i], lanes[j]),
-                                  np.maximum(lanes[i], lanes[j]))
-        assert np.array_equal(np.stack(lanes, axis=1),
-                              np.sort(bits, axis=1)), n
-    assert layers.NETWORK_MAX == max(layers.SORT_NETWORKS)
 
 
 # ---------------------------------------------------------------------------

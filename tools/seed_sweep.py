@@ -3,7 +3,7 @@
 
 Trains the desk autoencoder of acceptance criterion 6 (the same 32
 synthetic crystals, lr 2e-3, batch 32, all sigmas zero, 2000 steps) once
-per seed, two seeds at a time, each in its own process with one BLAS
+for each of the seeds 0-7, two seeds at a time, each in its own process with one BLAS
 thread. For every seed it records the final 6a metrics and whether they
 pass; for every step the loss terms and the global gradient norm; and
 every 50 steps the rms of the bounded latent over the data set. Nothing in the
@@ -11,8 +11,11 @@ training path changes: the norm is read from the gradients the step leaves
 behind, and the latent comes from a no-grad encode, which draws no random
 numbers.
 
+The recipe, the data set and the 6a thresholds come from
+tests/test_acceptance.py, so the sweep follows criterion 6 if it changes.
+
 Usage:
-  python tools/seed_sweep.py [--seeds 0-7] [--steps 2000] [--json out.json]
+  python tools/seed_sweep.py [--json out.json]
 """
 
 from __future__ import annotations
@@ -29,27 +32,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = 2
 RMS_EVERY = 50
+SEEDS = range(8)
 ONE_THREAD = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_seed(seed: int, steps: int) -> dict:
+def run_seed(seed: int) -> dict:
     """One criterion-6 autoencoder run; the record of `seed`."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import numpy as np
 
     from symadit import default_catalog
     from symadit.autoencoder import (
-        AEConfig, Autoencoder, batchify, reconstruction_metrics,
-        train_autoencoder)
+        Autoencoder, batchify, reconstruction_metrics, train_autoencoder)
     from symadit.nncore import no_grad
-    from test_acceptance import _synthetic_dataset
+    from test_acceptance import (
+        CRITERION_6_STEPS, _criterion_6_config, _meets_6a,
+        _synthetic_dataset)
 
     catalog = default_catalog()
     asus = _synthetic_dataset(catalog)
     batch = batchify(asus, catalog)
-    config = AEConfig.desk(seed=seed, lr=2e-3, batch_size=32,
-                           sigma_frac=0.0, sigma_length=0.0, sigma_angle=0.0)
+    config = _criterion_6_config(seed)
     model = Autoencoder(config, catalog)
     log: list[dict] = []
 
@@ -65,27 +69,19 @@ def run_seed(seed: int, steps: int) -> dict:
         log.append(row)
 
     t0 = time.time()
-    train_autoencoder(asus, config, catalog, max_steps=steps,
+    train_autoencoder(asus, config, catalog, max_steps=CRITERION_6_STEPS,
                       log_every=1, callback=record, model=model)
     metrics = reconstruction_metrics(model, asus)
-    passed = (metrics["atom_accuracy"] >= 0.99
-              and metrics["wyckoff_accuracy"] >= 0.99
-              and metrics["circular_error"] < 0.01)
-    return {"seed": seed, "steps": steps, "seconds": time.time() - t0,
-            "passed_6a": bool(passed),
+    return {"seed": seed, "steps": CRITERION_6_STEPS,
+            "seconds": time.time() - t0,
+            "passed_6a": bool(_meets_6a(metrics)),
             "metrics": {k: float(v) for k, v in metrics.items()},
             "log": log}
 
 
-def _seed_range(text: str) -> list[int]:
-    low, _, high = text.partition("-")
-    return list(range(int(low), int(high or low) + 1))
-
-
-def _spawn(seed: int, steps: int) -> dict:
+def _spawn(seed: int) -> dict:
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", str(seed),
-         "--steps", str(steps)],
+        [sys.executable, __file__, "--worker", str(seed)],
         env={**os.environ, **ONE_THREAD}, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"seed {seed} failed:\n{done.stderr}")
@@ -94,18 +90,15 @@ def _spawn(seed: int, steps: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=_seed_range, default="0-7",
-                        help="inclusive range, e.g. 0-7 (default)")
-    parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--json", type=Path,
                         help="write every seed's record here")
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        print(json.dumps(run_seed(args.worker, args.steps)))
+        print(json.dumps(run_seed(args.worker)))
         return 0
     with ThreadPoolExecutor(WORKERS) as pool:
-        records = list(pool.map(lambda s: _spawn(s, args.steps), args.seeds))
+        records = list(pool.map(_spawn, SEEDS))
     print("seed  6a    atom   wyckoff  circ     max loss  max |g|   "
           "rms@500  s")
     for r in records:
