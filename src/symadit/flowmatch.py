@@ -33,7 +33,7 @@ from .nncore import (
     run_steps,
     silu_mlp,
 )
-# perfbench/layers.py traces these names here; the blocks reach them via nncore
+# perfbench/layers.py traces these names here
 from .nncore import adaln, mhsa  # noqa: F401
 from .nncore.layers import Modulation
 from .nncore.params import config_from
@@ -279,14 +279,17 @@ class Denoiser:
                              f"rows, latents for {b}")
         if self_cond is None:
             self_cond = Tensor(np.zeros((b, n, d)))
+        # a mask with no padded token is no mask: multiplying by 1 and
+        # adding a 0 bias change no bit
+        padded = not mask.all()
         x = concat([z_t, self_cond], axis=-1)
         h = linear(x, st["in.w"], st["in.b"])
         for i in range(cfg.n_layers):
-            h = attention_block(h, st, f"block{i}", cfg.n_heads, mask,
-                                cond[i])
+            h = attention_block(h, st, f"block{i}", cfg.n_heads,
+                                mask if padded else None, cond[i])
         h = layer_norm(h, st["out.g"] + 1.0, st["out.b"])
         out = linear(h, st["out.w"], st["out.bias"])
-        if mask.all():       # multiplying by 1 changes no bit
+        if not padded:
             return out
         return out * Tensor(mask[:, :, None].astype(np.float64))
 

@@ -4,9 +4,18 @@ application to the activations), multi-head self-attention (no positional
 signal), the pre-norm transformer block, and stable log-softmax /
 cross-entropy.
 
-Each layer is one tape node. Its backward replays, in the same order, the
-numpy operations the equivalent chain of elementary Tensor ops would run,
-so values and gradients are bitwise those of that chain.
+Each layer is one tape node, built from a numpy forward helper
+(`_<layer>_fwd`) and a backward helper (`_<layer>_bwd`). The backward
+replays, in the same order, the numpy operations the equivalent chain of
+elementary Tensor ops would run, so values and gradients are bitwise those
+of that chain.
+
+The transformer block is one tape node as well. Its forward runs the
+layers' forward helpers straight through; its backward rebuilds the chain
+of layer nodes around the saved results (`_node`) and runs their backward
+helpers in the order the tape would (`_replay`), so values and gradients
+are bitwise those of the chain of layer nodes, and no formula exists
+twice.
 
 Sums over tokens (attention's value sum, the softmax denominator,
 `token_sum`) add their addends in value order, bitwise
@@ -24,7 +33,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from .params import ParameterStore
-from .tensor import Tensor, _unbroadcast, matmul_backward, matmul_grads
+from .tensor import (Tensor, _unbroadcast, add_backward, matmul_backward,
+                     matmul_grads, mul_backward, silu_forward, silu_grad)
 
 __all__ = [
     "Modulation",
@@ -99,10 +109,14 @@ def token_sum(x: Tensor, axis: int) -> Tensor:
 
 
 def _check_matmul(x: Tensor, w: Tensor, who: str) -> None:
-    if x.shape[-1] != w.shape[0]:
+    if x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(
-            f"{who}: input features {x.shape} incompatible with weight "
-            f"{w.shape}")
+            f"{who}: input features {x.data.shape} incompatible with weight "
+            f"{w.data.shape}")
+
+
+def _data(t: Tensor | None) -> np.ndarray | None:
+    return None if t is None else t.data
 
 
 def embedding(table: Tensor, indices) -> Tensor:
@@ -114,21 +128,24 @@ def embedding(table: Tensor, indices) -> Tensor:
     return table[idx]
 
 
+def _linear_fwd(x: np.ndarray, w: np.ndarray,
+                b: np.ndarray | None) -> np.ndarray:
+    out = x @ w
+    return out if b is None else out + b
+
+
+def _linear_bwd(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
+    if b is not None and b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.shape))
+    matmul_backward(x, w, g)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     _check_matmul(x, weight, "linear")
-    out = x.data @ weight.data
-    if bias is None:
-        parents = (x, weight)
-    else:
-        out = out + bias.data
-        parents = (x, weight, bias)
-
-    def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        matmul_backward(x, weight, g)
-
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(
+        _linear_fwd(x.data, weight.data, _data(bias)),
+        (x, weight) if bias is None else (x, weight, bias),
+        lambda g: _linear_bwd(x, weight, bias, g))
 
 
 def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -136,48 +153,58 @@ def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     return linear(linear(x, w1, b1).silu(), w2, b2)
 
 
-def layer_norm(x: Tensor, gamma: Tensor | None = None,
-               beta: Tensor | None = None) -> Tensor:
-    """(x - mean) / sqrt(var + LN_EPS) over the last axis, times gamma plus
-    beta. The backward keeps the gradient steps of mean, x - mu, c * c,
-    mean, + eps, sqrt, divide, * gamma and + beta apart, in reverse."""
+def _layer_norm_fwd(x: np.ndarray, gamma: np.ndarray | None,
+                    beta: np.ndarray | None):
+    """The output, and the (normed, centered, std) its backward reads."""
     inv_n = 1.0 / x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    mu = np.add.reduce(x, axis=-1, keepdims=True) * inv_n
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + LN_EPS)
     normed = centered / std
     out = normed
-    parents = [x]
     if gamma is not None:
-        out = out * gamma.data
-        parents.append(gamma)
+        out = out * gamma
     if beta is not None:
-        out = out + beta.data
-        parents.append(beta)
+        out = out + beta
+    return out, (normed, centered, std)
 
-    def backward(g):
-        if beta is not None and beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
-        if gamma is not None:
-            if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * normed, gamma.shape))
-            g = _unbroadcast(g * gamma.data, normed.shape)
-        if not x.requires_grad:
-            return
-        g_centered = g / std
-        g_std = _unbroadcast(-g * centered / std**2, std.shape)
-        g_sq = np.broadcast_to((g_std * 0.5 / std) * inv_n, centered.shape)
-        g_sq_c = g_sq * centered          # once for each factor of c * c
-        g_centered += g_sq_c
-        g_centered += g_sq_c
-        g_mu = -_unbroadcast(g_centered, mu.shape)
-        # two accumulations, as the chain made: summing the two terms
-        # first rounds differently once x already holds a gradient
-        x._accumulate(g_centered)
-        x._accumulate(np.broadcast_to(g_mu * inv_n, x.shape).copy())
 
-    return Tensor._make(out, tuple(parents), backward)
+def _layer_norm_bwd(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
+                    saved, g: np.ndarray) -> None:
+    """Keeps the gradient steps of mean, x - mu, c * c, mean, + eps, sqrt,
+    divide, * gamma and + beta apart, in reverse."""
+    normed, centered, std = saved
+    inv_n = 1.0 / centered.shape[-1]
+    if beta is not None and beta.requires_grad:
+        beta._accumulate(_unbroadcast(g, beta.shape))
+    if gamma is not None:
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * normed, gamma.shape))
+        g = _unbroadcast(g * gamma.data, normed.shape)
+    if not x.requires_grad:
+        return
+    g_centered = g / std
+    g_std = _unbroadcast(-g * centered / std**2, std.shape)
+    g_sq = np.broadcast_to((g_std * 0.5 / std) * inv_n, centered.shape)
+    g_sq_c = g_sq * centered          # once for each factor of c * c
+    g_centered += g_sq_c
+    g_centered += g_sq_c
+    g_mu = -_unbroadcast(g_centered, std.shape)
+    # two accumulations, as the chain made: summing the two terms
+    # first rounds differently once x already holds a gradient
+    x._accumulate(g_centered)
+    x._accumulate(np.broadcast_to(g_mu * inv_n, centered.shape).copy())
+
+
+def layer_norm(x: Tensor, gamma: Tensor | None = None,
+               beta: Tensor | None = None) -> Tensor:
+    """(x - mean) / sqrt(var + LN_EPS) over the last axis, times gamma plus
+    beta."""
+    out, saved = _layer_norm_fwd(x.data, _data(gamma), _data(beta))
+    parents = (x,) + tuple(p for p in (gamma, beta) if p is not None)
+    return Tensor._make(out, parents,
+                        lambda g: _layer_norm_bwd(x, gamma, beta, saved, g))
 
 
 Modulation = tuple[Tensor, Tensor]  # adaLN (1 + scale, shift), each (B, 1, D)
@@ -208,7 +235,7 @@ def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
-    shifted = x - Tensor(np.max(x.data, axis=-1, keepdims=True))
+    shifted = x - Tensor(np.maximum.reduce(x.data, axis=-1, keepdims=True))
     return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
 
 
@@ -230,18 +257,38 @@ def cross_entropy(logits: Tensor, targets, valid_mask) -> Tensor:
     return -(picked * Tensor(weights)).sum() / total
 
 
+def _token_softmax_fwd(scores: np.ndarray):
+    """The softmax, and the (e, denom) its backward reads."""
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    denom = _sorted_reduce(e, -1)[..., None]
+    return e / denom, (e, denom)
+
+
+def _token_softmax_bwd(scores: Tensor, saved, g: np.ndarray) -> None:
+    e, denom = saved
+    g_e = g / denom
+    g_e += np.broadcast_to(
+        _unbroadcast(-g * e / denom**2, denom.shape), e.shape)
+    scores._accumulate(g_e * e)
+
+
 def _token_softmax(scores: Tensor) -> Tensor:
     """Softmax over the key axis with an order-independent denominator."""
-    e = np.exp(scores.data - np.max(scores.data, axis=-1, keepdims=True))
-    denom = _sorted_reduce(e, -1)[..., None]
+    out, saved = _token_softmax_fwd(scores.data)
+    return Tensor._make(out, (scores,),
+                        lambda g: _token_softmax_bwd(scores, saved, g))
 
-    def backward(g):
-        g_e = g / denom
-        g_e += np.broadcast_to(
-            _unbroadcast(-g * e / denom**2, denom.shape), e.shape)
-        scores._accumulate(g_e * e)
 
-    return Tensor._make(e / denom, (scores,), backward)
+def _attend_fwd(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+    prod = attn[..., None] * v[:, :, None, :, :]  # (B, H, N, N, hd)
+    return _sorted_reduce(prod, axis=3)
+
+
+def _attend_bwd(attn: Tensor, v: Tensor, g: np.ndarray) -> None:
+    if attn.requires_grad:
+        attn._accumulate(np.einsum("bhid,bhjd->bhij", g, v.data))
+    if v.requires_grad:
+        v._accumulate(np.einsum("bhij,bhid->bhjd", attn.data, g))
 
 
 def _attend(attn: Tensor, v: Tensor) -> Tensor:
@@ -251,66 +298,88 @@ def _attend(attn: Tensor, v: Tensor) -> Tensor:
     summation order; the value-ordered reduction keeps the forward output
     bitwise invariant under token permutation.
     """
-    prod = attn.data[..., None] * v.data[:, :, None, :, :]  # (B,H,N,N,hd)
-    out_data = _sorted_reduce(prod, axis=3)
+    return Tensor._make(_attend_fwd(attn.data, v.data), (attn, v),
+                        lambda g: _attend_bwd(attn, v, g))
 
-    def backward(g):
-        if attn.requires_grad:
-            attn._accumulate(np.einsum("bhid,bhjd->bhij", g, v.data))
-        if v.requires_grad:
-            v._accumulate(np.einsum("bhij,bhid->bhjd", attn.data, g))
 
-    return Tensor._make(out_data, (attn, v), backward)
+def _split_heads_fwd(x: np.ndarray, w: np.ndarray, n_heads: int) -> np.ndarray:
+    b, n, _ = x.shape
+    d = w.shape[-1]
+    return (x @ w).reshape(b, n, n_heads, d // n_heads).swapaxes(1, 2)
+
+
+def _split_heads_bwd(x: Tensor, w: Tensor, g: np.ndarray) -> None:
+    b, n, _ = x.data.shape
+    matmul_backward(x, w, g.swapaxes(1, 2).reshape(b, n, w.data.shape[-1]))
 
 
 def _split_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     """x (B, N, D) @ w, split into heads: (B, H, N, D / H)."""
     _check_matmul(x, w, "mhsa")
-    b, n, _ = x.shape
-    d = w.shape[-1]
-    flat = x.data @ w.data
+    return Tensor._make(_split_heads_fwd(x.data, w.data, n_heads), (x, w),
+                        lambda g: _split_heads_bwd(x, w, g))
 
-    def backward(g):
-        matmul_backward(x, w, g.swapaxes(1, 2).reshape(b, n, d))
 
-    heads = flat.reshape(b, n, n_heads, d // n_heads).swapaxes(1, 2)
-    return Tensor._make(heads, (x, w), backward)
+def _scores_fwd(q: np.ndarray, k: np.ndarray,
+                key_bias: np.ndarray | None) -> np.ndarray:
+    out = (q @ k.swapaxes(2, 3)) * (1.0 / np.sqrt(q.shape[-1]))
+    return out if key_bias is None else out + key_bias
+
+
+def _scores_bwd(q: Tensor, k: Tensor, g: np.ndarray) -> None:
+    gq, gk = matmul_grads(q.data, k.data.swapaxes(2, 3),
+                          g * (1.0 / np.sqrt(q.data.shape[-1])),
+                          q.requires_grad, k.requires_grad)
+    if gq is not None:
+        q._accumulate(gq)
+    if gk is not None:
+        k._accumulate(gk.swapaxes(2, 3))
 
 
 def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
     """Scaled dot products q k^T / sqrt(hd) (B, H, N, N), plus the
     key-padding bias."""
-    k_t = k.data.swapaxes(2, 3)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    out = (q.data @ k_t) * scale
-    if key_bias is not None:
-        out = out + key_bias
+    return Tensor._make(_scores_fwd(q.data, k.data, key_bias), (q, k),
+                        lambda g: _scores_bwd(q, k, g))
 
-    def backward(g):
-        gq, gk = matmul_grads(q.data, k_t, g * scale,
-                              q.requires_grad, k.requires_grad)
-        if gq is not None:
-            q._accumulate(gq)
-        if gk is not None:
-            k._accumulate(gk.swapaxes(2, 3))
 
-    return Tensor._make(out, (q, k), backward)
+def _merge_heads_fwd(heads: np.ndarray, wo: np.ndarray):
+    """The output, and the joined heads its backward reads."""
+    b, h, n, hd = heads.shape
+    flat = heads.swapaxes(1, 2).reshape(b, n, h * hd)
+    return flat @ wo, flat
+
+
+def _merge_heads_bwd(heads: Tensor, wo: Tensor, flat: np.ndarray,
+                     g: np.ndarray) -> None:
+    b, h, n, hd = heads.data.shape
+    g_flat, gw = matmul_grads(flat, wo.data, g,
+                              heads.requires_grad, wo.requires_grad)
+    if g_flat is not None:
+        heads._accumulate(g_flat.reshape(b, n, h, hd).swapaxes(1, 2))
+    if gw is not None:
+        wo._accumulate(gw)
 
 
 def _merge_heads(heads: Tensor, wo: Tensor) -> Tensor:
     """Heads (B, H, N, hd) joined back to (B, N, H * hd), then @ wo."""
-    b, h, n, hd = heads.shape
-    flat = heads.data.swapaxes(1, 2).reshape(b, n, h * hd)
+    out, flat = _merge_heads_fwd(heads.data, wo.data)
+    return Tensor._make(out, (heads, wo),
+                        lambda g: _merge_heads_bwd(heads, wo, flat, g))
 
-    def backward(g):
-        g_flat, gw = matmul_grads(flat, wo.data, g,
-                                  heads.requires_grad, wo.requires_grad)
-        if g_flat is not None:
-            heads._accumulate(g_flat.reshape(b, n, h, hd).swapaxes(1, 2))
-        if gw is not None:
-            wo._accumulate(gw)
 
-    return Tensor._make(flat @ wo.data, (heads, wo), backward)
+def _check_heads(d: int, n_heads: int) -> None:
+    if d % n_heads:
+        raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+
+
+def _padding(pad_mask) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, N) mask, True = real token, as the key bias (B, 1, 1, N) that
+    keeps attention off padded keys and the (B, N, 1) factor that zeroes
+    padded rows."""
+    pm = np.asarray(pad_mask, dtype=bool)
+    return (np.where(pm, 0.0, NEG_INF)[:, None, None, :],
+            pm[:, :, None].astype(np.float64))
 
 
 def mhsa(
@@ -328,20 +397,17 @@ def mhsa(
     bitwise at head dim 4; at head dims of 32 and more the BLAS q k^T
     product can break that (a known defect).
     """
-    d = x.shape[-1]
-    if d % n_heads:
-        raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+    _check_heads(x.shape[-1], n_heads)
     q = _split_heads(x, wq, n_heads)
     k = _split_heads(x, wk, n_heads)
     v = _split_heads(x, wv, n_heads)
-    key_bias = None
+    key_bias = rows = None
     if pad_mask is not None:
-        pm = np.asarray(pad_mask, dtype=bool)
-        key_bias = np.where(pm, 0.0, NEG_INF)[:, None, None, :]
+        key_bias, rows = _padding(pad_mask)
     attn = _token_softmax(_scores(q, k, key_bias))     # (B, H, N, N)
     out = _merge_heads(_attend(attn, v), wo)
-    if pad_mask is not None:
-        out = out * Tensor(pm[:, :, None].astype(np.float64))
+    if rows is not None:
+        out = out * Tensor(rows)
     return out
 
 
@@ -376,6 +442,26 @@ def block_modulations(cond: Tensor, params: Mapping[str, Tensor],
                  for ln in ("ln1", "ln2"))
 
 
+def _node(data: np.ndarray, parents, backward) -> Tensor:
+    """One node of a fused layer's chain, rebuilt for the fused backward:
+    it needs a gradient when a parent does, as on the tape."""
+    t = Tensor._make(data, (), None)
+    t.requires_grad = any(p.requires_grad for p in parents)
+    t._backward = backward
+    return t
+
+
+def _replay(nodes: list[Tensor], g: np.ndarray) -> None:
+    """Backward through a chain rebuilt with `_node`. nodes are in the
+    order the tape's depth-first sort would list them; the last receives
+    g, and each runs in reverse order when it needs and holds a gradient,
+    as Tensor.backward would run them."""
+    nodes[-1].grad = g
+    for t in reversed(nodes):
+        if t.requires_grad and t.grad is not None:
+            t._backward(t.grad)
+
+
 def attention_block(
     x: Tensor,
     params: Mapping[str, Tensor],
@@ -391,25 +477,94 @@ def attention_block(
     gains start as the identity. cond holds the block's precomputed ln1
     and ln2 modulations (see `block_modulations`). A mask with no padded
     token is no mask: multiplying by 1 and adding a 0 bias change no bit.
+
+    The block is one tape node: x + mhsa(norm1(x)), then
+    h + silu_mlp(norm2(h)), then the mask, computed by the same forward
+    helpers as those layers' nodes. Its backward rebuilds that chain of
+    nodes around the saved results and replays their backward helpers in
+    the tape's order, so values and gradients are bitwise the chain's.
     """
     if pad_mask is not None and np.all(pad_mask):
         pad_mask = None
-
-    def norm(t: Tensor, which: int) -> Tensor:
-        if cond is not None:
-            return modulate(t, cond[which])
-        ln = f"{prefix}.ln{which + 1}"
-        return layer_norm(t, params[f"{ln}.g"] + 1.0, params[f"{ln}.b"])
-
-    h = x + mhsa(
-        norm(x, 0),
-        params[f"{prefix}.wq"], params[f"{prefix}.wk"],
-        params[f"{prefix}.wv"], params[f"{prefix}.wo"],
-        n_heads, pad_mask)
-    h = h + silu_mlp(
-        norm(h, 1),
-        params[f"{prefix}.ff1.w"], params[f"{prefix}.ff1.b"],
-        params[f"{prefix}.ff2.w"], params[f"{prefix}.ff2.b"])
+    wq, wk, wv, wo, w1, b1, w2, b2 = [params[f"{prefix}.{name}"] for name in (
+        "wq", "wk", "wv", "wo", "ff1.w", "ff1.b", "ff2.w", "ff2.b")]
+    if cond is None:
+        (gain1, shift1), (gain2, shift2) = (
+            (params[f"{prefix}.{ln}.g"], params[f"{prefix}.{ln}.b"])
+            for ln in ("ln1", "ln2"))
+        gamma1, gamma2 = gain1.data + 1.0, gain2.data + 1.0
+    else:
+        (gain1, shift1), (gain2, shift2) = cond
+        gamma1, gamma2 = gain1.data, gain2.data
+    _check_heads(x.data.shape[-1], n_heads)
+    _check_matmul(x, wq, "attention_block")
+    key_bias = mask = None
     if pad_mask is not None:
-        h = h * Tensor(np.asarray(pad_mask, bool)[:, :, None].astype(float))
-    return h
+        key_bias, rows = _padding(pad_mask)
+        mask = Tensor(rows)
+
+    n1, saved1 = _layer_norm_fwd(x.data, gamma1, shift1.data)
+    q = _split_heads_fwd(n1, wq.data, n_heads)
+    k = _split_heads_fwd(n1, wk.data, n_heads)
+    v = _split_heads_fwd(n1, wv.data, n_heads)
+    scores = _scores_fwd(q, k, key_bias)
+    attn, saved_attn = _token_softmax_fwd(scores)
+    att = _attend_fwd(attn, v)
+    m, flat = _merge_heads_fwd(att, wo.data)
+    m_masked = m if mask is None else m * mask.data
+    h = x.data + m_masked
+    n2, saved2 = _layer_norm_fwd(h, gamma2, shift2.data)
+    f1 = _linear_fwd(n2, w1.data, b1.data)
+    s, sig = silu_forward(f1)
+    f2 = _linear_fwd(s, w2.data, b2.data)
+    h2 = h + f2
+    out = h2 if mask is None else h2 * mask.data
+
+    def backward(g):
+        nodes = []
+        if cond is None:      # the chain's `gain + 1.0` nodes
+            g1 = _node(gamma1, (gain1,), gain1._accumulate)
+            g2 = _node(gamma2, (gain2,), gain2._accumulate)
+            nodes.append(g1)
+        else:
+            g1, g2 = gain1, gain2
+        n1_t = _node(n1, (x, g1, shift1),
+                     lambda g: _layer_norm_bwd(x, g1, shift1, saved1, g))
+        q_t = _node(q, (n1_t, wq), lambda g: _split_heads_bwd(n1_t, wq, g))
+        k_t = _node(k, (n1_t, wk), lambda g: _split_heads_bwd(n1_t, wk, g))
+        scores_t = _node(scores, (q_t, k_t),
+                         lambda g: _scores_bwd(q_t, k_t, g))
+        attn_t = _node(attn, (scores_t,), lambda g: _token_softmax_bwd(
+            scores_t, saved_attn, g))
+        v_t = _node(v, (n1_t, wv), lambda g: _split_heads_bwd(n1_t, wv, g))
+        att_t = _node(att, (attn_t, v_t),
+                      lambda g: _attend_bwd(attn_t, v_t, g))
+        m_t = _node(m, (att_t, wo),
+                    lambda g: _merge_heads_bwd(att_t, wo, flat, g))
+        nodes += [n1_t, q_t, k_t, scores_t, attn_t, v_t, att_t, m_t]
+        res_t = m_t
+        if mask is not None:
+            res_t = _node(m_masked, (m_t,),
+                          lambda g: mul_backward(m_t, mask, g))
+            nodes.append(res_t)
+        h_t = _node(h, (x, res_t), lambda g: add_backward(x, res_t, g))
+        nodes.append(h_t)
+        if cond is None:
+            nodes.append(g2)
+        n2_t = _node(n2, (h_t, g2, shift2),
+                     lambda g: _layer_norm_bwd(h_t, g2, shift2, saved2, g))
+        f1_t = _node(f1, (n2_t, w1, b1),
+                     lambda g: _linear_bwd(n2_t, w1, b1, g))
+        s_t = _node(s, (f1_t,), lambda g: f1_t._accumulate(
+            silu_grad(f1, sig, g)))
+        f2_t = _node(f2, (s_t, w2, b2), lambda g: _linear_bwd(s_t, w2, b2, g))
+        h2_t = _node(h2, (h_t, f2_t), lambda g: add_backward(h_t, f2_t, g))
+        nodes += [n2_t, f1_t, s_t, f2_t, h2_t]
+        if mask is not None:
+            nodes.append(_node(out, (h2_t,),
+                               lambda g: mul_backward(h2_t, mask, g)))
+        _replay(nodes, g)
+
+    # the order in which the chain's depth-first sort reaches these
+    parents = (x, gain1, shift1, wq, wk, wv, wo, gain2, shift2, w1, b1, w2, b2)
+    return Tensor._make(out, parents, backward)

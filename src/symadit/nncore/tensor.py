@@ -66,6 +66,33 @@ def matmul_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
         b._accumulate(gb)
 
 
+def add_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
+    """Accumulate the gradients of a.data + b.data into a, then b."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g, a.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.shape))
+
+
+def mul_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
+    """Accumulate the gradients of a.data * b.data into a, then b."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g * b.data, a.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g * a.data, b.shape))
+
+
+def silu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * sigmoid(x), and the sigmoid its backward reads."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
+
+
+def silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of silu at x for the output gradient g."""
+    return g * (sig + x * sig * (1.0 - sig))
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -102,18 +129,23 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without gradient needs a scalar")
             grad = np.ones_like(self.data)
+        # depth-first, parents in order, each node listed after its
+        # parents; a loop, not a recursive closure, whose reference to
+        # itself would keep the whole graph alive until the cyclic
+        # garbage collector ran
         topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(t: Tensor):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))] if self.requires_grad else []
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen and p.requires_grad:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         if not topo:
             raise RuntimeError("backward on a tensor outside any graph")
         self._accumulate(np.asarray(grad, dtype=np.float64))
@@ -146,14 +178,8 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return Tensor._make(self.data + other.data, (self, other), backward)
+        return Tensor._make(self.data + other.data, (self, other),
+                            lambda g: add_backward(self, other, g))
 
     __radd__ = __add__
 
@@ -171,14 +197,8 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
-
-        return Tensor._make(self.data * other.data, (self, other), backward)
+        return Tensor._make(self.data * other.data, (self, other),
+                            lambda g: mul_backward(self, other, g))
 
     __rmul__ = __mul__
 
@@ -272,13 +292,9 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def silu(self):
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
-
-        def backward(g):
-            self._accumulate(g * (sig + self.data * sig * (1.0 - sig)))
-
-        return Tensor._make(out_data, (self,), backward)
+        out_data, sig = silu_forward(self.data)
+        return Tensor._make(out_data, (self,), lambda g: self._accumulate(
+            silu_grad(self.data, sig, g)))
 
     def cos(self):
         def backward(g):
@@ -295,10 +311,9 @@ class Tensor:
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim

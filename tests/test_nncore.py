@@ -554,16 +554,20 @@ def _run(fn, arrays, flags, upstream, seeded_grads):
             [None if t.grad is None else t.grad.tobytes() for t in tensors])
 
 
-def assert_bitwise(fused, chain, arrays, rng, upstream_view=None):
-    """Every requires_grad pattern over the parents, with fresh and with
-    already-holding gradients, gives the chain's bits."""
+def assert_bitwise(fused, chain, arrays, rng, upstream_view=None,
+                   patterns=None):
+    """Every requires_grad pattern over the parents (or the given ones),
+    with fresh and with already-holding gradients, gives the chain's
+    bits."""
     out_shape = chain(*[Tensor(a) for a in arrays]).shape
     upstream = rng.normal(size=out_shape)
     if upstream_view is not None:        # the layout a head split receives
         upstream = upstream_view(upstream)
     seeds = [rng.normal(size=np.shape(a)) for a in arrays]
-    for bits in range(2 ** len(arrays)):
-        flags = [bool(bits >> i & 1) for i in range(len(arrays))]
+    if patterns is None:
+        patterns = [[bool(bits >> i & 1) for i in range(len(arrays))]
+                    for bits in range(2 ** len(arrays))]
+    for flags in patterns:
         for seeded in (None, seeds):
             want = _run(chain, arrays, flags, upstream, seeded)
             got = _run(fused, arrays, flags, upstream, seeded)
@@ -642,9 +646,110 @@ def test_head_merge_node_is_the_chain_bitwise(b, n, hd):
     assert_bitwise(layers._merge_heads, chain_merge_heads, [heads, wo], rng)
 
 
+def _always_masked_block(x, params, prefix, n_heads, pad_mask=None,
+                         cond=None):
+    """attention_block as the chain of layer nodes, without its all-true
+    shortcut: every mask is applied as a key bias and as multiplies. The
+    layers are looked up on `layers`, so `_use_chains` reaches them."""
+
+    def norm(t, which):
+        if cond is not None:
+            return layers.modulate(t, cond[which])
+        ln = f"{prefix}.ln{which + 1}"
+        return layers.layer_norm(t, params[f"{ln}.g"] + 1.0,
+                                 params[f"{ln}.b"])
+
+    h = x + layers.mhsa(
+        norm(x, 0), params[f"{prefix}.wq"], params[f"{prefix}.wk"],
+        params[f"{prefix}.wv"], params[f"{prefix}.wo"], n_heads, pad_mask)
+    h = h + layers.silu_mlp(
+        norm(h, 1), params[f"{prefix}.ff1.w"], params[f"{prefix}.ff1.b"],
+        params[f"{prefix}.ff2.w"], params[f"{prefix}.ff2.b"])
+    if pad_mask is not None:
+        h = h * Tensor(np.asarray(pad_mask, bool)[:, :, None].astype(float))
+    return h
+
+
+def chain_attention_block(x, params, prefix, n_heads, pad_mask=None,
+                          cond=None):
+    if pad_mask is not None and np.all(pad_mask):
+        pad_mask = None
+    return _always_masked_block(x, params, prefix, n_heads, pad_mask, cond)
+
+
+BLOCK_WEIGHTS = ("wq", "wk", "wv", "wo", "ff1.w", "ff1.b", "ff2.w", "ff2.b")
+
+
+def _block_patterns(n_parents: int) -> list[list[bool]]:
+    """All parents on, x off, and each parent on alone."""
+    return ([[True] * n_parents, [False] + [True] * (n_parents - 1)]
+            + [[i == j for j in range(n_parents)] for i in range(n_parents)])
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("b,n,hd", SHAPES)
+def test_attention_block_node_is_the_chain_bitwise(b, n, hd, adaptive):
+    rng = np.random.default_rng(b * 1000 + n * 10 + hd + adaptive)
+    d = HEADS * hd
+    arrays = {"x": rng.normal(size=(b, n, d))}
+    for name in BLOCK_WEIGHTS:
+        shape = _block_layout(d, False)[f"blk.{name}"]
+        scale = 1 / np.sqrt(shape[0]) if len(shape) == 2 else 0.3
+        arrays[name] = rng.normal(size=shape) * scale
+    # plain: gain offsets and shifts (D,); adaptive: gains and shifts
+    # (B, 1, D), as block_modulations hands them on
+    norm_shape = (b, 1, d) if adaptive else (d,)
+    for ln in ("ln1", "ln2"):
+        arrays[f"{ln}.g"] = adaptive + 0.3 * rng.normal(size=norm_shape)
+        arrays[f"{ln}.b"] = 0.3 * rng.normal(size=norm_shape)
+    names = list(arrays)
+    padded = _pad_mask(rng, b, n)
+    padded[-1, -1] = n == 1      # at least one padded token when n > 1
+
+    def run(block, mask):
+        def fn(*tensors):
+            t = dict(zip(names, tensors))
+            cond = (((t["ln1.g"], t["ln1.b"]), (t["ln2.g"], t["ln2.b"]))
+                    if adaptive else None)
+            return block(t["x"], {f"blk.{k}": v for k, v in t.items()},
+                         "blk", HEADS, mask, cond)
+        return fn
+
+    for mask in (None, padded):
+        assert_bitwise(run(attention_block, mask),
+                       run(chain_attention_block, mask),
+                       list(arrays.values()), rng,
+                       patterns=_block_patterns(len(names)))
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_attention_block_permutation_equivariance_bitwise(adaptive):
+    # head dim 4, token counts on both sides of the three-addend path
+    rng = np.random.default_rng(15)
+    d, heads = 16, 4
+    store = _block_store(d, adaptive, rng)
+    for n in range(2, 10):
+        x = rng.normal(size=(2, n, d))
+        padded = np.ones((2, n), dtype=bool)
+        padded[1, n // 2:] = False
+        cond = (block_modulations(Tensor(rng.normal(size=(2, d))), store,
+                                  "blk") if adaptive else None)
+        for mask in (None, padded):
+            out = attention_block(Tensor(x), store, "blk", heads, mask,
+                                  cond).data
+            for _ in range(5):
+                perm = rng.permutation(n)
+                out_p = attention_block(
+                    Tensor(x[:, perm]), store, "blk", heads,
+                    None if mask is None else mask[:, perm], cond).data
+                assert out_p.tobytes() == out[:, perm].tobytes(), n
+
+
 def _use_chains(monkeypatch):
     """Route every fused layer back through its chain of elementary ops."""
     for module, name, chain in (
+            (autoencoder, "attention_block", chain_attention_block),
+            (flowmatch, "attention_block", chain_attention_block),
             (layers, "linear", chain_linear),
             (layers, "layer_norm", chain_layer_norm),
             (layers, "_split_heads", chain_split_heads),
@@ -688,28 +793,6 @@ def test_desk_training_is_the_chain_training_bitwise(catalog, monkeypatch):
 # ---------------------------------------------------------------------------
 # a mask with no padded token is no mask
 # ---------------------------------------------------------------------------
-
-
-def _always_masked_block(x, params, prefix, n_heads, pad_mask=None,
-                         cond=None):
-    """attention_block without its all-true shortcut: every mask is
-    applied as a key bias and as multiplies."""
-
-    def norm(t, which):
-        if cond is not None:
-            return layers.modulate(t, cond[which])
-        ln = f"{prefix}.ln{which + 1}"
-        return layer_norm(t, params[f"{ln}.g"] + 1.0, params[f"{ln}.b"])
-
-    h = x + mhsa(norm(x, 0), params[f"{prefix}.wq"], params[f"{prefix}.wk"],
-                 params[f"{prefix}.wv"], params[f"{prefix}.wo"], n_heads,
-                 pad_mask)
-    h = h + silu_mlp(norm(h, 1), params[f"{prefix}.ff1.w"],
-                     params[f"{prefix}.ff1.b"], params[f"{prefix}.ff2.w"],
-                     params[f"{prefix}.ff2.b"])
-    if pad_mask is not None:
-        h = h * Tensor(np.asarray(pad_mask, bool)[:, :, None].astype(float))
-    return h
 
 
 def _grads_bytes(tensors):
@@ -816,7 +899,10 @@ def test_desk_denoiser_forward_builds_few_tape_nodes(padded, monkeypatch):
     monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
     with no_grad():
         den.forward(Tensor(z), cond, mask, Tensor(prev))
-    assert len(made) <= 40
+    # concat, input map, one per block, the output norm's gain + 1, the
+    # output norm and map, and the mask when padded
+    assert den.config.n_layers == 2
+    assert len(made) == (8 if padded else 7)
 
 
 # ---------------------------------------------------------------------------

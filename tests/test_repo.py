@@ -142,6 +142,10 @@ UNSET_DEFAULTS_ALLOWED = {
         "needs is a download, so nothing in the repository can pass one yet",
     "Tensor.*":
         "Tensor's elementary ops, which the test oracles compose",
+    "mhsa.pad_mask":
+        "attention_block, the one caller that passed a mask, is now one tape "
+        "node; mhsa stays as the chain of layer nodes that the block's "
+        "oracle, chain_attention_block, composes with a mask",
 }
 
 
