@@ -397,9 +397,10 @@ def structural_validity(structure: FullCrystal) -> bool:
 def niggli_reduce(L) -> np.ndarray:
     """Niggli-reduce a row-vector cell; the output spans the same lattice."""
     L = np.asarray(L, dtype=np.float64)
-    if np.linalg.det(L) <= 0:
+    det = np.linalg.det(L)
+    if det <= 0:
         raise ValueError("lattice matrix must have positive determinant")
-    scale = float(np.cbrt(abs(np.linalg.det(L))))
+    scale = float(np.cbrt(det))
     e = NIGGLI_EPS * scale**2
     a, b, c = _size_reduce(L, e)   # else steps 5-7 crawl on long cells
 

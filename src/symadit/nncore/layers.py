@@ -49,7 +49,6 @@ __all__ = [
     "linear",
     "log_softmax",
     "mhsa",
-    "modulate",
     "silu_mlp",
 ]
 
@@ -220,17 +219,10 @@ def adaln_modulation(cond: Tensor, w: Tensor, b: Tensor) -> Modulation:
     return 1.0 + scale, shift
 
 
-def modulate(x: Tensor, modulation: Modulation) -> Tensor:
-    """The half of adaptive layer norm that reads the activations
-    x (B, N, D)."""
-    gain, shift = modulation
-    return layer_norm(x, gain, shift)
-
-
 def adaln(x: Tensor, cond: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Adaptive layer norm: scale/shift of the normalized activations are
     produced from the conditioning vector. cond is (B, C); x is (B, N, D)."""
-    return modulate(x, adaln_modulation(cond, w, b))
+    return layer_norm(x, *adaln_modulation(cond, w, b))
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -129,6 +129,14 @@ class ParameterStore:
         if not raw.startswith(_MAGIC):
             raise ValueError(f"{path}: not a checkpoint file")
         off = len(_MAGIC)
+
+        def take(shape) -> np.ndarray:
+            nonlocal off
+            size = int(np.prod(shape))
+            data = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
+            off += 8 * size
+            return data.reshape(shape).copy()
+
         (count,) = struct.unpack_from("<I", raw, off)
         off += 4
         store = cls()
@@ -142,26 +150,15 @@ class ParameterStore:
             off += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, off)
             off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-            off += 8 * size
-            store.params[name] = Tensor(
-                data.reshape(shape).copy(), requires_grad=True)
+            store.params[name] = Tensor(take(shape), requires_grad=True)
         (has_state,) = struct.unpack_from("<B", raw, off)
         off += 1
         if has_state:
             (store.step_count,) = struct.unpack_from("<Q", raw, off)
             off += 8
             for name, p in store.params.items():
-                size = p.data.size
-                store.moment1[name] = np.frombuffer(
-                    raw, dtype="<f8", count=size, offset=off
-                ).reshape(p.data.shape).copy()
-                off += 8 * size
-                store.moment2[name] = np.frombuffer(
-                    raw, dtype="<f8", count=size, offset=off
-                ).reshape(p.data.shape).copy()
-                off += 8 * size
+                store.moment1[name] = take(p.data.shape)
+                store.moment2[name] = take(p.data.shape)
         return store, manifest
 
 

@@ -115,9 +115,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float64, copy=True)

@@ -155,7 +155,6 @@ class WyckoffPos:
     letter: str
     multiplicity: int
     site_form: AffineForm
-    dof: int
     orbit_generators: tuple[AffineForm, ...]
     global_index: int
 
@@ -178,6 +177,11 @@ class WyckoffPos:
     def dof_mask(self) -> tuple[bool, bool, bool]:
         """Which of the variables x, y, z the site form uses."""
         return tuple(bool(v) for v in self.site_matrix.any(axis=0))
+
+    @cached_property
+    def dof(self) -> int:
+        """Degrees of freedom: how many of x, y, z the site form uses."""
+        return sum(self.dof_mask)
 
     @cached_property
     def binding_slots(self) -> np.ndarray:
@@ -296,7 +300,6 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
                     letter=letter,
                     multiplicity=mult,
                     site_form=form,
-                    dof=form.rotation_rank(),
                     orbit_generators=tuple(gens),
                     global_index=global_index,
                 )

@@ -83,26 +83,6 @@ class AffineForm:
         )
         return AffineForm(rows, trans)
 
-    def rotation_rank(self) -> int:
-        """Rank of the linear part (exact Gaussian elimination)."""
-        rows = [list(r) for r in self.matrix]
-        rank = 0
-        for col in range(3):
-            pivot = next(
-                (r for r in range(rank, 3) if rows[r][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [e * inv for e in rows[rank]]
-            for r in range(3):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-
     def validate(self, rotation_limit: int | None = 1) -> None:
         """Check crystallographic plausibility; raises TripletError."""
         for row in self.matrix:

@@ -1,14 +1,17 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, every
 export resolves, no import goes unused, every defaulted parameter and
-dataclass field has a caller outside the tests, and every package name and
-sampler statistic the benchmark reaches exists."""
+dataclass field has a caller outside the tests, every function, method and
+class is referenced outside the tests, and every package name and sampler
+statistic the benchmark reaches exists."""
 
 import ast
+import collections
 import dataclasses
 import fnmatch
 import importlib
 import importlib.util
 import inspect
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -400,6 +403,89 @@ def test_every_defaulted_dataclass_field_has_a_setter_outside_the_tests():
                 unset.append(f"{name}.{field}")
     assert unset == []
     assert allowed == set(UNSET_FIELDS_ALLOWED)  # no stale entry
+
+
+# functions, methods and classes that no code outside the tests references,
+# with the reason
+UNREFERENCED_ALLOWED = {
+    "cli._Parser.error":
+        "argparse calls it on a usage error, and the override raises "
+        "UsageError in place of argparse's exit",
+    "flowmatch.target_field":
+        "the paper's conditional velocity, which criterion 5 and the "
+        "flow-matching tests check; the sampler's step writes "
+        "dt * (combined - z) / (1 - t), which rounds differently from "
+        "dt * target_field(...), so calling it there would move every sample",
+}
+
+
+def _definitions(path):
+    """(qualified name, definition node) for each function, method and class
+    the module defines, nested ones included. Dunder methods are left out:
+    the interpreter calls them."""
+    module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    out.append((qual, child))
+                visit(child, qual)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), module)
+    return out
+
+
+def _references(node):
+    """Counter of the names that the code under `node` references: read as
+    a variable or an attribute, or named by a string that is a dotted name
+    (perfbench's span table names what it traces so). `__all__` lists are
+    not references."""
+    exports = {id(n) for child in ast.walk(node)
+               if isinstance(child, ast.Assign) and any(
+                   getattr(t, "id", None) == "__all__" for t in child.targets)
+               for n in ast.walk(child.value)}
+    refs = collections.Counter()
+    for child in ast.walk(node):
+        if id(child) in exports:
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            refs[child.id] += 1
+        elif (isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Load)):
+            refs[child.attr] += 1
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*",
+                                 child.value)):
+            refs.update(child.value.split("."))
+    return refs
+
+
+def test_every_definition_has_a_reference_outside_the_tests():
+    """A function, method or class that only the tests reach is code the
+    program never runs. Names resolve by name only, and a definition's
+    references to itself, inside its own body, do not count."""
+    refs = collections.Counter()
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            refs += _references(ast.parse(path.read_text()))
+    unreferenced, allowed = [], set()
+    for path in _modules():
+        for qual, node in _definitions(path):
+            if refs[node.name] > _references(node)[node.name]:
+                continue
+            if qual in UNREFERENCED_ALLOWED:
+                allowed.add(qual)
+            else:
+                unreferenced.append(qual)
+    assert unreferenced == []
+    assert allowed == set(UNREFERENCED_ALLOWED)  # no stale entry
 
 
 def _resolve_from(module: str, name: str):
