@@ -1,7 +1,14 @@
 """Vectorized numpy periodic-distance kernels, re-exported by symadit.kernels.
 
 Each fractional difference is wrapped into [-0.5, 0.5) and the shortest of
-its 27 images in the 3x3x3 sweep is taken: exact on a reduced cell."""
+its 27 images in the 3x3x3 sweep is taken: exact on a reduced cell.
+
+The distance matrix can skip pairs beyond a cutoff. With the wrapped
+difference w (each |w_i| <= 1/2), every image w + s has |(w + s)_i| >= |w_i|,
+so it lies at least |w_i| h_i away on each axis i, where h_i is the spacing
+of the lattice planes normal to axis i. That holds on any cell, reduced or
+not. A pair is skipped when that bound exceeds the cutoff times 1 + 1e-9 on
+some axis; a NaN difference bounds nothing, so it is measured."""
 
 from __future__ import annotations
 
@@ -62,12 +69,30 @@ def min_pairwise_distance(frac: np.ndarray, lattice: np.ndarray,
 
 
 def min_image_distance_matrix(
-    frac_a: np.ndarray, frac_b: np.ndarray, lattice: np.ndarray
+    frac_a: np.ndarray, frac_b: np.ndarray, lattice: np.ndarray,
+    cutoff: float = np.inf,
 ) -> np.ndarray:
-    """(N, M) matrix of minimum-image distances under the 27-image sweep."""
+    """(N, M) matrix of minimum-image distances under the 27-image sweep.
+
+    A pair whose plane-spacing bound |w_i| h_i exceeds cutoff * (1 + 1e-9)
+    on some axis i is not measured and reads inf; the margin covers the
+    rounding of the bound and of the sweep, so every skipped pair's sweep
+    distance is > cutoff. Every other entry is bitwise the uncut one: its
+    difference row goes through the same sweep. A NaN difference bounds
+    nothing on its axis, so a pair the other axes admit is measured and
+    reads NaN, as without a cutoff. 1 / h_i is the norm of column i of
+    inv(lattice)."""
     frac_a = np.asarray(frac_a, dtype=np.float64)
     frac_b = np.asarray(frac_b, dtype=np.float64)
     lattice = np.asarray(lattice, dtype=np.float64)
-    diff = (frac_a[:, None, :] - frac_b[None, :, :]).reshape(-1, 3)
-    return np.sqrt(_min_image_sq(diff, lattice)).reshape(len(frac_a),
-                                                          len(frac_b))
+    reach = cutoff * (1.0 + 1e-9) * np.linalg.norm(np.linalg.inv(lattice),
+                                                   axis=0)
+    near = np.ones((len(frac_a), len(frac_b)), dtype=bool)
+    for k in range(3):            # |w_k| > reach_k is |w_k| h_k > the cutoff
+        w = frac_a[:, k, None] - frac_b[None, :, k]
+        w -= np.round(w)
+        near &= ~(np.abs(w, out=w) > reach[k])
+    i, j = np.nonzero(near)
+    out = np.full(near.shape, np.inf)
+    out[i, j] = np.sqrt(_min_image_sq(frac_a[i] - frac_b[j], lattice))
+    return out

@@ -155,6 +155,13 @@ class FullCrystal:
         R = niggli_reduce(self.lattice)
         return R, np.round(self.lattice @ np.linalg.inv(R))
 
+    @functools.cached_property
+    def reduced_shape(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Niggli cell's lengths and its angles, each sorted: the cell
+        shape the matcher compares."""
+        params = lattice_params(self.reduced[0])
+        return np.sort(params[:3]), np.sort(params[3:])
+
 
 # ---------------------------------------------------------------------------
 # Lattice geometry

@@ -126,7 +126,8 @@ def wasserstein_atoms(gen_counts, ref_counts) -> float:
 
 def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
     # stage 3: greedy bijective site assignment, one distance matrix per shift
-    # of a's anchor atom onto a same-element atom of b
+    # of a's anchor atom onto a same-element atom of b; the kernel measures
+    # only the pairs its plane-spacing bound admits, the rest read inf
     scale = ((a.volume / a.n_atoms) * (b.volume / b.n_atoms)) ** 0.5
     cutoff = params.stol * scale ** (1.0 / 3.0)
     lattice, basis = b.reduced        # exact image search in b's Niggli cell
@@ -137,11 +138,12 @@ def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
         # the greedy fails on shifts leaving a's scarcest non-anchor atom out of reach
         k = 1 + np.argmin(same[1:].sum(axis=1))
         reach = min_image_distance_matrix(
-            ((a.frac[k] + shifts) % 1.0) @ basis, target[same[k]], lattice)
+            ((a.frac[k] + shifts) % 1.0) @ basis, target[same[k]], lattice,
+            cutoff)
         shifts = shifts[reach.min(axis=1, initial=np.inf) <= cutoff]
     for shift in shifts:
         dist = min_image_distance_matrix(
-            ((a.frac + shift) % 1.0) @ basis, target, lattice)
+            ((a.frac + shift) % 1.0) @ basis, target, lattice, cutoff)
         dist[~same] = np.inf      # other elements, then used atoms of b
         for row in dist:          # argmin takes the lowest tied column
             best = np.argmin(row)
@@ -167,12 +169,9 @@ def structure_match(a: FullCrystal, b: FullCrystal,
         return False
     if a.match_key != b.match_key:   # equal formula-unit counts only
         return False
-    ra = cr.lattice_params(a.reduced[0])
-    rb = cr.lattice_params(b.reduced[0])
-    la, lb = np.sort(ra[:3]), np.sort(rb[:3])
+    (la, aa), (lb, ab) = a.reduced_shape, b.reduced_shape
     if np.any(np.abs(la - lb) > params.ltol * np.maximum(la, lb)):
         return False
-    aa, ab = np.sort(ra[3:]), np.sort(rb[3:])
     if np.any(np.abs(aa - ab) > params.angle_tol):
         return False
     return _one_way_match(a, b, params) or _one_way_match(b, a, params)

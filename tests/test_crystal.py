@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_asu
 from symadit import crystal as cr
-from symadit import kernels, symcat
+from symadit import _kernels_py, kernels, symcat
 from symadit.crystal import (
     CrystalASU,
     FullCrystal,
@@ -263,6 +263,63 @@ def test_min_image_distance_matrix_matches_oracle():
                  for fb, d in zip(frac_b, row)]
                 for fa, row in zip(frac_a, got)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _cut_cases(rng, count):
+    """(R, frac_a, frac_b, normal) on reduced oblique cells. normal holds
+    the entries (i, j, t) whose b atom sits t Angstrom from a's atom i along
+    a lattice-plane normal, where the plane-spacing bound is attained."""
+    for L in oblique_cells(rng, count):
+        R, _ = FullCrystal(lattice=L, elements=[1], frac=[[0, 0, 0]]).reduced
+        inv = np.linalg.inv(R)
+        frac_a = rng.uniform(0, 1, size=(int(rng.integers(1, 41)), 3))
+        frac_b = rng.uniform(0, 1, size=(int(rng.integers(1, 41)), 3))
+        normal = []
+        for j in range(0, len(frac_b), 2):
+            i, axis = int(rng.integers(len(frac_a))), int(rng.integers(3))
+            spacing = 1.0 / np.linalg.norm(inv[:, axis])
+            t = rng.uniform(0.05, 0.45) * spacing
+            frac_b[j] = frac_a[i] + t * spacing * inv[:, axis] @ inv
+            normal.append((i, j, t))
+        yield R, frac_a, frac_b, normal
+
+
+def test_cut_distance_matrix_keeps_the_uncut_entries_within_reach():
+    """Every entry a cutoff keeps is bitwise the uncut one, and every entry
+    it skips (inf) is beyond the cutoff: on oblique cells, at cutoffs of
+    0.2-4 Angstrom and at every attained distance, one ulp either side.
+    Uncut is one sweep over every difference row."""
+    rng = np.random.default_rng(17)
+    tight = skipped = 0
+    for R, frac_a, frac_b, normal in _cut_cases(rng, 400):
+        uncut = kernels.min_image_distance_matrix(frac_a, frac_b, R)
+        diff = (frac_a[:, None, :] - frac_b[None, :, :]).reshape(-1, 3)
+        assert uncut.tobytes() == \
+            np.sqrt(_kernels_py._min_image_sq(diff, R)).tobytes()
+        for i, j, t in normal:
+            assert uncut[i, j] == pytest.approx(t, rel=1e-12)
+            tight += 1
+        cutoffs = list(rng.uniform(0.2, 4.0, 3))
+        for d in [uncut[i, j] for i, j, _ in normal] + [uncut.min()]:
+            cutoffs += [d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)]
+        for cutoff in cutoffs:
+            cut = kernels.min_image_distance_matrix(frac_a, frac_b, R, cutoff)
+            kept = np.isfinite(cut)
+            assert cut[kept].tobytes() == uncut[kept].tobytes()
+            assert np.all(uncut[~kept] > cutoff)
+            skipped += np.count_nonzero(~kept)
+    assert tight > 1000 and skipped > 100000
+
+
+def test_cut_distance_matrix_measures_nan_differences():
+    """A NaN difference bounds nothing on its axis: a pair the other axes
+    admit is measured, as without a cutoff, and reads NaN, not inf."""
+    frac_a = np.array([[np.nan, 0.5, 0.5], [0.1, 0.2, 0.3]])
+    frac_b = np.array([[0.5, 0.5, 0.5], [0.1, 0.2, 0.3]])
+    cut = kernels.min_image_distance_matrix(frac_a, frac_b, 5.0 * np.eye(3),
+                                            0.5)
+    assert np.isnan(cut[0, 0]) and np.isinf(cut[0, 1])
+    assert cut[1].tolist() == [np.inf, 0.0]
 
 
 def unreduced_sweep_min_distance(frac, lattice):

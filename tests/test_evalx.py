@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_asu
 from symadit import crystal as cr
-from symadit import evalx, kernels
+from symadit import evalx, kernels, symcat
 from symadit.crystal import CrystalASU, FullCrystal, MatchParams, Site
 from symadit.evalx import (
     composition_stats,
@@ -375,24 +375,113 @@ def test_matcher_breaks_distance_ties_by_lowest_index():
 
 def test_distance_matrix_rows_equal_single_row_calls():
     """Each row of min_image_distance_matrix(A, B, L), and each column
-    subset of it, is bitwise the single-row call, and so is each row of
-    A @ L: the matcher's one matrix per shift and its one call over all
-    shifts rely on this."""
+    subset of it, is bitwise the single-row call, with and without a
+    cutoff, and so is each row of A @ L: the matcher's one matrix per shift
+    and its one call over all shifts rely on this."""
     rng = np.random.default_rng(31)
+    cut = Counter()
     for n, m in ((1, 1), (3, 7), (17, 40), (40, 98), (98, 98)):
         lattice = _oblique_cell(rng, 1, 1).lattice
         a = rng.uniform(-0.5, 1.5, (n, 3))
         b = rng.uniform(0.0, 1.0, (m, 3))
-        full = kernels.min_image_distance_matrix(a, b, lattice)
-        for i in range(n):
-            row = kernels.min_image_distance_matrix(a[i:i + 1], b, lattice)
-            assert full[i].tobytes() == row[0].tobytes()
-            assert (a @ lattice)[i].tobytes() == \
-                (a[i:i + 1] @ lattice)[0].tobytes()
-            cols = np.flatnonzero(rng.random(m) < 0.5)
-            part = kernels.min_image_distance_matrix(a[i:i + 1], b[cols],
-                                                     lattice)
-            assert full[i, cols].tobytes() == part[0].tobytes()
+        for cutoff in (np.inf, 0.6, 1.5):
+            full = kernels.min_image_distance_matrix(a, b, lattice, cutoff)
+            for i in range(n):
+                row = kernels.min_image_distance_matrix(a[i:i + 1], b,
+                                                        lattice, cutoff)
+                assert full[i].tobytes() == row[0].tobytes()
+                assert (a @ lattice)[i].tobytes() == \
+                    (a[i:i + 1] @ lattice)[0].tobytes()
+                cols = np.flatnonzero(rng.random(m) < 0.5)
+                part = kernels.min_image_distance_matrix(
+                    a[i:i + 1], b[cols], lattice, cutoff)
+                assert full[i, cols].tobytes() == part[0].tobytes()
+            if cutoff < np.inf:
+                cut.update(np.isinf(full).ravel().tolist())
+    assert cut[True] > 1000 and cut[False] > 1000
+
+
+def _moved_to_cutoff(s, k, ratio, direction, params):
+    """s with atom k moved by ratio * the match cutoff along a unit
+    Cartesian direction."""
+    cutoff = params.stol * (s.volume / s.n_atoms) ** (1.0 / 3.0)
+    frac = s.frac.copy()
+    frac[k] += ratio * cutoff * direction @ np.linalg.inv(s.lattice)
+    return FullCrystal(s.lattice, s.elements, frac)
+
+
+def _boundary_bases(catalog):
+    rng = np.random.default_rng(37)
+    bases = []
+    for g in (221, 225, 229, 191, 194, 2):
+        while True:
+            full = cr.expand_asu(random_asu(catalog, g, rng, max_sites=2),
+                                 catalog)
+            if 1 < full.n_atoms <= 64:
+                bases.append(full)
+                break
+    return bases + [_oblique_cell(rng, n, k) for n, k in
+                    ((4, 1), (8, 2), (12, 3))]
+
+
+def test_matcher_at_the_cutoff_equals_the_uncut_greedy(catalog, monkeypatch):
+    """One atom moved so that its partner lies at cutoff * (1 +- 1e-12),
+    along a lattice-plane normal of the Niggli cell (where the kernel's
+    plane-spacing bound is attained) and along a random direction: the
+    cut matrices decide each pair as the uncut single-row greedy does, in
+    both directions, in cubic, hexagonal, P-1 and oblique P1 cells."""
+    params = MatchParams()
+    rng = np.random.default_rng(41)
+    pairs = []
+    for s in _boundary_bases(catalog):
+        R, M = s.reduced
+        inv = np.linalg.inv(R)
+        # the atom farthest from the other atoms of its element, never the
+        # anchor
+        dist = kernels.min_image_distance_matrix(s.frac @ M, s.frac @ M, R)
+        dist[s.elements[:, None] != s.elements[None, :]] = np.inf
+        np.fill_diagonal(dist, np.inf)
+        k = 1 + int(np.argmax(dist[1:].min(axis=1)))
+        axis = int(rng.integers(3))
+        normal = inv[:, axis] / np.linalg.norm(inv[:, axis])
+        random = rng.standard_normal(3)
+        for direction in (normal, random / np.linalg.norm(random)):
+            for ratio in (1 - 1e-12, 1 + 1e-12):
+                pairs.append((s, _moved_to_cutoff(s, k, ratio, direction,
+                                                  params)))
+    got = [structure_match(a, b, params) for a, b in pairs]
+    one_way = [(evalx._one_way_match(a, b, params),
+                evalx._one_way_match(b, a, params)) for a, b in pairs]
+    monkeypatch.setattr(evalx, "_one_way_match", _greedy_one_way_match)
+    assert got == [structure_match(a, b, params) for a, b in pairs]
+    assert one_way == [(_greedy_one_way_match(a, b, params),
+                        _greedy_one_way_match(b, a, params))
+                       for a, b in pairs]
+    assert got[0::2].count(True) > 10 and got[1::2].count(False) > 10
+
+
+def test_g229_pair_of_98_atoms_matches_its_site_permuted_copy(catalog):
+    """The benchmark's matcher timing pair: Im-3m with 96 O on the general
+    position and 2 Fe on 2a, against the copy with its sites listed in
+    the other order."""
+    rng = np.random.default_rng(43)
+    entry = catalog.group(229)
+    general = symcat.symmetrize_site(entry.wyckoff[-1],
+                                     rng.uniform(0.0, 1.0, 3))
+    sites = [Site(element=8, wyckoff=entry.wyckoff[-1].letter,
+                  frac=general),
+             Site(element=26, wyckoff="a", frac=np.zeros(3))]
+    ell = [10.6, 10.6, 10.6, 90.0, 90.0, 90.0]
+    a = cr.expand_asu(CrystalASU(229, sites, ell), catalog)
+    b = cr.expand_asu(CrystalASU(229, sites[::-1], ell), catalog)
+    assert a.n_atoms == b.n_atoms == 98
+    assert not np.array_equal(a.elements, b.elements)
+    assert structure_match(a, b)
+    params = MatchParams()
+    assert evalx._one_way_match(a, b, params) == \
+        _greedy_one_way_match(a, b, params)
+    assert evalx._one_way_match(b, a, params) == \
+        _greedy_one_way_match(b, a, params)
 
 
 # ---------------------------------------------------------------------------
