@@ -1,6 +1,7 @@
 """Crystal data model: asymmetric-unit tuples, expansion to the full
-conventional cell, lattice geometry, Niggli reduction, periodic distance
-checks, and dataset JSONL I/O."""
+conventional cell (one pass per Wyckoff position over a list of asymmetric
+units), lattice geometry, Niggli reduction, periodic distance checks, and
+dataset JSONL I/O."""
 
 from __future__ import annotations
 
@@ -14,18 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, symcat
-from .symcat import SymmetryCatalog, WyckoffPos
+from .symcat import SpaceGroupEntry, SymmetryCatalog, WyckoffPos
 
 __all__ = [
     "CrystalASU",
     "FullCrystal",
     "IngestError",
     "MatchParams",
+    "Orbits",
     "Site",
-    "asu_match_key",
     "assign_wyckoff",
     "dataset_lines",
     "expand_asu",
+    "expand_orbits",
     "lattice_matrix",
     "lattice_params",
     "min_pairwise_distance",
@@ -173,6 +175,13 @@ def lattice_matrix(ell) -> tuple[np.ndarray, float]:
 
     Convention: a along x, b in the xy plane.
     """
+    L = _row_cell(ell)
+    return L, float(np.linalg.det(L))
+
+
+def _row_cell(ell) -> np.ndarray:
+    """`lattice_matrix(ell)` without the volume, for callers that build a
+    `FullCrystal`, which takes the determinant itself."""
     a, b, c, alpha, beta, gamma = np.asarray(ell, dtype=np.float64)
     if min(a, b, c) <= 0:
         raise ValueError(f"cell lengths must be positive, got {(a, b, c)}")
@@ -189,7 +198,7 @@ def lattice_matrix(ell) -> tuple[np.ndarray, float]:
         [b * cg, b * sg, 0.0],
         [c * cb, c * (ca - cb * cg) / sg, c * math.sqrt(arg) / sg],
     ])
-    return L, float(np.linalg.det(L))
+    return L
 
 
 def lattice_params(L) -> np.ndarray:
@@ -210,55 +219,88 @@ def lattice_params(L) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
-               counters: dict | None = None) -> FullCrystal:
-    """Expand every orbit to the conventional cell.
+@dataclass
+class Orbits:
+    """The expanded orbits of one asymmetric unit: each site's points, in
+    site order, and whether every site is on its form."""
+
+    asu: CrystalASU
+    entry: SpaceGroupEntry
+    points: list[np.ndarray]
+    sites_on_form: bool
+    degenerate: int   # orbits collapsed to fewer than their multiplicity
+
+    @functools.cached_property
+    def match_key(self) -> tuple:
+        """`self.cell().match_key` without building the cell. Each site adds
+        the points of its orbit, so a collapsed orbit counts its distinct
+        points, not its multiplicity."""
+        counts: Counter = Counter()
+        for site, pts in zip(self.asu.sites, self.points):
+            counts[site.element] += len(pts)
+        return _match_key(counts)
+
+    def cell(self) -> FullCrystal:
+        """The conventional cell.
+
+        When the lattice is on its class within FORM_TOL and every site is
+        on its form, the group's operations are isometries that map the
+        atom set onto itself, and `orbit_starts` records each orbit's first
+        atom (the site itself) for `min_pairwise_distance`. Otherwise it is
+        None."""
+        sizes = [len(pts) for pts in self.points]
+        symmetric = self.sites_on_form and _on_lattice_class(
+            self.entry.lattice_class, self.asu.lattice)
+        return FullCrystal(
+            lattice=_row_cell(self.asu.lattice),
+            elements=np.repeat([s.element for s in self.asu.sites], sizes),
+            frac=np.concatenate(self.points, axis=0),
+            spacegroup=self.asu.spacegroup,
+            label=self.entry.label,
+            orbit_starts=(np.cumsum([0] + sizes[:-1]) if symmetric else None),
+        )
+
+
+def expand_orbits(asus: list[CrystalASU],
+                  catalog: SymmetryCatalog) -> list[Orbits]:
+    """The orbits of every asymmetric unit in `asus`, from one
+    `symcat.orbit_expand_sites` pass per Wyckoff position over all of their
+    sites at it. Each site's points are bitwise those of `orbit_expand`.
 
     An orbit whose free parameters sit on a special value collapses to
-    fewer than its multiplicity of points; each such orbit adds 1 to
-    `counters["degenerate_orbits"]` when `counters` is given.
-
-    When the lattice is on its class within FORM_TOL and every site is on
-    its form, the group's operations are isometries that map the atom set
-    onto itself, and `orbit_starts` records each orbit's first atom (the
-    site itself) for `min_pairwise_distance`. Otherwise it is None.
+    fewer than its multiplicity of points, and counts in `degenerate`.
     """
-    entry = catalog.group(asu.spacegroup)
-    L, _ = lattice_matrix(asu.lattice)
-    symmetric = _on_lattice_class(entry.lattice_class, asu.lattice)
-    elements: list[int] = []
-    coords: list[np.ndarray] = []
-    for site in asu.sites:
-        w = entry.position(site.wyckoff)
-        pts = symcat.orbit_expand(entry, w, site.frac)
-        if counters is not None and len(pts) != w.multiplicity:
-            counters["degenerate_orbits"] = counters.get(
-                "degenerate_orbits", 0) + 1
-        symmetric = symmetric and symcat.on_form(w, site.frac)
-        coords.append(pts)
-        elements.extend([site.element] * len(pts))
-    sizes = [len(pts) for pts in coords]
-    return FullCrystal(
-        lattice=L,
-        elements=np.array(elements),
-        frac=np.concatenate(coords, axis=0),
-        spacegroup=asu.spacegroup,
-        label=entry.label,
-        orbit_starts=(np.cumsum([0] + sizes[:-1]) if symmetric else None),
-    )
+    owners: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    for i, asu in enumerate(asus):
+        for j, site in enumerate(asu.sites):
+            key = (asu.spacegroup, site.wyckoff)
+            owners.setdefault(key, []).append((i, j))
+    points = [[None] * len(asu.sites) for asu in asus]
+    on_form = [True] * len(asus)
+    degenerate = [0] * len(asus)
+    for (group, letter), at in owners.items():
+        entry = catalog.group(group)
+        w = entry.position(letter)
+        pts, flags = symcat.orbit_expand_sites(
+            entry, w, np.array([asus[i].sites[j].frac for i, j in at]))
+        for (i, j), p, ok in zip(at, pts, flags.tolist()):
+            points[i][j] = p
+            on_form[i] = on_form[i] and ok
+            degenerate[i] += len(p) != w.multiplicity
+    return [Orbits(asu, catalog.group(asu.spacegroup), *rest)
+            for asu, *rest in zip(asus, points, on_form, degenerate)]
 
 
-def asu_match_key(asu: CrystalASU, catalog: SymmetryCatalog) -> tuple:
-    """`expand_asu(asu, catalog).match_key` without building the cell.
-
-    Each site adds the points `orbit_expand` gives its orbit, so a collapsed
-    orbit counts its distinct points, not its multiplicity."""
-    entry = catalog.group(asu.spacegroup)
-    counts: Counter = Counter()
-    for site in asu.sites:
-        w = entry.position(site.wyckoff)
-        counts[site.element] += len(symcat.orbit_expand(entry, w, site.frac))
-    return _match_key(counts)
+def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
+               counters: dict | None = None) -> FullCrystal:
+    """Expand every orbit to the conventional cell (`Orbits.cell`): the
+    one-structure case of `expand_orbits`. Each collapsed orbit adds 1 to
+    `counters["degenerate_orbits"]` when `counters` is given."""
+    orbits, = expand_orbits([asu], catalog)
+    if counters is not None and orbits.degenerate:
+        counters["degenerate_orbits"] = counters.get(
+            "degenerate_orbits", 0) + orbits.degenerate
+    return orbits.cell()
 
 
 def _match_key(counts: Counter) -> tuple:

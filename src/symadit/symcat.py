@@ -38,6 +38,7 @@ __all__ = [
     "load_catalog",
     "on_form",
     "orbit_expand",
+    "orbit_expand_sites",
     "site_from_parameters",
     "symmetrize_lattice",
     "symmetrize_site",
@@ -477,6 +478,16 @@ def on_form(w: WyckoffPos, f) -> bool:
     return True
 
 
+def _on_forms(w: WyckoffPos, F) -> np.ndarray:
+    """`on_form(w, f)` for each row f of the (S, 3) array F, elementwise in
+    its float order."""
+    m, t = w.site_matrix, w.site_translation
+    U = F[:, w.binding_slots]
+    d = (U[:, 0, None] * m[:, 0] + U[:, 1, None] * m[:, 1]
+         + U[:, 2, None] * m[:, 2] + t - F) % 1.0
+    return np.all(np.minimum(d, 1.0 - d) <= FORM_TOL, axis=1)
+
+
 def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
     """Expand a symmetrized representative to its orbit in [0, 1)^3.
 
@@ -513,6 +524,30 @@ def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
         if keep[i]:  # the first kept point of a cluster drops the rest
             keep[close[i]] = False
     return pts[keep]
+
+
+def orbit_expand_sites(entry: SpaceGroupEntry, w: WyckoffPos,
+                       F) -> tuple[list[np.ndarray], np.ndarray]:
+    """`orbit_expand(entry, w, f)` for each row f of the (S, 3) array F, and
+    `on_form(w, f)` as a boolean (S,) array.
+
+    One pass computes the points of all S sites and runs the on-form test
+    and the point-0 screen of `orbit_expand` on them elementwise. Only a
+    site off its form or with a point near point 0 goes to `orbit_expand`
+    itself, for the dedup; every other site keeps its points from the pass,
+    which are bitwise those of `orbit_expand`.
+    """
+    rot, trans = w.generator_arrays
+    F = wrap_unit(F)
+    pts = wrap_unit((F @ rot.transpose(0, 2, 1)).swapaxes(0, 1) + trans)
+    on = _on_forms(w, F)
+    d = np.abs(pts[:, 1:] - pts[:, :1])
+    hit = np.any(np.minimum(d, 1.0 - d).max(axis=2)
+                 < 2 * MAX_ROW_SUM * ORBIT_TOL, axis=1)
+    out = list(pts)
+    for s in np.flatnonzero(hit | ~on):
+        out[s] = orbit_expand(entry, w, F[s])
+    return out, on
 
 
 def wyckoff_mask(catalog: SymmetryCatalog, group_number: int) -> np.ndarray:

@@ -195,33 +195,117 @@ def multiplicity_key(asu, catalog):
 def test_asu_match_key_counts_collapsed_orbits(catalog, nacl):
     collapsed = collapsed_rock_salt(nacl)
     key = (40, ((6, 6), (8, 1), (9, 1), (11, 1), (17, 1)))
-    assert cr.asu_match_key(collapsed, catalog) == key
+    orbits = cr.expand_orbits([collapsed, nacl], catalog)
+    assert orbits[0].match_key == key
     assert expand_asu(collapsed, catalog).match_key == key
     assert multiplicity_key(collapsed, catalog) == \
         (80, ((6, 6), (8, 6), (9, 6), (11, 1), (17, 1)))
-    assert cr.asu_match_key(nacl, catalog) == (8, ((11, 1), (17, 1)))
+    assert orbits[1].match_key == (8, ((11, 1), (17, 1)))
 
 
 def test_asu_match_key_is_the_expanded_key_in_every_group(catalog):
-    """Oracle: in all 230 groups the key from orbit sizes equals the key of
-    the expanded cell, for generic and collapsed sites on their forms and
+    """Oracle: in all 230 groups the key from orbit sizes, taken from one
+    pass over every structure, equals the key of the cell each structure
+    expands to alone, for generic and collapsed sites on their forms and
     with the last site nudged by 1e-7, off its form when it is special; a
     key from multiplicities equals it exactly when no orbit collapses."""
     rng = np.random.default_rng(47)
-    collapsed = 0
+    asus = []
     for group in range(1, 231):
         cells = symmetric_cells(catalog, group, rng, 4)
         for ell, grid in zip(cells, (0, 2, 4, 0)):
             asu = symmetric_asu(catalog, group, rng, ell, grid)
             if grid == 0 and len(asu.sites) > 1:
                 asu.sites[-1].frac = asu.sites[-1].frac + 1e-7
-            counters = {}
-            key = expand_asu(asu, catalog, counters).match_key
-            assert cr.asu_match_key(asu, catalog) == key, group
-            assert (multiplicity_key(asu, catalog) == key) == \
-                ("degenerate_orbits" not in counters)
-            collapsed += "degenerate_orbits" in counters
+            asus.append(asu)
+    collapsed = 0
+    for asu, orbits in zip(asus, cr.expand_orbits(asus, catalog)):
+        counters = {}
+        key = expand_asu(asu, catalog, counters).match_key
+        assert orbits.match_key == key, asu.spacegroup
+        assert (multiplicity_key(asu, catalog) == key) == \
+            ("degenerate_orbits" not in counters)
+        collapsed += "degenerate_orbits" in counters
     assert collapsed > 100
+
+
+def test_expand_orbits_equals_orbit_expand_at_every_position(catalog):
+    """Oracle for the pass over each Wyckoff position: at every catalog
+    position, sites drawn uniformly, on a quarter grid and a third grid
+    (which collapse some orbits) and off their forms by 1e-7, are dealt
+    out over several structures of the group in shuffled order. Each
+    site's points are bitwise `orbit_expand`'s, and each structure's
+    form flag, collapse count, key and cell are those that the sites give
+    one at a time."""
+    rng = np.random.default_rng(53)
+    asus = []
+    for entry in catalog.groups:
+        sites = []
+        for w in entry.wyckoff:
+            for draw in (rng.uniform(0.0, 1.0, 3), rng.integers(0, 4, 3) / 4,
+                         rng.integers(0, 3, 3) / 3):
+                sites.append(Site(element=int(rng.integers(1, 101)),
+                                  wyckoff=w.letter,
+                                  frac=symcat.symmetrize_site(w, draw)))
+            f = symcat.symmetrize_site(w, rng.integers(0, 4, 3) / 4)
+            sites.append(Site(element=int(rng.integers(1, 101)),
+                              wyckoff=w.letter,
+                              frac=f + np.array([1.0, -2.0, 3.0]) * 1e-7))
+        order = rng.permutation(len(sites))
+        ell = symmetric_cells(catalog, entry.number, rng, 1)[0]
+        for part in np.array_split(order, 3):
+            asus.append(CrystalASU(spacegroup=entry.number, lattice=ell,
+                                   sites=[sites[k] for k in part]))
+    orbits = cr.expand_orbits(asus, catalog)
+    checked = collapsed = off_form = 0
+    for asu, got in zip(asus, orbits):
+        entry = catalog.group(asu.spacegroup)
+        counts, degenerate, on_form = Counter(), 0, True
+        for site, pts in zip(asu.sites, got.points):
+            w = entry.position(site.wyckoff)
+            want = symcat.orbit_expand(entry, w, site.frac)
+            assert pts.shape == want.shape, w.key
+            assert pts.tobytes() == want.tobytes(), w.key
+            counts[site.element] += len(want)
+            degenerate += len(want) != w.multiplicity
+            on_form = on_form and symcat.on_form(w, site.frac)
+            checked += 1
+            off_form += not symcat.on_form(w, site.frac)
+        assert got.degenerate == degenerate
+        assert got.sites_on_form == on_form
+        assert got.match_key == cr._match_key(counts)
+        cell, alone = got.cell(), expand_asu(asu, catalog)
+        for field in ("lattice", "elements", "frac"):
+            assert getattr(cell, field).tobytes() == \
+                getattr(alone, field).tobytes()
+        assert (cell.orbit_starts is None) == (not on_form)
+        collapsed += degenerate
+    assert checked == 4 * 1731
+    assert collapsed > 500
+    assert off_form == sum(w.dof < 3 for w in catalog.positions)
+
+
+def test_expansion_takes_the_determinant_once(catalog, nacl, monkeypatch):
+    """Expansion builds the row cell without its volume, so the only
+    determinant is `FullCrystal.volume`'s; `lattice_matrix` still returns
+    the volume."""
+    calls = []
+    real = np.linalg.det
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    p1 = CrystalASU(spacegroup=1, lattice=[4, 5, 6, 80, 95, 105],
+                    sites=[Site(element=6, wyckoff="a", frac=[0.1, 0.2, 0.3])])
+    for asu in (nacl, collapsed_rock_salt(nacl), p1):
+        calls.clear()
+        full = expand_asu(asu, catalog)
+        assert full.volume > 0
+        assert len(calls) == 1
+    L, volume = lattice_matrix(p1.lattice)
+    assert L.tobytes() == full.lattice.tobytes() and volume == full.volume
 
 
 # ---------------------------------------------------------------------------

@@ -316,20 +316,54 @@ def _matcher_oracle_pairs(catalog):
                                      s.frac[perm])))
         for ratio in (0.9, 0.99, 1.01, 1.1):
             pairs.append((s, _jittered(s, rng, ratio, params)))
+    return pairs + _colliding_pairs()
+
+
+def _colliding_pairs():
+    """Pairs in which two atoms of a have the same nearest atom of b, so
+    the greedy must run row by row. In a 10 A cube of 3 atoms the cutoff
+    is about 2.08 A. a's atom at x = 0.5 lies midway between b's atoms at
+    0.4 and 0.6 (a tie, which the lower index takes), as does its atom at
+    0.45; then b's atoms at 0.4 and 0.75 leave the second atom of a 2.5 A
+    from what is left."""
+    lattice = 10.0 * np.eye(3)
+
+    def cell(*xs):
+        return FullCrystal(lattice, [1] + [2] * len(xs),
+                           [[0, 0, 0]] + [[x, 0, 0] for x in xs])
+
+    pairs = []
+    for a, b in ((cell(0.45, 0.5), cell(0.4, 0.6)),
+                 (cell(0.5, 0.45), cell(0.6, 0.4)),
+                 (cell(0.45, 0.5), cell(0.4, 0.75)),
+                 (cell(0.5, 0.45), cell(0.75, 0.4)),
+                 (cell(0.5, 0.5), cell(0.4, 0.6))):
+        pairs += [(a, b), (b, a)]
     return pairs
 
 
 def test_matcher_decisions_equal_per_row_greedy_oracle(catalog, monkeypatch):
     """One distance matrix per shift decides every pair as the per-row
     greedy does: copies, permuted copies, jitter just inside and outside
-    stol, several anchor candidates, cells at 10-170 degrees. The two sides
-    of a pair share lattice and composition, so the site assignment
-    decides each one."""
+    stol, several anchor candidates, cells at 10-170 degrees, and rows
+    whose nearest columns collide or tie, where the matcher runs its own
+    row-by-row greedy, which both succeeds and fails. The two sides of a
+    pair share lattice and composition, so the site assignment decides
+    each one."""
     params = MatchParams()
     pairs = _matcher_oracle_pairs(catalog)
+    row_by_row = []
+    real_rows = evalx._greedy_rows
+
+    def recorded_rows(dist, cutoff):
+        row_by_row.append(real_rows(dist, cutoff))
+        return row_by_row[-1]
+
+    monkeypatch.setattr(evalx, "_greedy_rows", recorded_rows)
     got = [structure_match(a, b, params) for a, b in pairs]
     one_way = [(evalx._one_way_match(a, b, params),
                 evalx._one_way_match(b, a, params)) for a, b in pairs]
+    assert True in row_by_row and False in row_by_row
     monkeypatch.setattr(evalx, "_one_way_match", _greedy_one_way_match)
     assert got == [structure_match(a, b, params) for a, b in pairs]
     assert one_way == [(_greedy_one_way_match(a, b, params),
@@ -809,13 +843,13 @@ def test_pipeline_expands_only_the_references_it_can_match(catalog, nacl,
                                                            monkeypatch):
     gen, train = _reference_sets(catalog, nacl)["mixed"]
     expanded = []
-    real = cr.expand_asu
+    real = cr.Orbits.cell
 
-    def counted(asu, *args):
-        expanded.append(asu)
-        return real(asu, *args)
+    def counted(orbits):
+        expanded.append(orbits.asu)
+        return real(orbits)
 
-    monkeypatch.setattr(cr, "expand_asu", counted)
+    monkeypatch.setattr(cr.Orbits, "cell", counted)
     counters = {}
     evalx.evaluate_pipeline(gen, train, catalog, counters=counters)
     assert [id(a) for a in expanded[:len(gen)]] == [id(a) for a in gen]
@@ -823,6 +857,39 @@ def test_pipeline_expands_only_the_references_it_can_match(catalog, nacl,
     shared = [id(a) for i, a in enumerate(train) if i in (4, 5, 6, 7, 12)]
     assert references == shared                 # in their original order
     assert counters["references_expanded"] == 5
+
+
+@pytest.mark.parametrize("case", ["mixed", "collapsed"])
+def test_pipeline_runs_orbit_expand_only_where_the_pass_cannot_decide(
+        catalog, nacl, monkeypatch, case):
+    """The pipeline expands orbits one Wyckoff position at a time; a site
+    reaches `orbit_expand` only when it is off its form or has an orbit
+    point within the screen's reach of point 0. Each such site of the
+    generated and the reference set goes there exactly once."""
+    gen, train = _reference_sets(catalog, nacl)[case]
+    want = Counter()
+    for asu in gen + train:
+        entry = catalog.group(asu.spacegroup)
+        for site in asu.sites:
+            w = entry.position(site.wyckoff)
+            rot, trans = w.generator_arrays
+            pts = symcat.wrap_unit(rot @ site.frac + trans)
+            d = np.abs(pts[1:] - pts[0])
+            near = np.any(np.minimum(d, 1.0 - d).max(axis=1)
+                          < 2 * symcat.MAX_ROW_SUM * symcat.ORBIT_TOL)
+            if near or not symcat.on_form(w, site.frac):
+                want[w.key, site.frac.tobytes()] += 1
+    calls = Counter()
+    real = symcat.orbit_expand
+
+    def recorded(entry, w, f):
+        calls[w.key, f.tobytes()] += 1
+        return real(entry, w, f)
+
+    monkeypatch.setattr(symcat, "orbit_expand", recorded)
+    evalx.evaluate_pipeline(gen, train, catalog)
+    assert calls == want
+    assert sum(want.values()) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +977,29 @@ def test_pipeline_counts_structures_off_their_forms(catalog, nacl):
     evalx.evaluate_pipeline([nacl], [stretched], catalog, n_novelty=1,
                             counters=counters)
     assert counters["off_form_structures"] == 0    # references do not count
+
+
+def test_pipeline_counters_are_the_per_structure_sums(catalog, nacl):
+    """Generated structures with collapsed orbits and with lattices or
+    sites off their forms, their sites at shared positions: the counters
+    of the one pass over the set are the sums over the structures, each
+    site taken alone by `orbit_expand` and `on_form`."""
+    sets = _reference_sets(catalog, nacl)
+    gen = [*sets["collapsed"][1], *sets["off_form"][1], *sets["mixed"][0]]
+    degenerate = off_form = 0
+    for asu in gen:
+        entry = catalog.group(asu.spacegroup)
+        on_form = cr._on_lattice_class(entry.lattice_class, asu.lattice)
+        for site in asu.sites:
+            w = entry.position(site.wyckoff)
+            pts = symcat.orbit_expand(entry, w, site.frac)
+            degenerate += len(pts) != w.multiplicity
+            on_form = on_form and symcat.on_form(w, site.frac)
+        off_form += not on_form
+    counters = {}
+    evalx.evaluate_pipeline(gen, [nacl], catalog, counters=counters)
+    assert counters["degenerate_orbits"] == degenerate >= 2
+    assert counters["off_form_structures"] == off_form >= 2
 
 
 def test_pipeline_rejects_empty(catalog):

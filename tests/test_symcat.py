@@ -356,6 +356,31 @@ def test_orbit_expand_matches_full_sweep_everywhere(catalog):
     assert off_form == sum(w.dof < 3 for w in catalog.positions)
 
 
+def test_orbit_expand_sites_flags_each_site_as_on_form_does(catalog):
+    """At every position, a batch of random, special-value, off-form and
+    just-on-form sites in shuffled order: each row's points are bitwise
+    `orbit_expand`'s and its flag is `on_form`'s. A non-finite site is off
+    its form."""
+    rng = np.random.default_rng(59)
+    for entry in catalog.groups:
+        for w in entry.wyckoff:
+            F = [symcat.symmetrize_site(w, draw) for draw in (
+                rng.uniform(0.0, 1.0, 3), rng.integers(0, 4, 3) / 4,
+                rng.integers(0, 3, 3) / 3, rng.uniform(0.0, 1.0, 3))]
+            F += [symcat.wrap_unit(F[1] + np.array([1.0, -2.0, 3.0]) * 1e-7),
+                  symcat.wrap_unit(F[0] + [4e-10, 0.0, 0.0]),
+                  symcat.wrap_unit(F[3] + np.array([2.0, -3.0, 4.0]) * 1e-9)]
+            F = np.array(F)[rng.permutation(len(F))]
+            pts, flags = symcat.orbit_expand_sites(entry, w, F)
+            assert flags.tolist() == [symcat.on_form(w, f) for f in F], w.key
+            for f, got in zip(F, pts):
+                want = symcat.orbit_expand(entry, w, f)
+                assert got.shape == want.shape, w.key
+                assert got.tobytes() == want.tobytes(), w.key
+            nan = np.array([[np.nan, 0.0, 0.0]])
+            assert not symcat._on_forms(w, nan)[0]
+
+
 def test_orbit_screen_looks_past_the_coincidence_tolerance(catalog):
     """P6's general position near the 6-fold axis: the coinciding pair is
     points 1 and 5, while point 0's nearest neighbour is 1.2 tolerances
