@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ MIN_DISTANCE = 0.5  # Angstrom
 MIN_VOLUME = 0.1    # Angstrom^3
 NIGGLI_EPS = 1e-5   # comparison tolerance, relative to the squared cell scale
 NIGGLI_MAX_ITER = 100
+EXPAND_BATCH = 2048  # asymmetric units per `expand_orbits` pass
 
 
 class IngestError(ValueError):
@@ -262,14 +264,23 @@ class Orbits:
 
 
 def expand_orbits(asus: list[CrystalASU],
-                  catalog: SymmetryCatalog) -> list[Orbits]:
-    """The orbits of every asymmetric unit in `asus`, from one
-    `symcat.orbit_expand_sites` pass per Wyckoff position over all of their
-    sites at it. Each site's points are bitwise those of `orbit_expand`.
+                  catalog: SymmetryCatalog) -> Iterator[Orbits]:
+    """The orbits of every asymmetric unit in `asus`, in order, from one
+    `symcat.orbit_expand_sites` pass per Wyckoff position over all of
+    their sites at it. Each site's points are bitwise those of
+    `orbit_expand`. The units are taken EXPAND_BATCH at a time, so a long
+    list holds the points of one batch at once while its caller keeps only
+    what it needs of each unit.
 
     An orbit whose free parameters sit on a special value collapses to
     fewer than its multiplicity of points, and counts in `degenerate`.
     """
+    for start in range(0, len(asus), EXPAND_BATCH):
+        yield from _expand_batch(asus[start:start + EXPAND_BATCH], catalog)
+
+
+def _expand_batch(asus: list[CrystalASU],
+                  catalog: SymmetryCatalog) -> list[Orbits]:
     owners: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for i, asu in enumerate(asus):
         for j, site in enumerate(asu.sites):
@@ -279,10 +290,9 @@ def expand_orbits(asus: list[CrystalASU],
     on_form = [True] * len(asus)
     degenerate = [0] * len(asus)
     for (group, letter), at in owners.items():
-        entry = catalog.group(group)
-        w = entry.position(letter)
+        w = catalog.group(group).position(letter)
         pts, flags = symcat.orbit_expand_sites(
-            entry, w, np.array([asus[i].sites[j].frac for i, j in at]))
+            w, np.array([asus[i].sites[j].frac for i, j in at]))
         for (i, j), p, ok in zip(at, pts, flags.tolist()):
             points[i][j] = p
             on_form[i] = on_form[i] and ok

@@ -5,9 +5,10 @@ atom counts), the trivial-symmetry rate, and composition statistics.
 Uniqueness and novelty match only pairs with an equal atom count and reduced
 composition; the matcher refuses all others, so no decision changes. The
 generated and the reference set are each expanded in one pass per Wyckoff
-position (`crystal.expand_orbits`). A reference's key comes from its orbit
-sizes, and only the references whose key a valid generated structure
-shares get full cells, built from the same points."""
+position over a batch of structures (`crystal.expand_orbits`). A
+reference's key comes from its orbit sizes, and only the references whose
+key a valid generated structure shares get full cells, built from the same
+points."""
 
 from __future__ import annotations
 
@@ -143,33 +144,18 @@ def _one_way_match(a: FullCrystal, b: FullCrystal, params: MatchParams) -> bool:
             ((a.frac[k] + shifts) % 1.0) @ basis, target[same[k]], lattice,
             cutoff)
         shifts = shifts[reach.min(axis=1, initial=np.inf) <= cutoff]
-    rows = np.arange(a.n_atoms)
     for shift in shifts:
         dist = min_image_distance_matrix(
             ((a.frac + shift) % 1.0) @ basis, target, lattice, cutoff)
-        dist[~same] = np.inf      # other elements
-        # Each row's nearest column, the lowest index on a tie. A row whose
-        # nearest column is beyond the cutoff fails the greedy. When no two
-        # rows share their nearest column, taking one never moves another
-        # row's, so the greedy succeeds without running.
-        best = dist.argmin(axis=1)
-        if np.any(dist[rows, best] > cutoff):
-            continue
-        if np.unique(best).size == len(best) or _greedy_rows(dist, cutoff):
+        dist[~same] = np.inf      # other elements, then used atoms of b
+        for row in dist:          # argmin takes the lowest tied column
+            best = np.argmin(row)
+            if row[best] > cutoff:
+                break
+            dist[:, best] = np.inf
+        else:
             return True
     return False
-
-
-def _greedy_rows(dist: np.ndarray, cutoff: float) -> bool:
-    """Give each row in order its nearest column not taken by an earlier
-    row, the lowest index on a tie; False once that column is beyond the
-    cutoff. Overwrites the taken columns of `dist` with inf."""
-    for row in dist:
-        best = np.argmin(row)
-        if row[best] > cutoff:
-            return False
-        dist[:, best] = np.inf
-    return True
 
 
 def structure_match(a: FullCrystal, b: FullCrystal,
@@ -347,12 +333,14 @@ def evaluate_pipeline(
     pairs), `invalid_volume`, `invalid_distance`, `references_expanded`,
     and the matcher tallies of `uniqueness_and_novelty`.
 
-    Each set goes through one `crystal.expand_orbits` pass per Wyckoff
-    position. A reference's match key and atom count come from its orbit
-    sizes (`Orbits.match_key`). Only the references whose key a valid
-    generated structure shares can match, so only those get full cells
-    (`references_expanded`), in their original order: every matcher
-    bucket, and so every decision, is that of expanding all of them.
+    Each set goes through `crystal.expand_orbits`: one pass per Wyckoff
+    position over a batch of structures. A reference's match key and atom
+    count come from its orbit sizes (`Orbits.match_key`). Only the
+    references whose key a valid generated structure shares can match, so
+    only those get full cells (`references_expanded`), in their original
+    order: every matcher bucket, and so every decision, is that of
+    expanding all of them. The others keep only their key, so a batch's
+    points are freed once the next is expanded.
     """
     if not gen:
         raise ValueError("empty generation set")
@@ -360,9 +348,10 @@ def evaluate_pipeline(
     for name in ("degenerate_orbits", "off_form_structures",
                  "invalid_volume", "invalid_distance", "references_expanded"):
         tally.setdefault(name, 0)
-    gen_orbits = cr.expand_orbits(gen, catalog)
-    tally["degenerate_orbits"] += sum(o.degenerate for o in gen_orbits)
-    expanded = [o.cell() for o in gen_orbits]
+    expanded = []
+    for orbits in cr.expand_orbits(gen, catalog):
+        tally["degenerate_orbits"] += orbits.degenerate
+        expanded.append(orbits.cell())
     tally["off_form_structures"] += sum(s.orbit_starts is None
                                         for s in expanded)
     valid_mask = [cr.structural_validity(s) for s in expanded]
@@ -373,9 +362,12 @@ def evaluate_pipeline(
     valid_structs = [s for s, ok in zip(expanded, valid_mask) if ok]
     if not valid_asus:
         raise ValueError("no generated structure passes structural validity")
-    train_orbits = cr.expand_orbits(train, catalog)
     gen_keys = {s.match_key for s in valid_structs}
-    train_structs = [o.cell() for o in train_orbits if o.match_key in gen_keys]
+    train_keys, train_structs = [], []
+    for orbits in cr.expand_orbits(train, catalog):
+        train_keys.append(orbits.match_key)
+        if orbits.match_key in gen_keys:
+            train_structs.append(orbits.cell())
     tally["references_expanded"] += len(train_structs)
 
     validity_rate = 100.0 * len(valid_asus) / len(gen)
@@ -394,7 +386,7 @@ def evaluate_pipeline(
         jsd_wyckoff=jsd_wyckoff(valid_asus, train),
         wasserstein_atoms=wasserstein_atoms(
             [s.n_atoms for s in valid_structs],
-            [o.match_key[0] for o in train_orbits],
+            [n_atoms for n_atoms, _ in train_keys],
         ),
         p1_rate=p1_rate(gen),
         composition=composition_stats(valid_asus),

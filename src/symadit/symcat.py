@@ -467,7 +467,8 @@ def on_form(w: WyckoffPos, f) -> bool:
     """Whether the fractional triple f lies on the position's form:
     re-evaluating the form at the free variables read from f lands within
     FORM_TOL of f in every coordinate, periodically. A non-finite f is off
-    its form. Plain float arithmetic: this runs once per orbit."""
+    its form. Plain float arithmetic, for one site at a time
+    (`CrystalASU.validate`); `orbit_expand_sites` tests many at once."""
     rows, slots = w.site_rows
     f = np.asarray(f, dtype=np.float64).tolist()
     u = [f[k] for k in slots]
@@ -489,29 +490,49 @@ def _on_forms(w: WyckoffPos, F) -> np.ndarray:
 
 
 def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
-    """Expand a symmetrized representative to its orbit in [0, 1)^3.
+    """Expand a symmetrized representative to its orbit in [0, 1)^3: the
+    one-site case of `orbit_expand_sites`.
 
     Returns `w.multiplicity` points for generic parameters. If the free
     parameters hit a special value the orbit collapses: the deduplicated
     points are returned, fewer than `w.multiplicity` of them. Point 0 is
     the representative itself (every first generator is the identity).
+    """
+    pts, _ = orbit_expand_sites(w, np.asarray(f_free, dtype=np.float64)[None])
+    return pts[0]
 
-    For a site on its form, a screen against point 0 decides the generic
-    case. If points i and j coincide, the inverse of generator i maps them
-    onto point 0 and another orbit point k. It stretches each coordinate
-    gap by at most MAX_ROW_SUM, so point k lies within MAX_ROW_SUM
-    ORBIT_TOL of point 0, up to the form's tolerance. The screen looks
-    twice as far; if it finds no point there, no two points coincide. A
-    hit, or a site off its form, takes the full dedup.
+
+def orbit_expand_sites(w: WyckoffPos,
+                       F) -> tuple[list[np.ndarray], np.ndarray]:
+    """`orbit_expand(entry, w, f)` for each row f of the (S, 3) array F, and
+    `on_form(w, f)` as a boolean (S,) array.
+
+    One pass computes the points of all S sites and runs the on-form test
+    and a screen against point 0 on them elementwise. For a site on its
+    form, the screen decides the generic case. If points i and j coincide,
+    the inverse of generator i maps them onto point 0 and another orbit
+    point k. It stretches each coordinate gap by at most MAX_ROW_SUM, so
+    point k lies within MAX_ROW_SUM ORBIT_TOL of point 0, up to the form's
+    tolerance. The screen looks twice as far; if it finds no point there,
+    no two points coincide and the site keeps its points from the pass. A
+    hit, or a site off its form, takes the full dedup (`_dedup`).
     """
     rot, trans = w.generator_arrays
-    f = wrap_unit(f_free)
-    pts = wrap_unit(rot @ f + trans)
-    if on_form(w, f):
-        d = np.abs(pts[1:] - pts[0])
-        gap = np.minimum(d, 1.0 - d).max(axis=1)
-        if not np.any(gap < 2 * MAX_ROW_SUM * ORBIT_TOL):
-            return pts
+    F = wrap_unit(F)
+    pts = wrap_unit((F @ rot.transpose(0, 2, 1)).swapaxes(0, 1) + trans)
+    on = _on_forms(w, F)
+    d = np.abs(pts[:, 1:] - pts[:, :1])
+    hit = np.any(np.minimum(d, 1.0 - d).max(axis=2)
+                 < 2 * MAX_ROW_SUM * ORBIT_TOL, axis=1)
+    out = list(pts)
+    for s in np.flatnonzero(hit | ~on):
+        out[s] = _dedup(pts[s])
+    return out, on
+
+
+def _dedup(pts: np.ndarray) -> np.ndarray:
+    """The orbit points `pts` with every later point that coincides with a
+    kept one, within ORBIT_TOL periodically in each coordinate, dropped."""
     close = np.ones((len(pts), len(pts)), dtype=bool)  # one axis at a time
     for col in pts.T:
         d = np.abs(col[:, None] - col[None, :])
@@ -524,30 +545,6 @@ def orbit_expand(entry: SpaceGroupEntry, w: WyckoffPos, f_free) -> np.ndarray:
         if keep[i]:  # the first kept point of a cluster drops the rest
             keep[close[i]] = False
     return pts[keep]
-
-
-def orbit_expand_sites(entry: SpaceGroupEntry, w: WyckoffPos,
-                       F) -> tuple[list[np.ndarray], np.ndarray]:
-    """`orbit_expand(entry, w, f)` for each row f of the (S, 3) array F, and
-    `on_form(w, f)` as a boolean (S,) array.
-
-    One pass computes the points of all S sites and runs the on-form test
-    and the point-0 screen of `orbit_expand` on them elementwise. Only a
-    site off its form or with a point near point 0 goes to `orbit_expand`
-    itself, for the dedup; every other site keeps its points from the pass,
-    which are bitwise those of `orbit_expand`.
-    """
-    rot, trans = w.generator_arrays
-    F = wrap_unit(F)
-    pts = wrap_unit((F @ rot.transpose(0, 2, 1)).swapaxes(0, 1) + trans)
-    on = _on_forms(w, F)
-    d = np.abs(pts[:, 1:] - pts[:, :1])
-    hit = np.any(np.minimum(d, 1.0 - d).max(axis=2)
-                 < 2 * MAX_ROW_SUM * ORBIT_TOL, axis=1)
-    out = list(pts)
-    for s in np.flatnonzero(hit | ~on):
-        out[s] = orbit_expand(entry, w, F[s])
-    return out, on
 
 
 def wyckoff_mask(catalog: SymmetryCatalog, group_number: int) -> np.ndarray:

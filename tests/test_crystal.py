@@ -195,7 +195,7 @@ def multiplicity_key(asu, catalog):
 def test_asu_match_key_counts_collapsed_orbits(catalog, nacl):
     collapsed = collapsed_rock_salt(nacl)
     key = (40, ((6, 6), (8, 1), (9, 1), (11, 1), (17, 1)))
-    orbits = cr.expand_orbits([collapsed, nacl], catalog)
+    orbits = list(cr.expand_orbits([collapsed, nacl], catalog))
     assert orbits[0].match_key == key
     assert expand_asu(collapsed, catalog).match_key == key
     assert multiplicity_key(collapsed, catalog) == \
@@ -229,14 +229,18 @@ def test_asu_match_key_is_the_expanded_key_in_every_group(catalog):
     assert collapsed > 100
 
 
-def test_expand_orbits_equals_orbit_expand_at_every_position(catalog):
+@pytest.mark.parametrize("batch", [cr.EXPAND_BATCH, 7])
+def test_expand_orbits_equals_orbit_expand_at_every_position(
+        catalog, monkeypatch, batch):
     """Oracle for the pass over each Wyckoff position: at every catalog
     position, sites drawn uniformly, on a quarter grid and a third grid
     (which collapse some orbits) and off their forms by 1e-7, are dealt
     out over several structures of the group in shuffled order. Each
     site's points are bitwise `orbit_expand`'s, and each structure's
     form flag, collapse count, key and cell are those that the sites give
-    one at a time."""
+    one at a time, whether all 690 structures share one pass or they are
+    taken 7 at a time."""
+    monkeypatch.setattr(cr, "EXPAND_BATCH", batch)
     rng = np.random.default_rng(53)
     asus = []
     for entry in catalog.groups:
@@ -256,7 +260,8 @@ def test_expand_orbits_equals_orbit_expand_at_every_position(catalog):
         for part in np.array_split(order, 3):
             asus.append(CrystalASU(spacegroup=entry.number, lattice=ell,
                                    sites=[sites[k] for k in part]))
-    orbits = cr.expand_orbits(asus, catalog)
+    orbits = list(cr.expand_orbits(asus, catalog))
+    assert len(orbits) == len(asus) == 690
     checked = collapsed = off_form = 0
     for asu, got in zip(asus, orbits):
         entry = catalog.group(asu.spacegroup)

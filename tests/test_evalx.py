@@ -321,7 +321,7 @@ def _matcher_oracle_pairs(catalog):
 
 def _colliding_pairs():
     """Pairs in which two atoms of a have the same nearest atom of b, so
-    the greedy must run row by row. In a 10 A cube of 3 atoms the cutoff
+    the first takes it from the second. In a 10 A cube of 3 atoms the cutoff
     is about 2.08 A. a's atom at x = 0.5 lies midway between b's atoms at
     0.4 and 0.6 (a tie, which the lower index takes), as does its atom at
     0.45; then b's atoms at 0.4 and 0.75 leave the second atom of a 2.5 A
@@ -346,24 +346,17 @@ def test_matcher_decisions_equal_per_row_greedy_oracle(catalog, monkeypatch):
     """One distance matrix per shift decides every pair as the per-row
     greedy does: copies, permuted copies, jitter just inside and outside
     stol, several anchor candidates, cells at 10-170 degrees, and rows
-    whose nearest columns collide or tie, where the matcher runs its own
-    row-by-row greedy, which both succeeds and fails. The two sides of a
-    pair share lattice and composition, so the site assignment decides
-    each one."""
+    whose nearest columns collide or tie, of which some match and some do
+    not. The two sides of a pair share lattice and composition, so the
+    site assignment decides each one."""
     params = MatchParams()
     pairs = _matcher_oracle_pairs(catalog)
-    row_by_row = []
-    real_rows = evalx._greedy_rows
-
-    def recorded_rows(dist, cutoff):
-        row_by_row.append(real_rows(dist, cutoff))
-        return row_by_row[-1]
-
-    monkeypatch.setattr(evalx, "_greedy_rows", recorded_rows)
     got = [structure_match(a, b, params) for a, b in pairs]
     one_way = [(evalx._one_way_match(a, b, params),
                 evalx._one_way_match(b, a, params)) for a, b in pairs]
-    assert True in row_by_row and False in row_by_row
+    colliding = {m for pair in one_way[-len(_colliding_pairs()):]
+                 for m in pair}
+    assert colliding == {True, False}
     monkeypatch.setattr(evalx, "_one_way_match", _greedy_one_way_match)
     assert got == [structure_match(a, b, params) for a, b in pairs]
     assert one_way == [(_greedy_one_way_match(a, b, params),
@@ -859,12 +852,29 @@ def test_pipeline_expands_only_the_references_it_can_match(catalog, nacl,
     assert counters["references_expanded"] == 5
 
 
-@pytest.mark.parametrize("case", ["mixed", "collapsed"])
-def test_pipeline_runs_orbit_expand_only_where_the_pass_cannot_decide(
+@pytest.mark.parametrize("case", ["mixed", "collapsed", "off_form"])
+def test_pipeline_report_does_not_depend_on_the_expansion_batch(
         catalog, nacl, monkeypatch, case):
-    """The pipeline expands orbits one Wyckoff position at a time; a site
-    reaches `orbit_expand` only when it is off its form or has an orbit
-    point within the screen's reach of point 0. Each such site of the
+    """Expanding the sets two structures at a time gives the report and
+    counters of one pass over each set."""
+    gen, train = _reference_sets(catalog, nacl)[case]
+    want_counters, got_counters = {}, {}
+    want = evalx.evaluate_pipeline(gen, train, catalog, n_novelty=2,
+                                   counters=want_counters)
+    monkeypatch.setattr(cr, "EXPAND_BATCH", 2)
+    got = evalx.evaluate_pipeline(gen, train, catalog, n_novelty=2,
+                                  counters=got_counters)
+    assert got.to_json() == want.to_json()
+    assert got_counters == want_counters
+    assert len(gen) > 2 and len(train) > 2
+
+
+@pytest.mark.parametrize("case", ["mixed", "collapsed"])
+def test_pipeline_dedups_only_where_the_pass_cannot_decide(
+        catalog, nacl, monkeypatch, case):
+    """The pipeline expands orbits one Wyckoff position at a time; a site's
+    points reach the full dedup only when it is off its form or has an
+    orbit point within the screen's reach of point 0. Each such site of the
     generated and the reference set goes there exactly once."""
     gen, train = _reference_sets(catalog, nacl)[case]
     want = Counter()
@@ -873,20 +883,20 @@ def test_pipeline_runs_orbit_expand_only_where_the_pass_cannot_decide(
         for site in asu.sites:
             w = entry.position(site.wyckoff)
             rot, trans = w.generator_arrays
-            pts = symcat.wrap_unit(rot @ site.frac + trans)
+            pts = symcat.wrap_unit(rot @ symcat.wrap_unit(site.frac) + trans)
             d = np.abs(pts[1:] - pts[0])
             near = np.any(np.minimum(d, 1.0 - d).max(axis=1)
                           < 2 * symcat.MAX_ROW_SUM * symcat.ORBIT_TOL)
             if near or not symcat.on_form(w, site.frac):
-                want[w.key, site.frac.tobytes()] += 1
+                want[pts.tobytes()] += 1
     calls = Counter()
-    real = symcat.orbit_expand
+    real = symcat._dedup
 
-    def recorded(entry, w, f):
-        calls[w.key, f.tobytes()] += 1
-        return real(entry, w, f)
+    def recorded(pts):
+        calls[pts.tobytes()] += 1
+        return real(pts)
 
-    monkeypatch.setattr(symcat, "orbit_expand", recorded)
+    monkeypatch.setattr(symcat, "_dedup", recorded)
     evalx.evaluate_pipeline(gen, train, catalog)
     assert calls == want
     assert sum(want.values()) >= 2

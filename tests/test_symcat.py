@@ -359,9 +359,12 @@ def test_orbit_expand_matches_full_sweep_everywhere(catalog):
 def test_orbit_expand_sites_flags_each_site_as_on_form_does(catalog):
     """At every position, a batch of random, special-value, off-form and
     just-on-form sites in shuffled order: each row's points are bitwise
-    `orbit_expand`'s and its flag is `on_form`'s. A non-finite site is off
-    its form."""
+    those of the (m, m, 3) sweep and of `orbit_expand` (the site alone),
+    and its flag is `on_form`'s. A quarter-grid site taken off its form
+    can collapse with no point near point 0, which only the dedup finds.
+    A non-finite site is off its form."""
     rng = np.random.default_rng(59)
+    off_form_collapsed = 0
     for entry in catalog.groups:
         for w in entry.wyckoff:
             F = [symcat.symmetrize_site(w, draw) for draw in (
@@ -369,16 +372,21 @@ def test_orbit_expand_sites_flags_each_site_as_on_form_does(catalog):
                 rng.integers(0, 3, 3) / 3, rng.uniform(0.0, 1.0, 3))]
             F += [symcat.wrap_unit(F[1] + np.array([1.0, -2.0, 3.0]) * 1e-7),
                   symcat.wrap_unit(F[0] + [4e-10, 0.0, 0.0]),
-                  symcat.wrap_unit(F[3] + np.array([2.0, -3.0, 4.0]) * 1e-9)]
+                  symcat.wrap_unit(F[3] + np.array([2.0, -3.0, 4.0]) * 1e-9),
+                  rng.integers(0, 4, 3) / 4]
             F = np.array(F)[rng.permutation(len(F))]
-            pts, flags = symcat.orbit_expand_sites(entry, w, F)
+            pts, flags = symcat.orbit_expand_sites(w, F)
             assert flags.tolist() == [symcat.on_form(w, f) for f in F], w.key
-            for f, got in zip(F, pts):
-                want = symcat.orbit_expand(entry, w, f)
+            for f, got, on in zip(F, pts, flags):
+                want = _orbit_expand_full_sweep(entry, w, f)
                 assert got.shape == want.shape, w.key
                 assert got.tobytes() == want.tobytes(), w.key
+                alone = symcat.orbit_expand(entry, w, f)
+                assert alone.tobytes() == want.tobytes(), w.key
+                off_form_collapsed += not on and len(got) < w.multiplicity
             nan = np.array([[np.nan, 0.0, 0.0]])
             assert not symcat._on_forms(w, nan)[0]
+    assert off_form_collapsed > 100
 
 
 def test_orbit_screen_looks_past_the_coincidence_tolerance(catalog):
