@@ -405,8 +405,20 @@ def augment(asu: CrystalASU, catalog: SymmetryCatalog,
     Free fractional parameters get additive Gaussian noise (wrapped mod 1),
     free lattice lengths multiplicative log-normal noise, free angles
     additive noise in degrees; everything is re-symmetrized afterwards.
-    Zero sigmas return an identical unit.
+    With no positive sigma it returns `asu` itself and draws nothing:
+    `_perturbed` would rebuild it bitwise (the tests check every group).
     """
+    if not (sigma_frac > 0 or sigma_length > 0 or sigma_angle > 0):
+        return asu
+    return _perturbed(asu, catalog, sigma_frac, sigma_length, sigma_angle,
+                      rng)
+
+
+def _perturbed(asu: CrystalASU, catalog: SymmetryCatalog,
+               sigma_frac: float, sigma_length: float, sigma_angle: float,
+               rng: np.random.Generator) -> CrystalASU:
+    """`augment`'s perturbation, always into a new unit; it draws nothing
+    for a zero sigma."""
     entry = catalog.group(asu.spacegroup)
     sites = []
     for site in asu.sites:

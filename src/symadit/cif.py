@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crystal import FullCrystal, lattice_matrix, lattice_params
+from .crystal import FullCrystal, _row_cell, lattice_params
 
 __all__ = ["CifError", "read_cif", "write_cif", "ELEMENT_SYMBOLS"]
 
@@ -187,7 +187,7 @@ def read_cif(text: str) -> FullCrystal:
     if not elements:
         raise CifError("no atom_site loop found")
     try:
-        L, _ = lattice_matrix([cell[t] for t in required])
+        L = _row_cell([cell[t] for t in required])
     except ValueError as exc:
         raise CifError(str(exc)) from exc
     return FullCrystal(

@@ -11,8 +11,10 @@ and is validated aggressively at load so a corrupted file fails fast:
                                           (each gen repeats an OP triplet
                                            of its group above it verbatim)
 
-The loader parses each distinct triplet once and validates every form in
-exact rational arithmetic.
+The loader parses each distinct triplet once per load. Within that load
+`parse_triplet` parses and validates each distinct component ("x",
+"-y+1/2", ...) once, in exact rational arithmetic, and assembles each
+form from those components; the memo ends with the load.
 Per-call code reads read-only float copies of those forms, built once per
 position or group on first use.
 """
@@ -26,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .triplet import AffineForm, TripletError, parse_triplet
+from .triplet import AffineForm, TripletError, component_memo, parse_triplet
 
 __all__ = [
     "CatalogError",
@@ -275,90 +277,8 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
         raise CatalogError("empty catalog file")
     want_groups, want_wyckoff = _parse_header(lines[0])
 
-    groups: list[SpaceGroupEntry] = []
-    current: dict | None = None
-    global_index = 0
-    seen_keys: set[tuple[int, str]] = set()
-    # One parse per distinct (text, kind): an OP is held to the rotation
-    # limit and a site form is not, so the two never share an entry.
-    forms: dict[tuple[str, str], AffineForm] = {}
-
-    def parsed(text: str, kind: str) -> AffineForm:
-        if (text, kind) not in forms:
-            forms[text, kind] = parse_triplet(
-                text, validate_rotation=kind == "OP")
-        return forms[text, kind]
-
-    def finish(cur):
-        nonlocal global_index
-        if not cur["ops"]:
-            raise CatalogError(f"group {cur['number']} has no operations")
-        wyckoff = []
-        for letter, mult, form, gens in cur["wy"]:
-            wyckoff.append(
-                WyckoffPos(
-                    group_number=cur["number"],
-                    letter=letter,
-                    multiplicity=mult,
-                    site_form=form,
-                    orbit_generators=tuple(gens),
-                    global_index=global_index,
-                )
-            )
-            global_index += 1
-        entry = SpaceGroupEntry(
-            number=cur["number"],
-            label=cur["label"],
-            operations=tuple(cur["ops"].values()),
-            wyckoff=tuple(wyckoff),
-            lattice_class=LatticeClass.for_family(cur["family"]),
-        )
-        _validate_group(entry)
-        groups.append(entry)
-
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        tag, _, rest = line.partition(" ")
-        try:
-            if tag == "G":
-                if current is not None:
-                    finish(current)
-                num_s, label, family = rest.split()
-                current = {
-                    "number": int(num_s),
-                    "label": label,
-                    "family": family,
-                    "ops": {},
-                    "wy": [],
-                }
-            elif tag == "OP":
-                if rest in current["ops"]:
-                    raise CatalogError(f"duplicate operation {rest!r}")
-                current["ops"][rest] = parsed(rest, "OP")
-            elif tag == "WY":
-                head, _, gen_part = rest.partition("|")
-                letter, mult_s, site = head.split()
-                key = (current["number"], letter)
-                if key in seen_keys:
-                    raise CatalogError(f"duplicate Wyckoff key {key}")
-                seen_keys.add(key)
-                gens = []
-                for t in gen_part.strip().split(";"):
-                    if t not in current["ops"]:
-                        raise CatalogError(
-                            f"orbit generator {t!r} is not an operation of "
-                            f"group {current['number']}")
-                    gens.append(current["ops"][t])
-                form = parsed(site, "WY")
-                current["wy"].append((letter, int(mult_s), form, gens))
-            else:
-                raise CatalogError(f"unknown record tag {tag!r}")
-        except (TripletError, ValueError, TypeError, AttributeError) as exc:
-            raise CatalogError(f"line {lineno}: {exc}") from exc
-    if current is not None:
-        finish(current)
+    with component_memo():
+        groups = _read_groups(lines)
 
     if len(groups) != want_groups or len(groups) != N_GROUPS:
         raise CatalogError(
@@ -382,10 +302,102 @@ def load_catalog(path: str | os.PathLike) -> SymmetryCatalog:
     return SymmetryCatalog(tuple(groups))
 
 
-def _validate_group(entry: SpaceGroupEntry) -> None:
-    ident = AffineForm.identity()
-    if entry.operations[0] != ident and ident not in entry.operations:
-        raise CatalogError(f"group {entry.number}: identity operation missing")
+class _ParsedForms(dict):
+    """Triplet text -> its AffineForm, parsed on first lookup."""
+
+    def __init__(self, validate_rotation: bool):
+        super().__init__()
+        self.validate_rotation = validate_rotation
+
+    def __missing__(self, text: str) -> AffineForm:
+        form = self[text] = parse_triplet(text, self.validate_rotation)
+        return form
+
+
+def _read_groups(lines: list[str]) -> list[SpaceGroupEntry]:
+    """The validated groups of a catalog's lines, header included."""
+    groups: list[SpaceGroupEntry] = []
+    current: dict | None = None
+    seen_keys: set[tuple[int, str]] = set()
+    identity = AffineForm.identity()
+    # One parse per distinct (text, kind): an OP is held to the rotation
+    # limit and a site form is not, so the two never share an entry.
+    op_forms, site_forms = _ParsedForms(True), _ParsedForms(False)
+
+    def finish(cur):
+        nonlocal identity
+        if not cur["ops"]:
+            raise CatalogError(f"group {cur['number']} has no operations")
+        entry = SpaceGroupEntry(
+            number=cur["number"],
+            label=cur["label"],
+            operations=tuple(cur["ops"].values()),
+            wyckoff=tuple(cur["wy"]),
+            lattice_class=LatticeClass.for_family(cur["family"]),
+        )
+        identity = _validate_group(entry, identity)
+        groups.append(entry)
+
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        tag, _, rest = line.partition(" ")
+        try:
+            if tag == "OP":
+                ops = current["ops"]
+                if rest in ops:
+                    raise CatalogError(f"duplicate operation {rest!r}")
+                ops[rest] = op_forms[rest]
+            elif tag == "WY":
+                head, _, gen_part = rest.partition("|")
+                letter, mult_s, site = head.split()
+                number, ops = current["number"], current["ops"]
+                if (number, letter) in seen_keys:
+                    raise CatalogError(
+                        f"duplicate Wyckoff key {(number, letter)}")
+                seen_keys.add((number, letter))
+                try:
+                    gens = tuple([ops[t] for t in gen_part.strip().split(";")])
+                except KeyError as exc:
+                    raise CatalogError(
+                        f"orbit generator {exc.args[0]!r} is not an operation "
+                        f"of group {number}") from None
+                form = site_forms[site]
+                # seen_keys holds one key per position read so far
+                current["wy"].append(WyckoffPos(
+                    group_number=number, letter=letter,
+                    multiplicity=int(mult_s), site_form=form,
+                    orbit_generators=gens, global_index=len(seen_keys) - 1))
+            elif tag == "G":
+                if current is not None:
+                    finish(current)
+                num_s, label, family = rest.split()
+                current = {
+                    "number": int(num_s),
+                    "label": label,
+                    "family": family,
+                    "ops": {},
+                    "wy": [],
+                }
+            else:
+                raise CatalogError(f"unknown record tag {tag!r}")
+        except (TripletError, ValueError, TypeError, AttributeError) as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from exc
+    if current is not None:
+        finish(current)
+    return groups
+
+
+def _validate_group(entry: SpaceGroupEntry, identity: AffineForm) -> AffineForm:
+    """Check a group's counts and find its identity operation, which it
+    returns. Groups share parsed forms, so once the identity passed in is a
+    parsed one, the search finds it by `is`, without a Fraction compare."""
+    try:
+        identity = entry.operations[entry.operations.index(identity)]
+    except ValueError:
+        raise CatalogError(
+            f"group {entry.number}: identity operation missing") from None
     for w in entry.wyckoff:
         if len(w.orbit_generators) != w.multiplicity:
             raise CatalogError(
@@ -399,6 +411,7 @@ def _validate_group(entry: SpaceGroupEntry) -> None:
             f"group {entry.number}: general multiplicity {max(mults)} != "
             f"operation count {len(entry.operations)}"
         )
+    return identity
 
 
 @lru_cache(maxsize=1)

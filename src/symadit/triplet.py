@@ -9,11 +9,19 @@ first use.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["AffineForm", "TripletError", "parse_triplet", "format_triplet"]
+__all__ = [
+    "AffineForm",
+    "TripletError",
+    "component_memo",
+    "format_triplet",
+    "parse_triplet",
+]
 
 _VARS = "xyz"
 
@@ -83,22 +91,6 @@ class AffineForm:
         )
         return AffineForm(rows, trans)
 
-    def validate(self, rotation_limit: int | None = 1) -> None:
-        """Check crystallographic plausibility; raises TripletError."""
-        for row in self.matrix:
-            for e in row:
-                if e.denominator > _MAX_DENOM:
-                    raise TripletError(f"coefficient {e} has denominator > {_MAX_DENOM}")
-                if rotation_limit is not None and abs(e) > rotation_limit:
-                    raise TripletError(
-                        f"non-crystallographic coefficient {e} in rotation part"
-                    )
-        for t in self.translation:
-            if not 0 <= t < 1:
-                raise TripletError(f"translation component {t} outside [0, 1)")
-            if t.denominator > _MAX_DENOM:
-                raise TripletError(f"translation {t} has denominator > {_MAX_DENOM}")
-
 
 # One signed term of a component: [+-]? (p(/q)?)? [xyz]?, blanks ignored.
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:/(\d+))?)?\s*([xyz]?)\s*")
@@ -128,6 +120,52 @@ def _parse_component(text: str, offset: int) -> list[Fraction]:
     return slots
 
 
+def _coefficient_error(row, rotation_limit: int | None) -> str | None:
+    """Why a row of a linear part is not crystallographic, or None."""
+    for e in row:
+        if e.denominator > _MAX_DENOM:
+            return f"coefficient {e} has denominator > {_MAX_DENOM}"
+        if rotation_limit is not None and abs(e) > rotation_limit:
+            return f"non-crystallographic coefficient {e} in rotation part"
+    return None
+
+
+def _translation_error(t: Fraction) -> str | None:
+    """Why a reduced translation component is not crystallographic, or None."""
+    if not 0 <= t < 1:
+        return f"translation component {t} outside [0, 1)"
+    if t.denominator > _MAX_DENOM:
+        return f"translation {t} has denominator > {_MAX_DENOM}"
+    return None
+
+
+def _component(text: str, offset: int, rotation_limit: int | None) -> tuple:
+    """One parsed component: its row of the linear part, its translation
+    reduced into [0, 1), and what is wrong with each (None when valid).
+    Grammar errors raise at once; validity errors wait so that
+    `parse_triplet` reports them in the order of the whole form."""
+    slots = _parse_component(text, offset)
+    row, t = tuple(slots[:3]), slots[3] % 1
+    return row, t, _coefficient_error(row, rotation_limit), _translation_error(t)
+
+
+# Parsed components by (text, validate_rotation) while a `component_memo`
+# block runs; None outside one.
+_MEMO: ContextVar[dict | None] = ContextVar("triplet_component_memo",
+                                            default=None)
+
+
+@contextmanager
+def component_memo():
+    """Within the block, `parse_triplet` parses and validates each distinct
+    (component text, validate_rotation) once; the memo ends with the block."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def parse_triplet(text: str, validate_rotation: bool = True) -> AffineForm:
     """Parse "x,y,z"-style coordinate triplets into an AffineForm.
 
@@ -135,18 +173,29 @@ def parse_triplet(text: str, validate_rotation: bool = True) -> AffineForm:
     `p/q`, `x`, `p/q x` (the grammar `format_triplet` emits, blanks
     allowed). Site expressions with tied coordinates ("x,2x,1/4") need
     validate_rotation=False since their coefficients may exceed 1.
+    The form is validated as a whole: the first grammar error in reading
+    order, else the first bad coefficient row by row, else the first bad
+    translation, raises a TripletError.
     """
     parts = text.split(",")
     if len(parts) != 3:
         raise TripletError(f"expected 3 components, got {len(parts)}")
+    memo = _MEMO.get()
+    if memo is None:
+        memo = {}
     comps, offset = [], 0
     for part in parts:
-        comps.append(_parse_component(part, offset))
+        key = part, validate_rotation
+        if key not in memo:
+            memo[key] = _component(part, offset,
+                                   1 if validate_rotation else None)
+        comps.append(memo[key])
         offset += len(part) + 1
-    form = AffineForm(tuple(tuple(c[:3]) for c in comps),
-                      tuple(c[3] % 1 for c in comps))
-    form.validate(rotation_limit=1 if validate_rotation else None)
-    return form
+    (r0, t0, e0, f0), (r1, t1, e1, f1), (r2, t2, e2, f2) = comps
+    message = e0 or e1 or e2 or f0 or f1 or f2
+    if message:
+        raise TripletError(message)
+    return AffineForm((r0, r1, r2), (t0, t1, t2))
 
 
 def _format_frac(f: Fraction) -> str:

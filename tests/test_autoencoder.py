@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_asu
+from test_acceptance import _synthetic_dataset
 from symadit import crystal as cr
 from symadit import symcat
 from symadit.autoencoder import (
     AEConfig,
     Autoencoder,
     LatentBatch,
+    _perturbed,
     augment,
     batchify,
     reconstruction_metrics,
@@ -317,6 +319,27 @@ def test_augment_zero_sigma_identity(catalog):
     assert np.array_equal(out.lattice, asu.lattice)
     for a, b in zip(out.sites, asu.sites):
         assert np.array_equal(a.frac, b.frac)
+
+
+def test_zero_sigma_augment_returns_the_unit_the_full_path_rebuilds(catalog):
+    """Oracle for the zero-sigma shortcut: on 3 units per group and on the
+    criterion-6 set, the full path at zero sigma rebuilds each unit bitwise
+    and leaves the generator's state as it was; `augment` returns the unit
+    itself."""
+    rng = np.random.default_rng(24)
+    units = [random_asu(catalog, g, rng)
+             for g in range(1, 231) for _ in range(3)]
+    units += _synthetic_dataset(catalog)
+    draws = np.random.default_rng(5)
+    state = draws.bit_generator.state
+    for asu in units:
+        out = _perturbed(asu, catalog, 0.0, 0.0, 0.0, draws)
+        assert out.spacegroup == asu.spacegroup
+        assert out.lattice.tobytes() == asu.lattice.tobytes()
+        assert [(s.element, s.wyckoff, s.frac.tobytes()) for s in out.sites] \
+            == [(s.element, s.wyckoff, s.frac.tobytes()) for s in asu.sites]
+        assert augment(asu, catalog, 0.0, 0.0, 0.0, draws) is asu
+    assert draws.bit_generator.state == state
 
 
 def test_augment_respects_site_form(catalog):

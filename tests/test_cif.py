@@ -57,6 +57,34 @@ def test_roundtrip_preserves_geometry(catalog, nacl):
     assert back.spacegroup == 225
 
 
+def test_reading_takes_the_determinant_once(catalog, nacl, monkeypatch):
+    """The reader builds the row cell without its volume, so the only
+    determinant is `FullCrystal.volume`'s; the cell is `lattice_matrix`'s."""
+    p1 = cr.CrystalASU(spacegroup=1, lattice=[4, 5, 6, 80, 95, 105],
+                       sites=[cr.Site(element=6, wyckoff="a",
+                                      frac=[0.1, 0.2, 0.3])])
+    calls = []
+    real = np.linalg.det
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for asu in (nacl, p1):
+        text = write_cif(cr.expand_asu(asu, catalog))
+        monkeypatch.setattr(np.linalg, "det", counted)
+        calls.clear()
+        back = read_cif(text)
+        assert back.volume > 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        ell = [float(line.split()[1]) for line in text.splitlines()
+               if line.startswith(("_cell_length_", "_cell_angle_"))]
+        L, volume = cr.lattice_matrix(ell)
+        assert L.tobytes() == back.lattice.tobytes()
+        assert volume == back.volume
+
+
 def test_roundtrip_random_structures(catalog):
     rng = np.random.default_rng(13)
     done = 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symadit import symcat
+from symadit import symcat, triplet
 from symadit.symcat import (
     CatalogError,
     orbit_expand,
@@ -538,6 +538,96 @@ def test_each_distinct_triplet_is_parsed_once_per_load(monkeypatch):
     symcat.load_catalog(Path(symcat.__file__).parent / "data" / "sg_catalog.txt")
     assert len(calls) == len(set(calls)) == 913
     assert sum(validate for _, validate in calls) == 786
+
+
+VENDORED = Path(symcat.__file__).parent / "data" / "sg_catalog.txt"
+
+
+def test_loaded_forms_equal_an_uncached_parse(catalog):
+    """Oracle for the component memo: outside a load no memo is active, so
+    each triplet of the vendored file parses fresh, and every operation,
+    site form and orbit generator equals the loaded one."""
+    assert triplet._MEMO.get() is None
+    groups = iter(catalog.groups)
+    for line in VENDORED.read_text().splitlines()[1:]:
+        tag, _, rest = line.partition(" ")
+        if tag == "G":
+            entry = next(groups)
+            ops, positions = iter(entry.operations), iter(entry.wyckoff)
+        elif tag == "OP":
+            assert next(ops) == triplet.parse_triplet(rest)
+        elif tag == "WY":
+            head, _, gens = rest.partition("|")
+            w = next(positions)
+            assert w.site_form == triplet.parse_triplet(
+                head.split()[2], validate_rotation=False)
+            assert w.orbit_generators == tuple(
+                triplet.parse_triplet(g) for g in gens.strip().split(";"))
+    assert next(groups, None) is None
+
+
+def test_site_form_component_does_not_pass_an_operation(tmp_path):
+    """"2x" is a valid site-form component but no operation's: seen first
+    in a site form, it still fails the operation that uses it, at its line."""
+    lines = VENDORED.read_text().splitlines()
+    site = next(i for i, line in enumerate(lines) if line.startswith("WY")
+                and "2x" in line.partition("|")[0].split()[3].split(","))
+    group = next(i for i in range(site, len(lines))
+                 if lines[i].startswith("G "))
+    op = group + 2
+    assert lines[op].startswith("OP ")
+    lines[op] = "OP 2x,y,z"
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CatalogError, match=f"^line {op + 1}: non-crystallo"):
+        symcat.load_catalog(path)
+
+
+def test_each_load_parses_every_distinct_component(monkeypatch):
+    """The component memo lasts one load: a second load in the same process
+    parses each distinct (component, kind) again, once."""
+    calls = []
+    component = triplet._component
+
+    def counting(text, offset, rotation_limit):
+        calls.append((text, rotation_limit))
+        return component(text, offset, rotation_limit)
+
+    monkeypatch.setattr(triplet, "_component", counting)
+    per_load = []
+    for _ in range(2):
+        calls.clear()
+        symcat.load_catalog(VENDORED)
+        assert len(calls) == len(set(calls))
+        per_load.append(set(calls))
+    assert per_load[0] == per_load[1]
+    assert len(per_load[0]) == 67
+    assert triplet._MEMO.get() is None
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x,y,z+1", None), ("x,y,-z+1/2", "group 2: identity operation missing")])
+def test_each_group_needs_the_identity(tmp_path, text, error):
+    """After group 1 the loader finds the parsed identity the groups share
+    by `is`. Group 2 with its identity written another way is still found
+    by value; group 2 without one is refused when group 3 begins."""
+    lines = VENDORED.read_text().splitlines()
+    start, end = (lines.index("G 2 P-1 triclinic"),
+                  lines.index("G 3 P2 monoclinic"))
+    for i in range(start, end):
+        head, bar, gens = lines[i].partition("|")
+        if head == "OP x,y,z":
+            lines[i] = f"OP {text}"
+        elif bar:
+            lines[i] = head + bar + " " + ";".join(
+                text if g == "x,y,z" else g for g in gens.strip().split(";"))
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    if error is None:
+        assert len(symcat.load_catalog(path).group(2).operations) == 2
+    else:
+        with pytest.raises(CatalogError, match=f"^line {end + 1}: {error}"):
+            symcat.load_catalog(path)
 
 
 def test_bad_triplet_names_its_line(tmp_path):

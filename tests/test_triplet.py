@@ -10,6 +10,7 @@ from symadit import symcat
 from symadit.triplet import (
     AffineForm,
     TripletError,
+    component_memo,
     format_triplet,
     parse_triplet,
 )
@@ -68,6 +69,41 @@ def test_rejected_outside_the_grammar():
         assert err.value.position is not None, text
         # a grammar error points inside the offending component
         assert 0 <= err.value.position < len(text), text
+
+
+# (text, validate_rotation, message, position): the first error of the
+# whole form. Grammar errors come in reading order, then the rows of the
+# linear part, then the translations.
+FIRST_ERRORS = [
+    ("x+1/13,y,2z", True,
+     "non-crystallographic coefficient 2 in rotation part", None),
+    ("x+1/13,y,2z", False, "translation 1/13 has denominator > 12", None),
+    ("1/13x,y,z+1/13", False, "coefficient 1/13 has denominator > 12", None),
+    ("2x,y,q", True, "unexpected text 'q' (at position 5)", 5),
+    ("x,2x,y+", False, "unexpected text '+' (at position 6)", 6),
+    (" x, 2y ,1/0", False, "zero denominator (at position 10)", 10),
+]
+
+
+def test_first_error_is_the_same_with_the_component_memo():
+    """Inside a memo that already holds the components of every case, in
+    both kinds, each case raises the same first error as a fresh parse."""
+    def first_error(text, validate):
+        with pytest.raises(TripletError) as err:
+            parse_triplet(text, validate_rotation=validate)
+        return str(err.value), err.value.position
+
+    for text, validate, message, position in FIRST_ERRORS:
+        assert first_error(text, validate) == (message, position), text
+    with component_memo():
+        for text, _, _, _ in FIRST_ERRORS:
+            for validate in (False, True):
+                try:
+                    parse_triplet(text, validate_rotation=validate)
+                except TripletError:
+                    pass
+        for text, validate, message, position in FIRST_ERRORS:
+            assert first_error(text, validate) == (message, position), text
 
 
 def test_nested_parentheses_rejected():
