@@ -346,10 +346,10 @@ def cmd_generate(args) -> int:
     cif_dir.mkdir(parents=True, exist_ok=True)
     cr.write_dataset_jsonl(out_dir / "generated.jsonl", asus,
                            [f"gen-{i:05d}" for i in range(len(asus))])
-    for i, asu in enumerate(asus):
-        full = cr.expand_asu(asu, catalog, counters)
+    for i, orbits in enumerate(cr.expand_orbits(asus, catalog)):
+        counters["degenerate_orbits"] += orbits.degenerate
         (cif_dir / f"gen-{i:05d}.cif").write_text(
-            cifio.write_cif(full, name=f"gen-{i:05d}"))
+            cifio.write_cif(orbits.cell(), name=f"gen-{i:05d}"))
     t3 = time.perf_counter()
     _write_manifest(
         out_dir, "generate",

@@ -301,15 +301,11 @@ def _expand_batch(asus: list[CrystalASU],
             for asu, *rest in zip(asus, points, on_form, degenerate)]
 
 
-def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog,
-               counters: dict | None = None) -> FullCrystal:
+def expand_asu(asu: CrystalASU, catalog: SymmetryCatalog) -> FullCrystal:
     """Expand every orbit to the conventional cell (`Orbits.cell`): the
-    one-structure case of `expand_orbits`. Each collapsed orbit adds 1 to
-    `counters["degenerate_orbits"]` when `counters` is given."""
+    one-structure case of `expand_orbits`, whose `Orbits.degenerate`
+    counts the collapsed orbits."""
     orbits, = expand_orbits([asu], catalog)
-    if counters is not None and orbits.degenerate:
-        counters["degenerate_orbits"] = counters.get(
-            "degenerate_orbits", 0) + orbits.degenerate
     return orbits.cell()
 
 

@@ -13,6 +13,10 @@ Checkpoint layout (little-endian):
 A JSON manifest (same path + ".json") records config, seed and the sha256
 of the checkpoint bytes; a load requires it and refuses bytes that do not
 match it.
+
+Saves and loads stream: each field and each array's buffer is hashed as it
+is written or as it lands in its own array, so neither holds the file's
+bytes a second time, and a load reads the file once.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,6 +37,7 @@ __all__ = ["CheckpointError", "ParameterStore", "adam_step",
            "checkpoint_hash", "config_from", "run_steps"]
 
 _MAGIC = b"CKPT v1\n"
+HASH_CHUNK = 1 << 20   # bytes per read when hashing a whole file
 
 WARMUP = 100   # steps of linear learning-rate warm-up
 # adaptive-moment decay rates and denominator floor
@@ -82,28 +89,30 @@ class ParameterStore:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path, config: dict | None = None, seed: int | None = None) -> str:
+        """Write the checkpoint field by field, each array straight from its
+        buffer, hashing every byte as it is written; then the manifest."""
         path = Path(path)
-        blobs = [_MAGIC, struct.pack("<I", len(self.params))]
-        for name, p in self.params.items():
-            enc = name.encode("utf-8")
-            blobs.append(struct.pack("<H", len(enc)))
-            blobs.append(enc)
-            blobs.append(struct.pack("<B", p.data.ndim))
-            blobs.append(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            blobs.append(p.data.astype("<f8").tobytes())
-        if self.step_count:
-            blobs.append(struct.pack("<B", 1))
-            blobs.append(struct.pack("<Q", self.step_count))
+        sha = hashlib.sha256()
+        with open(path, "wb") as fh:
+            def put(data) -> None:
+                sha.update(data)
+                fh.write(data)
+
+            put(_MAGIC + struct.pack("<I", len(self.params)))
             for name, p in self.params.items():
-                blobs.append(self.moment1.get(
-                    name, np.zeros_like(p.data)).astype("<f8").tobytes())
-                blobs.append(self.moment2.get(
-                    name, np.zeros_like(p.data)).astype("<f8").tobytes())
-        else:
-            blobs.append(struct.pack("<B", 0))
-        payload = b"".join(blobs)
-        path.write_bytes(payload)
-        self.checkpoint_hash = digest = hashlib.sha256(payload).hexdigest()
+                enc = name.encode("utf-8")
+                put(struct.pack(f"<H{len(enc)}sB{p.data.ndim}I", len(enc),
+                                enc, p.data.ndim, *p.data.shape))
+                put(_bytes_of(p.data))
+            if self.step_count:
+                put(struct.pack("<BQ", 1, self.step_count))
+                for name, p in self.params.items():
+                    for moments in (self.moment1, self.moment2):
+                        put(_bytes_of(moments[name] if name in moments
+                                      else np.zeros_like(p.data)))
+            else:
+                put(struct.pack("<B", 0))
+        self.checkpoint_hash = digest = sha.hexdigest()
         manifest = {
             "hash": digest,
             "n_parameters": self.n_parameters(),
@@ -116,50 +125,109 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path) -> tuple["ParameterStore", dict]:
+        """Read the checkpoint in one pass, each array straight into its own
+        buffer, hashing every byte as it lands. A file whose hash does not
+        match its manifest is refused before its contents are judged, so a
+        parse failure first hashes the rest of the file."""
         path = Path(path)
-        raw = path.read_bytes()
-        manifest_path = path.with_suffix(path.suffix + ".json")
-        if not manifest_path.exists():
-            raise CheckpointError(f"{path}: manifest {manifest_path} is missing")
-        manifest = json.loads(manifest_path.read_text())
-        digest = hashlib.sha256(raw).hexdigest()
+        with open(path, "rb") as fh:
+            manifest_path = path.with_suffix(path.suffix + ".json")
+            if not manifest_path.exists():
+                raise CheckpointError(
+                    f"{path}: manifest {manifest_path} is missing")
+            manifest = json.loads(manifest_path.read_text())
+            reader = _HashingReader(fh)
+            store = cls()
+            try:
+                reader.read_into(store)
+                problem = None
+            except _Malformed as exc:
+                problem = exc
+            digest = reader.hexdigest()
         if manifest.get("hash") != digest:
             raise CheckpointError(
                 f"{path}: contents do not match the hash in {manifest_path}")
-        if not raw.startswith(_MAGIC):
-            raise ValueError(f"{path}: not a checkpoint file")
-        off = len(_MAGIC)
-
-        def take(shape) -> np.ndarray:
-            nonlocal off
-            size = int(np.prod(shape))
-            data = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-            off += 8 * size
-            return data.reshape(shape).copy()
-
-        (count,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        store = cls()
+        if problem is not None:
+            raise ValueError(f"{path}: {problem}")
         store.checkpoint_hash = digest
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off:off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, off)
-            off += 4 * ndim
-            store.params[name] = Tensor(take(shape), requires_grad=True)
-        (has_state,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        if has_state:
-            (store.step_count,) = struct.unpack_from("<Q", raw, off)
-            off += 8
-            for name, p in store.params.items():
-                store.moment1[name] = take(p.data.shape)
-                store.moment2[name] = take(p.data.shape)
         return store, manifest
+
+
+def _bytes_of(a: np.ndarray) -> memoryview:
+    """The little-endian float64 bytes of `a`, without a copy when `a` is
+    already a C-contiguous float64 array."""
+    return memoryview(np.ascontiguousarray(a, dtype="<f8").reshape(-1)
+                      .view(np.uint8))
+
+
+class _Malformed(Exception):
+    """Checkpoint bytes that do not parse; `ParameterStore.load` reports
+    them only once the whole file's hash has matched."""
+
+
+class _HashingReader:
+    """One in-order pass over an open checkpoint that feeds every byte it
+    reads to one sha256. It allocates no array larger than the bytes left
+    in the file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.sha = hashlib.sha256()
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        size = struct.calcsize(fmt)
+        raw = self.fh.read(size)
+        self.sha.update(raw)
+        if len(raw) < size:
+            raise _Malformed(f"malformed checkpoint: it ends inside {what}")
+        return struct.unpack(fmt, raw)
+
+    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        nbytes = 8 * math.prod(shape)
+        left = self.size - self.fh.tell()
+        if nbytes > left:
+            raise _Malformed(f"malformed checkpoint: {what} of shape "
+                             f"{shape} needs {nbytes} bytes, {left} are left")
+        out = np.empty(shape, dtype="<f8")
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        got = self.fh.readinto(view)
+        self.sha.update(view[:got])
+        if got < nbytes:
+            raise _Malformed(f"malformed checkpoint: it ends inside {what}")
+        return out
+
+    def read_into(self, store: "ParameterStore") -> None:
+        magic = self.fh.read(len(_MAGIC))
+        self.sha.update(magic)
+        if magic != _MAGIC:
+            raise _Malformed("not a checkpoint file")
+        (count,) = self.unpack("<I", "the parameter count")
+        for i in range(count):
+            (nlen,) = self.unpack("<H", f"the name length of parameter {i}")
+            (enc,) = self.unpack(f"<{nlen}s", f"the name of parameter {i}")
+            try:
+                name = enc.decode("utf-8")
+            except UnicodeDecodeError:
+                raise _Malformed(f"malformed checkpoint: the name of "
+                                 f"parameter {i} is not UTF-8") from None
+            (ndim,) = self.unpack("<B", f"the rank of {name!r}")
+            shape = self.unpack(f"<{ndim}I", f"the shape of {name!r}")
+            store.params[name] = Tensor(self.array(shape, repr(name)),
+                                        requires_grad=True)
+        (has_state,) = self.unpack("<B", "the optimizer-state flag")
+        if has_state:
+            (store.step_count,) = self.unpack("<Q", "the step count")
+            for name, p in store.params.items():
+                store.moment1[name] = self.array(
+                    p.data.shape, f"the first moment of {name!r}")
+                store.moment2[name] = self.array(
+                    p.data.shape, f"the second moment of {name!r}")
+
+    def hexdigest(self) -> str:
+        """The digest of the whole file, once the unread rest is hashed."""
+        _hash_rest(self.fh, self.sha)
+        return self.sha.hexdigest()
 
 
 def config_from(config_cls, config: dict, path):
@@ -215,4 +283,15 @@ def run_steps(store: ParameterStore, budget: int, step_fn, log_every: int,
 
 
 def checkpoint_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read HASH_CHUNK bytes at a time."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        _hash_rest(fh, sha)
+    return sha.hexdigest()
+
+
+def _hash_rest(fh, sha) -> None:
+    """Feed what is left of `fh` to `sha`, HASH_CHUNK bytes at a time."""
+    buf = memoryview(bytearray(HASH_CHUNK))
+    while n := fh.readinto(buf):
+        sha.update(buf[:n])

@@ -80,7 +80,7 @@ class DegenerateOrbitWarning(UserWarning):
     """Free parameters landed on a higher-symmetry point; orbit collapsed.
 
     Nothing in the package issues it: `orbit_expand` returns a collapsed
-    orbit as data and `crystal.expand_asu` counts it. The name stays only
+    orbit as data and `crystal.expand_orbits` counts it. The name stays only
     for callers outside the package that still filter it.
     """
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import time
@@ -9,7 +10,7 @@ import pytest
 from conftest import random_asu
 from symadit import cif as cifio
 from symadit import crystal as cr
-from symadit import symcat
+from symadit import cli, symcat
 from symadit.cli import build_parser, main
 from symadit.flowmatch import Denoiser, DenoiserConfig
 
@@ -379,10 +380,9 @@ def test_full_pipeline_desk_scale(catalog, dataset, tmp_path, capsys):
     counters = manifest["counters"]
     assert set(counters) == {"lattice_clamps", "closing_cell_pulls",
                              "degenerate_orbits"}
-    recount = {}
-    for asu in produced:
-        cr.expand_asu(asu, catalog, recount)
-    assert counters["degenerate_orbits"] == recount.get("degenerate_orbits", 0)
+    assert counters["degenerate_orbits"] == sum(
+        orbits.degenerate for asu in produced
+        for orbits in cr.expand_orbits([asu], catalog))
 
     rc = main(["evaluate", "--gen", str(gen_path),
                "--train", str(train_path),
@@ -555,6 +555,63 @@ def test_missing_sidecar_is_a_validation_failure(dataset, trained_pair,
     assert _generate(work) == 2
     assert _train_fm(dataset, work) == 2
     assert "ae.ckpt.json is missing" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_with_a_matching_sidecar_is_a_validation_failure(
+        trained_pair, tmp_path, capsys):
+    work = _copy_pair(trained_pair, tmp_path)
+    ckpt, sidecar = work / "ae" / "ae.ckpt", work / "ae" / "ae.ckpt.json"
+    payload = b"CKPT v1\n\x05"   # the parameter count is cut short
+    ckpt.write_bytes(payload)
+    manifest = json.loads(sidecar.read_text())
+    manifest["hash"] = hashlib.sha256(payload).hexdigest()
+    sidecar.write_text(json.dumps(manifest))
+    assert _generate(work) == 2
+    assert (f"validation failure: {ckpt}: malformed checkpoint"
+            in capsys.readouterr().err)
+    assert not (work / "gen").exists()
+
+
+def test_generate_writes_what_per_crystal_expansion_writes(
+        catalog, trained_pair, tmp_path, monkeypatch, nacl):
+    """The CIF files, generated.jsonl and manifest counters of `generate`,
+    which expands one Wyckoff position at a time over all its crystals,
+    are byte-identical to expanding each crystal alone. Two collapsed
+    orbits and random crystals join the sampled ones."""
+    rng = np.random.default_rng(3)
+    extra = [random_asu(catalog, g, rng) for g in (1, 14, 166, 225, 229)]
+    extra.append(cr.CrystalASU(spacegroup=225, lattice=nacl.lattice, sites=[
+        *nacl.sites,
+        cr.Site(element=8, wyckoff="e", frac=np.zeros(3)),        # 4a
+        cr.Site(element=9, wyckoff="e", frac=np.array([0.5, 0, 0]))]))
+    seen = {}
+
+    def sample_and_extend(priors, cfg, denoiser, model, count, counters):
+        asus, stats = cli_sample(priors, cfg, denoiser, model, count, counters)
+        seen.update(asus=asus + extra, counters=dict(counters))
+        return asus + extra, stats
+
+    cli_sample = cli.sample
+    monkeypatch.setattr(cli, "sample", sample_and_extend)
+    work = _copy_pair(trained_pair, tmp_path)
+    assert main(["generate", "--fm", str(work / "fm" / "fm.ckpt"),
+                 "--ae", str(work / "ae" / "ae.ckpt"), "--out",
+                 str(work / "gen"), "--count", "3", "--steps", "2"]) == 0
+
+    counters = seen["counters"]
+    names = [f"gen-{i:05d}" for i in range(len(seen["asus"]))]
+    for name, asu in zip(names, seen["asus"]):
+        orbits, = cr.expand_orbits([asu], catalog)
+        counters["degenerate_orbits"] += orbits.degenerate
+        cif = cifio.write_cif(orbits.cell(), name=name)
+        assert (work / "gen" / "cif" / f"{name}.cif").read_text() == cif
+    assert len(list((work / "gen" / "cif").iterdir())) == len(names)
+    cr.write_dataset_jsonl(work / "per_crystal.jsonl", seen["asus"], names)
+    assert (work / "gen" / "generated.jsonl").read_bytes() == \
+        (work / "per_crystal.jsonl").read_bytes()
+    assert counters["degenerate_orbits"] == 2
+    assert json.loads((work / "gen" / "manifest.json").read_text())[
+        "counters"] == counters
 
 
 def test_generate_refuses_tampered_denoiser(trained_pair, tmp_path):

@@ -170,16 +170,13 @@ def collapsed_rock_salt(nacl):
         Site(element=6, wyckoff="e", frac=[0.2, 0, 0])])
 
 
-def test_expand_asu_counts_each_collapsed_orbit(catalog, nacl):
+def test_expand_orbits_counts_each_collapsed_orbit(catalog, nacl):
     collapsed = collapsed_rock_salt(nacl)
-    counters = {"degenerate_orbits": 3}
-    full = expand_asu(collapsed, catalog, counters)
-    assert counters == {"degenerate_orbits": 5}
+    orbits, plain = cr.expand_orbits([collapsed, nacl], catalog)
+    assert orbits.degenerate == 2 and plain.degenerate == 0
+    full = expand_asu(collapsed, catalog)
     assert full.n_atoms == 4 + 4 + 4 + 4 + 24
-    assert np.array_equal(expand_asu(collapsed, catalog).frac, full.frac)
-    counters = {}
-    expand_asu(nacl, catalog, counters)
-    assert counters == {}
+    assert np.array_equal(orbits.cell().frac, full.frac)
 
 
 def multiplicity_key(asu, catalog):
@@ -220,12 +217,12 @@ def test_asu_match_key_is_the_expanded_key_in_every_group(catalog):
             asus.append(asu)
     collapsed = 0
     for asu, orbits in zip(asus, cr.expand_orbits(asus, catalog)):
-        counters = {}
-        key = expand_asu(asu, catalog, counters).match_key
+        alone, = cr.expand_orbits([asu], catalog)
+        key = alone.cell().match_key
         assert orbits.match_key == key, asu.spacegroup
         assert (multiplicity_key(asu, catalog) == key) == \
-            ("degenerate_orbits" not in counters)
-        collapsed += "degenerate_orbits" in counters
+            (alone.degenerate == 0)
+        collapsed += alone.degenerate > 0
     assert collapsed > 100
 
 
@@ -565,8 +562,8 @@ def test_validity_from_representatives_matches_all_pairs_in_every_group(
         cells = symmetric_cells(catalog, group, rng, 6)
         for ell, grid in zip(cells, (0, 0, 2, 3, 4, 6)):
             asu = symmetric_asu(catalog, group, rng, ell, grid)
-            counters = {}
-            full = expand_asu(asu, catalog, counters)
+            orbits, = cr.expand_orbits([asu], catalog)
+            full = orbits.cell()
             assert full.orbit_starts is not None
             assert len(full.orbit_starts) == len(asu.sites)
             got, want = min_pairwise_distance(full), all_pairs_distance(full)
@@ -574,7 +571,7 @@ def test_validity_from_representatives_matches_all_pairs_in_every_group(
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), group
             assert (got >= cr.MIN_DISTANCE) == (want >= cr.MIN_DISTANCE)
             checked += 1
-            collapsed += "degenerate_orbits" in counters
+            collapsed += orbits.degenerate > 0
     assert checked == 1380
     assert collapsed > 100
 

@@ -707,7 +707,11 @@ def eager_evaluate_pipeline(gen, train, catalog, params=MatchParams(),
     for name in ("degenerate_orbits", "off_form_structures",
                  "invalid_volume", "invalid_distance"):
         tally.setdefault(name, 0)
-    expanded = [cr.expand_asu(a, catalog, tally) for a in gen]
+    expanded = []
+    for a in gen:
+        orbits, = cr.expand_orbits([a], catalog)
+        tally["degenerate_orbits"] += orbits.degenerate
+        expanded.append(orbits.cell())
     tally["off_form_structures"] += sum(s.orbit_starts is None
                                         for s in expanded)
     valid_mask = [cr.structural_validity(s) for s in expanded]

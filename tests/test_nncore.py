@@ -1,3 +1,9 @@
+import hashlib
+import json
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,7 @@ from symadit.nncore import (
     add_attention_block,
     attention_block,
     block_modulations,
+    checkpoint_hash,
     cross_entropy,
     embedding,
     layer_norm,
@@ -23,7 +30,7 @@ from symadit.nncore import (
 )
 from symadit.nncore import layers
 from symadit.nncore.layers import NEG_INF, token_sum
-from symadit.nncore.params import WARMUP
+from symadit.nncore.params import HASH_CHUNK, WARMUP
 
 
 def numeric_grad(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -454,6 +461,167 @@ def test_checkpoint_load_requires_matching_sidecar(tmp_path):
         ParameterStore.load(path)
     with pytest.raises(FileNotFoundError):
         ParameterStore.load(tmp_path / "absent.ckpt")
+
+
+def _f64(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _with_sidecar(path, payload: bytes, digest: str | None = None):
+    """Write `payload` and a sidecar recording its hash (or `digest`)."""
+    path.write_bytes(payload)
+    path.with_suffix(path.suffix + ".json").write_text(json.dumps(
+        {"hash": digest or hashlib.sha256(payload).hexdigest(),
+         "config": {}, "seed": None}))
+    return path
+
+
+# A checkpoint built by hand from the documented layout: "w" of shape (2, 1)
+# and the scalar "é" (a two-byte UTF-8 name), after 3 optimizer steps.
+_HAND_BUILT = (b"CKPT v1\n" + struct.pack("<I", 2)
+               + struct.pack("<H1sB2I", 1, b"w", 2, 2, 1) + _f64(1.5, -2.0)
+               + struct.pack("<H2sB", 2, "é".encode(), 0) + _f64(0.25)
+               + struct.pack("<BQ", 1, 3)
+               + _f64(0.1, 0.2) + _f64(0.3, 0.4)      # moments of "w"
+               + _f64(0.5) + _f64(0.6))               # moments of "é"
+# the same parameters without optimizer state: flag 0 ends the file
+_NO_STATE = _HAND_BUILT[:-(9 + 8 * 6)] + b"\x00"
+
+
+def test_save_writes_the_documented_bytes(tmp_path):
+    store = ParameterStore()
+    store.params["w"] = Tensor(np.array([[1.5], [-2.0]]), requires_grad=True)
+    store.params["é"] = Tensor(np.array(0.25), requires_grad=True)
+    path = tmp_path / "model.ckpt"
+    assert store.save(path) == hashlib.sha256(_NO_STATE).hexdigest()
+    assert path.read_bytes() == _NO_STATE
+    store.step_count = 3
+    store.moment1 = {"w": np.array([[0.1], [0.2]]), "é": np.array(0.5)}
+    store.moment2 = {"w": np.array([[0.3], [0.4]]), "é": np.array(0.6)}
+    digest = store.save(path)
+    assert path.read_bytes() == _HAND_BUILT
+    assert digest == store.checkpoint_hash == hashlib.sha256(
+        _HAND_BUILT).hexdigest()
+    assert json.loads(path.with_suffix(".ckpt.json").read_text())[
+        "hash"] == digest
+
+
+def test_load_reads_the_documented_bytes(tmp_path):
+    path = _with_sidecar(tmp_path / "model.ckpt", _HAND_BUILT)
+    store, _ = ParameterStore.load(path)
+    assert store.checkpoint_hash == hashlib.sha256(_HAND_BUILT).hexdigest()
+    assert list(store.params) == ["w", "é"] and store.step_count == 3
+    assert store["w"].data.tobytes() == _f64(1.5, -2.0)
+    assert store["é"].data.shape == () and store["é"].data == 0.25
+    assert store.moment1["w"].tobytes() == _f64(0.1, 0.2)
+    assert store.moment2["é"].tobytes() == _f64(0.6)
+    for array in (store["w"].data, store.moment1["w"], store.moment2["w"]):
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+        assert array.flags.owndata and array.flags.writeable
+
+
+_ONE_PARAM = b"CKPT v1\n" + struct.pack("<I", 1)
+_MALFORMED = {
+    "truncated count": b"CKPT v1\n\x05",
+    "truncated array": (_ONE_PARAM + struct.pack("<H1sB1I", 1, b"w", 1, 4)
+                        + _f64(1.0, 2.0)),
+    "non-UTF-8 name": (_ONE_PARAM
+                       + struct.pack("<H2sB1I", 2, b"\xff\xfe", 1, 1)
+                       + _f64(1.0) + b"\x00" + bytes(4096)),
+    "oversized shape": (_ONE_PARAM
+                        + struct.pack("<H1sB2I", 1, b"w", 2, 1024, 8192)
+                        + bytes(4096)),
+    "truncated step count": _HAND_BUILT[:-(8 * 6 + 4)],
+    "truncated moment": _HAND_BUILT[:-4],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_checkpoint_is_a_value_error_naming_the_file(tmp_path,
+                                                               case):
+    """Each raises once the whole file has hashed to its sidecar's hash, so
+    the bytes after the fault are read too; the oversized shape (64 MiB in a
+    4 kB file) allocates nothing on the way."""
+    path = _with_sidecar(tmp_path / "model.ckpt", _MALFORMED[case])
+
+    def load():
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            ParameterStore.load(path)
+        return info
+
+    info, peak = _traced_peak(load)
+    assert not isinstance(info.value, CheckpointError)
+    assert "malformed checkpoint" in str(info.value)
+    assert peak < HASH_CHUNK + 2**20
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_checkpoint_with_a_wrong_hash_is_a_hash_mismatch(tmp_path,
+                                                                   case):
+    path = _with_sidecar(tmp_path / "model.ckpt", _MALFORMED[case],
+                         digest=hashlib.sha256(b"other").hexdigest())
+    with pytest.raises(CheckpointError, match="do not match"):
+        ParameterStore.load(path)
+
+
+def _few_mb_store() -> ParameterStore:
+    store = ParameterStore(seed=5)
+    for name, shape in (("a", (400, 500)), ("b", (300,)), ("c", (200, 400))):
+        store.add(name, shape)
+    for p in store.params.values():
+        p.grad = np.ones_like(p.data)
+    adam_step(store)
+    return store
+
+
+def _traced_peak(fn):
+    """(result, bytes allocated at the peak of `fn()` above the start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_no_second_copy_of_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _few_mb_store().save(path)
+    (store, _), peak = _traced_peak(lambda: ParameterStore.load(path))
+    resident = sum(a.nbytes for part in ([p.data for p in
+                                          store.params.values()],
+                                         store.moment1.values(),
+                                         store.moment2.values())
+                   for a in part)
+    assert path.stat().st_size > resident > 6e6
+    assert peak <= resident + 2**21
+
+
+def test_save_holds_no_copy_of_the_file(tmp_path):
+    store = _few_mb_store()
+    _, peak = _traced_peak(lambda: store.save(tmp_path / "model.ckpt"))
+    largest = max(p.data.nbytes for p in store.params.values())
+    assert (tmp_path / "model.ckpt").stat().st_size > 3 * largest
+    assert peak <= largest + 2**21
+
+
+def test_checkpoint_hash_reads_in_chunks(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _few_mb_store().save(path)
+    digest, peak = _traced_peak(lambda: checkpoint_hash(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert path.stat().st_size > 6e6 and peak <= 2**21
+
+
+@pytest.mark.parametrize("size", [0, 1, HASH_CHUNK - 1, HASH_CHUNK,
+                                  HASH_CHUNK + 1, 3 * HASH_CHUNK + 7])
+def test_checkpoint_hash_at_chunk_boundaries(tmp_path, size):
+    assert HASH_CHUNK == 2**20
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert checkpoint_hash(path) == hashlib.sha256(
+        path.read_bytes()).hexdigest()
 
 
 def test_run_steps_logs_every_nth_and_last_step_and_resumes():

@@ -114,7 +114,7 @@ WARNING_CALLS = {"catch_warnings", "simplefilter", "filterwarnings", "warn",
 
 
 def test_no_module_issues_or_filters_warnings():
-    """A collapsed orbit is data that `expand_asu` counts; no module issues
+    """A collapsed orbit is data that `expand_orbits` counts; no module issues
     a warning or installs a process-global filter around one."""
     found = []
     for path in _modules():
