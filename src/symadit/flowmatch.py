@@ -7,6 +7,13 @@ on the space group, empirical priors over (group, orbit count), and a
 deterministic Euler sampler. The conditioning depends on (t, label) only:
 `Denoiser.condition` computes it apart from the latent trunk, once per
 training step and once per sampled trajectory.
+
+Training runs the trunk on the tape (`Denoiser.forward`). Sampling runs it
+as `FrozenTrunk`, one array-level pass per Euler step with no tape, bitwise
+the tape's forward: the same block function, each block's q/k/v products
+as one, and batch rows folded into one GEMM where that keeps the bits. It
+packs the weights once per trajectory, never caching them on the Denoiser,
+whose weights training updates in place.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from .nncore import (
 )
 # perfbench/layers.py traces these names here
 from .nncore import adaln, mhsa  # noqa: F401
-from .nncore.layers import Modulation
+from .nncore.layers import (Modulation, _layer_norm_fwd, _linear_fwd,
+                            _padding, block_forward)
 from .nncore.params import config_from
 from .symcat import N_GROUPS
 
@@ -43,6 +51,7 @@ __all__ = [
     "Denoiser",
     "DenoiserConfig",
     "EmpiricalPriors",
+    "FrozenTrunk",
     "SamplerConfig",
     "fit_priors",
     "interpolate",
@@ -60,6 +69,13 @@ CONDITION_BLOCK_BYTES = 8 * 2**20
 # Per row, every block's ln1/ln2 modulations: a list over blocks of pairs of
 # (gain, shift), each (R, 1, d_model).
 Conditioning = list[tuple[Modulation, Modulation]]
+
+# Inner dimensions up to which OpenBLAS (0.3.31, Haswell kernels) gives a
+# product's rows the same bits whatever its row and column counts. Past
+# it, a folded (B*N, K) GEMM or a packed [wq | wk | wv] product rounds
+# differently from the batched products of `Denoiser.forward` at some
+# shapes (K = 512 at d_model 512, for one).
+SAME_BITS_MAX_K = 256
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +309,10 @@ class Denoiser:
             return out
         return out * Tensor(mask[:, :, None].astype(np.float64))
 
+    def freeze(self) -> "FrozenTrunk":
+        """The latent trunk as it stands, packed for sampling."""
+        return FrozenTrunk(self)
+
     def save(self, path, seed: int | None = None) -> str:
         cfg = asdict(self.config)
         cfg["ae_checkpoint_hash"] = self.ae_checkpoint_hash
@@ -314,6 +334,67 @@ class Denoiser:
                                   "stage-1 checkpoint; refusing")
         if self.config.d_latent != autoencoder.config.d_latent:
             raise CheckpointError("latent dimension mismatch between stages")
+
+
+def _folded_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (B, N, K) @ w, bitwise. At N >= 2 and K <= SAME_BITS_MAX_K it runs
+    as one (B*N, K) GEMM, which streams w once instead of once per row of
+    B. At N = 1 numpy runs each row as a matrix-vector product, whose bits
+    a GEMM does not reproduce, so the batched product stays."""
+    b, n, k = x.shape
+    if n < 2 or k > SAME_BITS_MAX_K:
+        return x @ w
+    return (x.reshape(b * n, k) @ w).reshape(b, n, w.shape[-1])
+
+
+class FrozenTrunk:
+    """`Denoiser.forward` under no_grad as one array-level pass: no tape
+    and no Tensor, bitwise the same prediction.
+
+    It reads the weights when it is built, and packs each block's
+    [wq | wk | wv] into one (d_model, 3 d_model) matrix up to
+    SAME_BITS_MAX_K. Products fold their batch rows into one GEMM where
+    that keeps the bits (`_folded_matmul`)."""
+
+    def __init__(self, denoiser: Denoiser):
+        st, cfg = denoiser.store, denoiser.config
+        self.n_heads = cfg.n_heads
+        self.blocks = []
+        for i in range(cfg.n_layers):
+            w = {name: st[f"block{i}.{name}"].data for name in (
+                "wq", "wk", "wv", "wo", "ff1.w", "ff1.b", "ff2.w", "ff2.b")}
+            wqkv = (w["wq"], w["wk"], w["wv"])
+            if cfg.d_model <= SAME_BITS_MAX_K:
+                wqkv = (np.concatenate(wqkv, axis=1),)
+            self.blocks.append((wqkv, w["wo"], w["ff1.w"], w["ff1.b"],
+                                w["ff2.w"], w["ff2.b"]))
+        self.w_in, self.b_in = st["in.w"].data, st["in.b"].data
+        self.gamma_out = st["out.g"].data + 1.0
+        self.beta_out = st["out.b"].data
+        self.w_out, self.b_out = st["out.w"].data, st["out.bias"].data
+
+    def __call__(self, z_t: np.ndarray, self_cond: np.ndarray,
+                 cond: Conditioning, rows: slice,
+                 mask: np.ndarray) -> np.ndarray:
+        """The prediction for z_t (B, N, d) given self_cond (B, N, d), under
+        rows `rows` of `condition`'s output; mask (B, N)."""
+        n_cond = cond[0][0][0].data[rows].shape[0]   # block 0, ln1, gain
+        if n_cond != z_t.shape[0]:
+            raise ValueError(f"conditioning for {n_cond} rows, latents for "
+                             f"{z_t.shape[0]}")
+        padded = not mask.all()
+        key_bias = row_mask = None
+        if padded:
+            key_bias, row_mask = _padding(mask)
+        h = _linear_fwd(np.concatenate([z_t, self_cond], axis=-1), self.w_in,
+                        self.b_in, _folded_matmul)
+        for weights, block in zip(self.blocks, cond):
+            norms = [m.data[rows] for mod in block for m in mod]
+            h, _ = block_forward(h, norms, weights, self.n_heads, key_bias,
+                                 row_mask, _folded_matmul)
+        h, _ = _layer_norm_fwd(h, self.gamma_out, self.beta_out)
+        out = _linear_fwd(h, self.w_out, self.b_out, _folded_matmul)
+        return out * row_mask if padded else out
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +518,15 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
     t runs over {0, dt, ..., 1 - dt}; the last step lands exactly on the
     prediction, so the 1/(1 - t) singularity at t = 1 is never evaluated.
     Self-conditioning feeds the previous combined prediction. Under
-    guidance each step makes one forward over 2B rows: the conditional
+    guidance each step makes one trunk pass over 2B rows: the conditional
     rows, then the unconditional rows.
 
     The conditioning depends only on the step's time and the labels, so it
     is computed once per trajectory, in blocks of steps whose modulations
-    fit CONDITION_BLOCK_BYTES; each step's forward runs the latent trunk
-    on its slice of the table.
+    fit CONDITION_BLOCK_BYTES. Each step runs the latent trunk on its rows
+    of the table as one array-level pass (`Denoiser.freeze`), bitwise
+    `Denoiser.forward` under no_grad. The trunk's weights are packed once
+    per call, never cached across calls: training updates them in place.
     """
     t_steps = cfg.steps
     dt = 1.0 / t_steps
@@ -458,6 +541,7 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
     # per row and block, a (gain, shift) pair of d_model floats for each norm
     step_bytes = r * denoiser.config.n_layers * 4 * denoiser.config.d_model * 8
     per_block = max(1, CONDITION_BLOCK_BYTES // step_bytes)
+    trunk = denoiser.freeze()
     prev = np.zeros_like(z)
     for k in range(t_steps):
         if k % per_block == 0:
@@ -469,22 +553,12 @@ def euler_trajectory(denoiser: Denoiser, z: np.ndarray, group: int,
         t = k * dt
         z_in, prev_in = ((np.concatenate([z, z]), np.concatenate([prev, prev]))
                          if guided else (z, prev))
-        with no_grad():
-            pred = denoiser.forward(Tensor(z_in), _rows(table, row, row + r),
-                                    mask, Tensor(prev_in)).data
+        pred = trunk(z_in, prev_in, table, slice(row, row + r), mask)
         combined = ((1.0 - cfg.cfg_scale) * pred[b:] + cfg.cfg_scale * pred[:b]
                     if guided else pred)
         z = z + dt * (combined - z) / (1.0 - t)
         prev = combined
     return z
-
-
-def _rows(cond: Conditioning, start: int, stop: int) -> Conditioning:
-    """Rows start:stop of a conditioning table, off the tape."""
-    return [tuple((Tensor._make(gain.data[start:stop], (), None),
-                   Tensor._make(shift.data[start:stop], (), None))
-                  for gain, shift in block)
-            for block in cond]
 
 
 def sample(

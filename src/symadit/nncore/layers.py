@@ -10,12 +10,13 @@ replays, in the same order, the numpy operations the equivalent chain of
 elementary Tensor ops would run, so values and gradients are bitwise those
 of that chain.
 
-The transformer block is one tape node as well. Its forward runs the
-layers' forward helpers straight through; its backward rebuilds the chain
-of layer nodes around the saved results (`_node`) and runs their backward
-helpers in the order the tape would (`_replay`), so values and gradients
-are bitwise those of the chain of layer nodes, and no formula exists
-twice.
+The transformer block is one tape node as well. Its forward,
+`block_forward`, runs the layers' forward helpers straight through on
+arrays; the sampler's tape-free pass (`flowmatch.FrozenTrunk`) runs the
+same function. Its backward rebuilds the chain of layer nodes around the
+saved results (`_node`) and runs their backward helpers in the order the
+tape would (`_replay`), so values and gradients are bitwise those of the
+chain of layer nodes, and no formula exists twice.
 
 Sums over tokens (attention's value sum, the softmax denominator,
 `token_sum`) add their addends in value order, bitwise
@@ -42,6 +43,7 @@ __all__ = [
     "adaln_modulation",
     "add_attention_block",
     "attention_block",
+    "block_forward",
     "block_modulations",
     "cross_entropy",
     "embedding",
@@ -127,9 +129,9 @@ def embedding(table: Tensor, indices) -> Tensor:
     return table[idx]
 
 
-def _linear_fwd(x: np.ndarray, w: np.ndarray,
-                b: np.ndarray | None) -> np.ndarray:
-    out = x @ w
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                matmul) -> np.ndarray:
+    out = matmul(x, w)
     return out if b is None else out + b
 
 
@@ -142,7 +144,7 @@ def _linear_bwd(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     _check_matmul(x, weight, "linear")
     return Tensor._make(
-        _linear_fwd(x.data, weight.data, _data(bias)),
+        _linear_fwd(x.data, weight.data, _data(bias), np.matmul),
         (x, weight) if bias is None else (x, weight, bias),
         lambda g: _linear_bwd(x, weight, bias, g))
 
@@ -294,10 +296,10 @@ def _attend(attn: Tensor, v: Tensor) -> Tensor:
                         lambda g: _attend_bwd(attn, v, g))
 
 
-def _split_heads_fwd(x: np.ndarray, w: np.ndarray, n_heads: int) -> np.ndarray:
-    b, n, _ = x.shape
-    d = w.shape[-1]
-    return (x @ w).reshape(b, n, n_heads, d // n_heads).swapaxes(1, 2)
+def _heads(p: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, N, D) split into heads: (B, H, N, D / H)."""
+    b, n, d = p.shape
+    return p.reshape(b, n, n_heads, d // n_heads).swapaxes(1, 2)
 
 
 def _split_heads_bwd(x: Tensor, w: Tensor, g: np.ndarray) -> None:
@@ -308,7 +310,7 @@ def _split_heads_bwd(x: Tensor, w: Tensor, g: np.ndarray) -> None:
 def _split_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     """x (B, N, D) @ w, split into heads: (B, H, N, D / H)."""
     _check_matmul(x, w, "mhsa")
-    return Tensor._make(_split_heads_fwd(x.data, w.data, n_heads), (x, w),
+    return Tensor._make(_heads(x.data @ w.data, n_heads), (x, w),
                         lambda g: _split_heads_bwd(x, w, g))
 
 
@@ -335,11 +337,11 @@ def _scores(q: Tensor, k: Tensor, key_bias: np.ndarray | None) -> Tensor:
                         lambda g: _scores_bwd(q, k, g))
 
 
-def _merge_heads_fwd(heads: np.ndarray, wo: np.ndarray):
+def _merge_heads_fwd(heads: np.ndarray, wo: np.ndarray, matmul):
     """The output, and the joined heads its backward reads."""
     b, h, n, hd = heads.shape
     flat = heads.swapaxes(1, 2).reshape(b, n, h * hd)
-    return flat @ wo, flat
+    return matmul(flat, wo), flat
 
 
 def _merge_heads_bwd(heads: Tensor, wo: Tensor, flat: np.ndarray,
@@ -355,7 +357,7 @@ def _merge_heads_bwd(heads: Tensor, wo: Tensor, flat: np.ndarray,
 
 def _merge_heads(heads: Tensor, wo: Tensor) -> Tensor:
     """Heads (B, H, N, hd) joined back to (B, N, H * hd), then @ wo."""
-    out, flat = _merge_heads_fwd(heads.data, wo.data)
+    out, flat = _merge_heads_fwd(heads.data, wo.data, np.matmul)
     return Tensor._make(out, (heads, wo),
                         lambda g: _merge_heads_bwd(heads, wo, flat, g))
 
@@ -454,6 +456,42 @@ def _replay(nodes: list[Tensor], g: np.ndarray) -> None:
             t._backward(t.grad)
 
 
+def block_forward(x: np.ndarray, norms, weights, n_heads: int,
+                  key_bias: np.ndarray | None, rows: np.ndarray | None,
+                  matmul):
+    """The pre-norm block on arrays: x + mhsa(norm1(x)), then
+    h + silu_mlp(norm2(h)), then the row mask.
+
+    norms holds (gamma1, shift1, gamma2, shift2); weights holds (wqkv, wo,
+    ff1.w, ff1.b, ff2.w, ff2.b), where wqkv is (wq, wk, wv) or the one
+    packed (D, 3D) matrix [wq | wk | wv]. key_bias and rows are
+    `_padding`'s, or None. Every product of activations and a weight runs
+    as matmul(x, w). Returns the output and the intermediates that
+    `attention_block`'s backward reads.
+    """
+    gamma1, shift1, gamma2, shift2 = norms
+    wqkv, wo, w1, b1, w2, b2 = weights
+    d = x.shape[-1]
+    n1, saved1 = _layer_norm_fwd(x, gamma1, shift1)
+    q, k, v = [_heads(p[..., i:i + d], n_heads)
+               for p in (matmul(n1, w) for w in wqkv)
+               for i in range(0, p.shape[-1], d)]
+    scores = _scores_fwd(q, k, key_bias)
+    attn, saved_attn = _token_softmax_fwd(scores)
+    att = _attend_fwd(attn, v)
+    m, flat = _merge_heads_fwd(att, wo, matmul)
+    m_masked = m if rows is None else m * rows
+    h = x + m_masked
+    n2, saved2 = _layer_norm_fwd(h, gamma2, shift2)
+    f1 = _linear_fwd(n2, w1, b1, matmul)
+    s, sig = silu_forward(f1)
+    f2 = _linear_fwd(s, w2, b2, matmul)
+    h2 = h + f2
+    out = h2 if rows is None else h2 * rows
+    return out, (n1, saved1, q, k, v, scores, attn, saved_attn, att, m, flat,
+                 m_masked, h, n2, saved2, f1, s, sig, f2, h2)
+
+
 def attention_block(
     x: Tensor,
     params: Mapping[str, Tensor],
@@ -471,10 +509,11 @@ def attention_block(
     token is no mask: multiplying by 1 and adding a 0 bias change no bit.
 
     The block is one tape node: x + mhsa(norm1(x)), then
-    h + silu_mlp(norm2(h)), then the mask, computed by the same forward
-    helpers as those layers' nodes. Its backward rebuilds that chain of
-    nodes around the saved results and replays their backward helpers in
-    the tape's order, so values and gradients are bitwise the chain's.
+    h + silu_mlp(norm2(h)), then the mask, computed by `block_forward`
+    from the same forward helpers as those layers' nodes. Its backward
+    rebuilds that chain of nodes around the saved results and replays
+    their backward helpers in the tape's order, so values and gradients
+    are bitwise the chain's.
     """
     if pad_mask is not None and np.all(pad_mask):
         pad_mask = None
@@ -490,27 +529,17 @@ def attention_block(
         gamma1, gamma2 = gain1.data, gain2.data
     _check_heads(x.data.shape[-1], n_heads)
     _check_matmul(x, wq, "attention_block")
-    key_bias = mask = None
+    key_bias = mask = rows = None
     if pad_mask is not None:
         key_bias, rows = _padding(pad_mask)
         mask = Tensor(rows)
 
-    n1, saved1 = _layer_norm_fwd(x.data, gamma1, shift1.data)
-    q = _split_heads_fwd(n1, wq.data, n_heads)
-    k = _split_heads_fwd(n1, wk.data, n_heads)
-    v = _split_heads_fwd(n1, wv.data, n_heads)
-    scores = _scores_fwd(q, k, key_bias)
-    attn, saved_attn = _token_softmax_fwd(scores)
-    att = _attend_fwd(attn, v)
-    m, flat = _merge_heads_fwd(att, wo.data)
-    m_masked = m if mask is None else m * mask.data
-    h = x.data + m_masked
-    n2, saved2 = _layer_norm_fwd(h, gamma2, shift2.data)
-    f1 = _linear_fwd(n2, w1.data, b1.data)
-    s, sig = silu_forward(f1)
-    f2 = _linear_fwd(s, w2.data, b2.data)
-    h2 = h + f2
-    out = h2 if mask is None else h2 * mask.data
+    weights = ((wq.data, wk.data, wv.data), wo.data, w1.data, b1.data,
+               w2.data, b2.data)
+    out, (n1, saved1, q, k, v, scores, attn, saved_attn, att, m, flat,
+          m_masked, h, n2, saved2, f1, s, sig, f2, h2) = block_forward(
+        x.data, (gamma1, shift1.data, gamma2, shift2.data), weights,
+        n_heads, key_bias, rows, np.matmul)
 
     def backward(g):
         nodes = []

@@ -12,7 +12,9 @@ Checkpoint layout (little-endian):
 
 A JSON manifest (same path + ".json") records config, seed and the sha256
 of the checkpoint bytes; a load requires it and refuses bytes that do not
-match it.
+match it. Bytes that match it but do not follow the layout (a truncated
+field, a name given twice, a state flag other than 0 or 1, bytes after
+the last field) are refused next, as malformed.
 
 Saves and loads stream: each field and each array's buffer is hashed as it
 is written or as it lands in its own array, so neither holds the file's
@@ -211,11 +213,17 @@ class _HashingReader:
             except UnicodeDecodeError:
                 raise _Malformed(f"malformed checkpoint: the name of "
                                  f"parameter {i} is not UTF-8") from None
+            if name in store.params:
+                raise _Malformed(f"malformed checkpoint: parameter {i} "
+                                 f"repeats the name {name!r}")
             (ndim,) = self.unpack("<B", f"the rank of {name!r}")
             shape = self.unpack(f"<{ndim}I", f"the shape of {name!r}")
             store.params[name] = Tensor(self.array(shape, repr(name)),
                                         requires_grad=True)
         (has_state,) = self.unpack("<B", "the optimizer-state flag")
+        if has_state not in (0, 1):
+            raise _Malformed(f"malformed checkpoint: the optimizer-state "
+                             f"flag is {has_state}, not 0 or 1")
         if has_state:
             (store.step_count,) = self.unpack("<Q", "the step count")
             for name, p in store.params.items():
@@ -223,6 +231,10 @@ class _HashingReader:
                     p.data.shape, f"the first moment of {name!r}")
                 store.moment2[name] = self.array(
                     p.data.shape, f"the second moment of {name!r}")
+        left = self.size - self.fh.tell()
+        if left:
+            raise _Malformed(f"malformed checkpoint: {left} bytes follow "
+                             "its last field")
 
     def hexdigest(self) -> str:
         """The digest of the whole file, once the unread rest is hashed."""
@@ -251,8 +263,12 @@ def adam_step(store: ParameterStore, lr: float = 3e-4) -> None:
         if p.grad is None:
             continue
         g = p.grad
-        m = store.moment1.setdefault(name, np.zeros_like(p.data))
-        v = store.moment2.setdefault(name, np.zeros_like(p.data))
+        m = store.moment1.get(name)
+        if m is None:   # a parameter's first update
+            m = store.moment1[name] = np.zeros_like(p.data)
+        v = store.moment2.get(name)
+        if v is None:
+            v = store.moment2[name] = np.zeros_like(p.data)
         m *= BETA1
         m += (1 - BETA1) * g
         v *= BETA2

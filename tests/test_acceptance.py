@@ -280,8 +280,8 @@ def test_criterion_5_flow_oracles():
         def condition(self, t, cond_idx):
             return []
 
-        def forward(self, z_t, cond, mask, self_cond=None):
-            return Tensor(self.target.copy())
+        def freeze(self):
+            return lambda z_t, self_cond, cond, rows, mask: self.target.copy()
 
     from symadit.flowmatch import euler_trajectory
 

@@ -176,7 +176,8 @@ def test_prior_sampling_frequency_chi2(catalog, rng):
 
 
 class OracleDenoiser:
-    """Test double returning a fixed target regardless of the input."""
+    """Test double whose trunk returns a fixed target regardless of the
+    input."""
 
     def __init__(self, target, d_latent):
         self.target = target
@@ -185,10 +186,11 @@ class OracleDenoiser:
     def condition(self, t, cond_idx):
         return []
 
-    def forward(self, z_t, cond, mask, self_cond=None):
-        reps = np.broadcast_to(
-            self.target, z_t.shape if self.target.ndim < 3 else self.target.shape)
-        return Tensor(reps.copy())
+    def freeze(self):
+        def trunk(z_t, self_cond, cond, rows, mask):
+            shape = z_t.shape if self.target.ndim < 3 else self.target.shape
+            return np.broadcast_to(self.target, shape).copy()
+        return trunk
 
 
 def test_oracle_denoiser_zero_loss(rng):
@@ -358,13 +360,16 @@ def test_cfg_scale_one_equals_conditional(rng):
 
 class CountingDenoiser:
     """Wraps a real denoiser; records the times and labels of each
-    `condition` call and the rows of each `forward` call."""
+    `condition` call, the rows of each `forward` call, the number of
+    `freeze` calls and the rows of each pass of a frozen trunk."""
 
     def __init__(self, den):
         self.den = den
         self.config = den.config
         self.conditions = []
         self.forwards = []
+        self.freezes = 0
+        self.passes = []
 
     def condition(self, t, cond_idx):
         self.conditions.append((np.array(t), np.array(cond_idx)))
@@ -373,6 +378,15 @@ class CountingDenoiser:
     def forward(self, z_t, cond, mask, self_cond=None):
         self.forwards.append(z_t.shape[0])
         return self.den.forward(z_t, cond, mask, self_cond)
+
+    def freeze(self):
+        self.freezes += 1
+        trunk = self.den.freeze()
+
+        def counted(z_t, self_cond, cond, rows, mask):
+            self.passes.append(z_t.shape[0])
+            return trunk(z_t, self_cond, cond, rows, mask)
+        return counted
 
 
 def _desk_denoiser(seed=0):
@@ -401,7 +415,10 @@ def _two_forward_trajectory(den, z, group, cfg, mask):
 
 
 def _assert_one_condition_of_tiled_rows(counting, steps, labels):
-    """One `condition` call: per step k, time k / steps on each label."""
+    """One `condition` call: per step k, time k / steps on each label. One
+    frozen trunk per trajectory, and no tape forward."""
+    assert counting.freezes == 1
+    assert counting.forwards == []
     assert len(counting.conditions) == 1
     t, cond_idx = counting.conditions[0]
     assert t.tolist() == [k * (1.0 / steps) for k in range(steps)
@@ -415,7 +432,7 @@ def test_guided_trajectory_makes_one_forward_of_2b_rows(rng):
     mask = np.array([[True, True, True], [True, True, False]])
     euler_trajectory(counting, z0, 14, SamplerConfig(steps=5, cfg_scale=2.0),
                      mask)
-    assert counting.forwards == [4] * 5
+    assert counting.passes == [4] * 5
     _assert_one_condition_of_tiled_rows(
         counting, 5, [13] * 2 + [fm.NULL_CONDITION] * 2)
 
@@ -427,7 +444,7 @@ def test_unguided_trajectory_makes_one_forward_of_b_rows(rng, cfg):
     z0 = rng.normal(size=(2, 3, 4))
     euler_trajectory(counting, z0, 14, cfg, np.ones((2, 3), dtype=bool))
     label = 13 if cfg.condition else fm.NULL_CONDITION
-    assert counting.forwards == [2] * 5
+    assert counting.passes == [2] * 5
     _assert_one_condition_of_tiled_rows(counting, 5, [label, label])
 
 
@@ -497,11 +514,13 @@ SAMPLING_MODES = {
 
 
 def _padded_batch(rng, b, n=5):
+    """b crystals of n tokens; at b = 2 and n >= 2 the second crystal's
+    last n // 2 tokens are padding."""
     z0 = rng.normal(size=(b, n, 4))
     mask = np.ones((b, n), dtype=bool)
     if b == 2:
-        mask[1, 3:] = False
-        z0[1, 3:] = 0.0
+        mask[1, (n + 1) // 2:] = False
+        z0[1, (n + 1) // 2:] = 0.0
     return z0, mask
 
 
@@ -511,11 +530,14 @@ def _padded_batch(rng, b, n=5):
 def test_trajectory_is_bitwise_the_per_step_conditioning_loop(rng, mode, b,
                                                               steps):
     den = _desk_denoiser(seed=6)
-    z0, mask = _padded_batch(rng, b)
     cfg = SamplerConfig(steps=steps, **SAMPLING_MODES[mode])
-    got = euler_trajectory(den, z0.copy(), 14, cfg, mask)
-    want = _per_step_trajectory(den, z0.copy(), 14, cfg, mask)
-    assert np.array_equal(got, want)
+    # token counts 1, 2 and 3 choose between the trunk's per-row (N = 1)
+    # and folded (N >= 2) products; 5 is the blocked tests' padded batch
+    for n in (1, 2, 3, 5):
+        z0, mask = _padded_batch(rng, b, n)
+        got = euler_trajectory(den, z0.copy(), 14, cfg, mask)
+        want = _per_step_trajectory(den, z0.copy(), 14, cfg, mask)
+        assert np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize("steps_per_block,blocks", [(4, [4, 4, 1]),
@@ -533,7 +555,8 @@ def test_trajectory_conditions_in_blocks_under_the_byte_budget(
                         (steps_per_block + 1) * step_bytes - 1)
     counting = CountingDenoiser(den)
     got = euler_trajectory(counting, z0.copy(), 14, cfg, mask)
-    assert counting.forwards == [r] * 9
+    assert counting.passes == [r] * 9
+    assert counting.freezes == 1 and counting.forwards == []
     assert [len(t) for t, _ in counting.conditions] == [r * s for s in blocks]
     times = np.concatenate([t for t, _ in counting.conditions])
     assert times.tolist() == [k * (1.0 / 9) for k in range(9)
@@ -545,9 +568,53 @@ def test_trajectory_conditions_in_blocks_under_the_byte_budget(
 def test_forward_refuses_conditioning_for_other_rows(rng):
     den = _desk_denoiser()
     cond = den.condition(np.array([0.5]), [13])
+    z = rng.normal(size=(2, 3, 4))
+    mask = np.ones((2, 3), dtype=bool)
     with pytest.raises(ValueError, match="conditioning for 1 rows"):
-        den.forward(Tensor(rng.normal(size=(2, 3, 4))), cond,
-                    np.ones((2, 3), dtype=bool))
+        den.forward(Tensor(z), cond, mask)
+    with pytest.raises(ValueError, match="conditioning for 1 rows"):
+        den.freeze()(z, np.zeros_like(z), cond, slice(None), mask)
+
+
+def _perturbed(den, seed):
+    """den with every parameter moved off its initial value, so the adaptive
+    norms and the biases act."""
+    r = np.random.default_rng(seed)
+    for p in den.store.params.values():
+        p.data += r.normal(scale=0.05, size=p.data.shape)
+    return den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_trunk_is_bitwise_forward_at_full_width(rng, rows, n):
+    # d_model 512 and 8 heads: products past SAME_BITS_MAX_K stay batched
+    den = _perturbed(Denoiser(DenoiserConfig(n_layers=2, seed=8)), 9)
+    z = rng.normal(size=(rows, n, den.config.d_latent))
+    prev = rng.normal(size=z.shape)
+    mask = np.ones((rows, n), dtype=bool)
+    if n > 1:
+        mask[-1, n - 1:] = False
+    with no_grad():
+        cond = den.condition(rng.uniform(size=rows),
+                             np.array([13, fm.NULL_CONDITION] * (rows // 2)))
+        want = den.forward(Tensor(z), cond, mask, Tensor(prev)).data
+    got = den.freeze()(z, prev, cond, slice(None), mask)
+    assert np.array_equal(got, want)
+
+
+def test_trunk_reads_weights_as_they_stand_when_frozen(rng):
+    # training moves weights in place; a trajectory after it must use them
+    den = _perturbed(_desk_denoiser(seed=2), 3)
+    z0, mask = _padded_batch(rng, 1, 3)
+    cfg = SamplerConfig(steps=4, cfg_scale=2.0)
+    before = euler_trajectory(den, z0.copy(), 14, cfg, mask)
+    for p in den.store.params.values():
+        p.data *= 1.5
+    after = euler_trajectory(den, z0.copy(), 14, cfg, mask)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _per_step_trajectory(den, z0.copy(), 14, cfg,
+                                                      mask))
 
 
 def test_cfg_algebra(rng):

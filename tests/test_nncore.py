@@ -30,7 +30,8 @@ from symadit.nncore import (
 )
 from symadit.nncore import layers
 from symadit.nncore.layers import NEG_INF, token_sum
-from symadit.nncore.params import HASH_CHUNK, WARMUP
+from symadit.nncore.params import (ADAM_EPS, BETA1, BETA2, HASH_CHUNK,
+                                   WARMUP)
 
 
 def numeric_grad(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -372,6 +373,75 @@ def test_sorted_reduce_is_sort_then_reduce_bitwise(n):
 # ---------------------------------------------------------------------------
 
 
+def _per_array_adam_step(store: ParameterStore, lr: float) -> None:
+    """adam_step as one loop over the arrays, a zero moment built for every
+    parameter on every step: the oracle for the optimizer's bits."""
+    store.step_count += 1
+    t = store.step_count
+    lr = lr * min(1.0, t / WARMUP)
+    alpha = lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+    eps_hat = ADAM_EPS * np.sqrt(1.0 - BETA2**t)
+    for name, p in store.params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        m = store.moment1.setdefault(name, np.zeros_like(p.data))
+        v = store.moment2.setdefault(name, np.zeros_like(p.data))
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * (g * g)
+        denom = np.sqrt(v)
+        denom += eps_hat
+        p.data -= alpha * m / denom
+
+
+def test_adam_step_is_bitwise_the_per_array_loop():
+    def run(step):
+        store = ParameterStore(seed=4)
+        for name, shape in (("a", (3, 5)), ("b", (5,)), ("c", (1,)),
+                            ("d", (2,))):
+            store.add(name, shape)
+        r = np.random.default_rng(11)
+        for k in range(120):   # through the end of the warm-up
+            store.zero_grad()
+            for name, p in store.params.items():
+                # "c" first moves at step 3; "d" never has a gradient;
+                # "b" holds a signed zero now and then
+                if (name == "c" and k < 3) or name == "d":
+                    continue
+                p.grad = r.normal(size=p.data.shape)
+                if name == "b" and k % 7 == 0:
+                    p.grad[:2] = (-0.0, 0.0)
+            step(store, lr=1e-2)
+        return store
+
+    got, want = run(adam_step), run(_per_array_adam_step)
+    assert sorted(got.moment1) == sorted(got.moment2) == ["a", "b", "c"]
+    for name in want.params:
+        assert got[name].data.tobytes() == want[name].data.tobytes()
+        if name in want.moment1:
+            assert got.moment1[name].tobytes() == want.moment1[name].tobytes()
+            assert got.moment2[name].tobytes() == want.moment2[name].tobytes()
+    assert "d" not in want.moment1
+
+
+def test_adam_step_builds_each_moment_once(monkeypatch):
+    store = ParameterStore(seed=0)
+    for name in ("a", "b"):
+        store.add(name, (4,))
+    built = []
+    real = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like",
+                        lambda a, *args, **kw: built.append(a.shape)
+                        or real(a, *args, **kw))
+    for _ in range(5):
+        for p in store.params.values():
+            p.grad = np.ones(4)
+        adam_step(store)
+    assert built == [(4,)] * 4   # two moments of two parameters
+
+
 def test_zero_gradient_leaves_parameters(rng):
     store = ParameterStore(seed=0)
     p = store.add("w", (4,))
@@ -533,6 +603,24 @@ _MALFORMED = {
                         + bytes(4096)),
     "truncated step count": _HAND_BUILT[:-(8 * 6 + 4)],
     "truncated moment": _HAND_BUILT[:-4],
+    # "w" twice, with state: a reader that let the second win would keep
+    # the first one's moments and leave 16 bytes unread
+    "repeated name": (b"CKPT v1\n" + struct.pack("<I", 2)
+                      + struct.pack("<H1sB1I", 1, b"w", 1, 1) + _f64(1.0)
+                      + struct.pack("<H1sB1I", 1, b"w", 1, 1) + _f64(2.0)
+                      + struct.pack("<BQ", 1, 7) + _f64(0.1, 0.2, 0.3, 0.4)),
+    # a state flag of 2 before a well-formed state, read as "has state"
+    "state flag 2": (_HAND_BUILT[:len(_NO_STATE) - 1] + b"\x02"
+                     + _HAND_BUILT[len(_NO_STATE):]),
+    "bytes after the last moment": _HAND_BUILT + b"\x00",
+    "bytes after the state flag": _NO_STATE + _f64(0.0),
+}
+# what the cases that a matching hash once let through are refused for
+_PROBLEM = {
+    "repeated name": "parameter 1 repeats the name 'w'",
+    "state flag 2": "the optimizer-state flag is 2, not 0 or 1",
+    "bytes after the last moment": "1 bytes follow its last field",
+    "bytes after the state flag": "8 bytes follow its last field",
 }
 
 
@@ -552,6 +640,7 @@ def test_malformed_checkpoint_is_a_value_error_naming_the_file(tmp_path,
     info, peak = _traced_peak(load)
     assert not isinstance(info.value, CheckpointError)
     assert "malformed checkpoint" in str(info.value)
+    assert _PROBLEM.get(case, "") in str(info.value)
     assert peak < HASH_CHUNK + 2**20
 
 
