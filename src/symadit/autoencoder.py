@@ -33,7 +33,7 @@ from .nncore import (
     silu_mlp,
 )
 from .nncore.layers import NEG_INF, token_sum
-from .nncore.params import config_from
+from .nncore.params import Layout, config_from
 from .symcat import N_GROUPS, N_WYCKOFF, SymmetryCatalog
 
 __all__ = [
@@ -133,11 +133,13 @@ class Autoencoder:
                  store: ParameterStore | None = None):
         self.config = config
         self.catalog = catalog
-        self.store = store if store is not None else self._build(config)
+        if store is None:
+            store = self._build(config, ParameterStore(seed=config.seed))
+        self.store = store
 
     @staticmethod
-    def _build(cfg: AEConfig) -> ParameterStore:
-        st = ParameterStore(seed=cfg.seed)
+    def _build(cfg: AEConfig, st: ParameterStore | Layout):
+        """Register the model's parameters with `st` and return it."""
         dm, d = cfg.d_model, cfg.d_latent
         st.add("enc.elem_emb", (MAX_ELEMENT, dm), scale=0.02)
         st.add("enc.wyck_emb", (N_WYCKOFF, dm), scale=0.02)
@@ -354,10 +356,15 @@ class Autoencoder:
         return self.store.save(path, config=asdict(self.config), seed=seed)
 
     @classmethod
-    def load(cls, path, catalog: SymmetryCatalog) -> "Autoencoder":
-        store, manifest = ParameterStore.load(path)
-        return cls(config_from(AEConfig, manifest["config"], path), catalog,
-                   store=store)
+    def load(cls, path, catalog: SymmetryCatalog,
+             resume: bool = False) -> "Autoencoder":
+        """The checkpoint at `path`, refused unless its parameters are the
+        layout its config builds. It keeps the optimizer state only to
+        `resume` training."""
+        store, manifest = ParameterStore.load(path, resume=resume)
+        config = config_from(AEConfig, manifest["config"], path)
+        cls._build(config, Layout()).check(store, path)
+        return cls(config, catalog, store=store)
 
 
 def _ensure_closing_cell(ell: np.ndarray, lattice_class) -> np.ndarray:

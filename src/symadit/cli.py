@@ -258,7 +258,7 @@ def cmd_train_ae(args) -> int:
     config = (AEConfig.desk(**kwargs) if args.profile == "desk"
               else AEConfig(**kwargs))
     if args.resume:
-        model = Autoencoder.load(args.resume, catalog)
+        model = Autoencoder.load(args.resume, catalog, resume=True)
         config = model.config
     else:
         mu, sd = _lattice_stats(asus)
@@ -294,7 +294,7 @@ def cmd_train_fm(args) -> int:
               else DenoiserConfig(**kwargs))
     denoiser = None
     if args.resume:
-        denoiser = Denoiser.load(args.resume)
+        denoiser = Denoiser.load(args.resume, resume=True)
         denoiser.check_pair(model)
         config = denoiser.config
     latents = model.encode_dataset(asus)

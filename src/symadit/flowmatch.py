@@ -44,7 +44,7 @@ from .nncore import (
 from .nncore import adaln, mhsa  # noqa: F401
 from .nncore.layers import (Modulation, _layer_norm_fwd, _linear_fwd,
                             _padding, block_forward)
-from .nncore.params import config_from
+from .nncore.params import Layout, config_from
 from .symcat import N_GROUPS
 
 __all__ = [
@@ -247,12 +247,14 @@ class Denoiser:
                  store: ParameterStore | None = None,
                  ae_checkpoint_hash: str | None = None):
         self.config = config
-        self.store = store if store is not None else self._build(config)
+        if store is None:
+            store = self._build(config, ParameterStore(seed=config.seed))
+        self.store = store
         self.ae_checkpoint_hash = ae_checkpoint_hash
 
     @staticmethod
-    def _build(cfg: DenoiserConfig) -> ParameterStore:
-        st = ParameterStore(seed=cfg.seed)
+    def _build(cfg: DenoiserConfig, st: ParameterStore | Layout):
+        """Register the model's parameters with `st` and return it."""
         dm, d = cfg.d_model, cfg.d_latent
         # input projection consumes [z_t, self_cond]
         st.add("in.w", (2 * d, dm))
@@ -319,12 +321,16 @@ class Denoiser:
         return self.store.save(path, config=cfg, seed=seed)
 
     @classmethod
-    def load(cls, path) -> "Denoiser":
-        store, manifest = ParameterStore.load(path)
+    def load(cls, path, resume: bool = False) -> "Denoiser":
+        """The checkpoint at `path`, refused unless its parameters are the
+        layout its config builds. It keeps the optimizer state only to
+        `resume` training."""
+        store, manifest = ParameterStore.load(path, resume=resume)
         cfg_dict = dict(manifest["config"])
         ae_hash = cfg_dict.pop("ae_checkpoint_hash", None)
-        return cls(config_from(DenoiserConfig, cfg_dict, path), store=store,
-                   ae_checkpoint_hash=ae_hash)
+        config = config_from(DenoiserConfig, cfg_dict, path)
+        cls._build(config, Layout()).check(store, path)
+        return cls(config, store=store, ae_checkpoint_hash=ae_hash)
 
     def check_pair(self, autoencoder: Autoencoder) -> None:
         """Refuse a stage-1 model other than the checkpoint this denoiser was

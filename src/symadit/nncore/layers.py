@@ -33,7 +33,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .params import ParameterStore
+from .params import Layout, ParameterStore
 from .tensor import (Tensor, _unbroadcast, add_backward, matmul_backward,
                      matmul_grads, mul_backward, silu_forward, silu_grad)
 
@@ -405,8 +405,8 @@ def mhsa(
     return out
 
 
-def add_attention_block(store: ParameterStore, prefix: str, d_model: int,
-                        adaptive: bool = False) -> None:
+def add_attention_block(store: ParameterStore | Layout, prefix: str,
+                        d_model: int, adaptive: bool = False) -> None:
     """Register the parameters attention_block reads under `prefix`.
 
     Norm parameters start at zero and draw no random numbers. A plain gain

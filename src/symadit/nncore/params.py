@@ -19,6 +19,16 @@ the last field) are refused next, as malformed.
 Saves and loads stream: each field and each array's buffer is hashed as it
 is written or as it lands in its own array, so neither holds the file's
 bytes a second time, and a load reads the file once.
+
+A load keeps the optimizer state only when it is asked to resume training
+(`resume=True`). Otherwise it hashes the moment arrays through one reused
+HASH_CHUNK scratch buffer and keeps only the parameters and the step count.
+A store loaded that way from a file that held state refuses `adam_step` and
+`save`: they would restart the moments from zero under the old step count,
+and write zeros as moments. A file without state loads and trains as ever.
+
+A model checks a loaded store against the names, order and shapes that its
+config builds; `Layout` records them without drawing initial values.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["CheckpointError", "ParameterStore", "adam_step",
+__all__ = ["CheckpointError", "Layout", "ParameterStore", "adam_step",
            "checkpoint_hash", "config_from", "run_steps"]
 
 _MAGIC = b"CKPT v1\n"
@@ -63,6 +73,8 @@ class ParameterStore:
         self.moment2: dict[str, np.ndarray] = {}
         self.step_count = 0
         self.checkpoint_hash: str | None = None   # of the last save or load
+        # loaded without the optimizer state its file held
+        self.state_dropped = False
 
     def add(self, name: str, shape: tuple[int, ...], scale: str | float = "auto") -> Tensor:
         if name in self.params:
@@ -88,11 +100,18 @@ class ParameterStore:
         for p in self.params.values():
             p.grad = None
 
+    def _require_state(self, action: str) -> None:
+        if self.state_dropped:
+            raise ValueError(f"cannot {action}: the store was loaded without "
+                             "its optimizer state; load it with resume=True "
+                             "to train on")
+
     # -- persistence ---------------------------------------------------------
 
     def save(self, path, config: dict | None = None, seed: int | None = None) -> str:
         """Write the checkpoint field by field, each array straight from its
         buffer, hashing every byte as it is written; then the manifest."""
+        self._require_state("save")
         path = Path(path)
         sha = hashlib.sha256()
         with open(path, "wb") as fh:
@@ -126,11 +145,12 @@ class ParameterStore:
         return digest
 
     @classmethod
-    def load(cls, path) -> tuple["ParameterStore", dict]:
-        """Read the checkpoint in one pass, each array straight into its own
-        buffer, hashing every byte as it lands. A file whose hash does not
-        match its manifest is refused before its contents are judged, so a
-        parse failure first hashes the rest of the file."""
+    def load(cls, path, resume: bool = False) -> tuple["ParameterStore", dict]:
+        """Read the checkpoint in one pass, each kept array straight into its
+        own buffer, hashing every byte as it lands. The optimizer state is
+        kept only to `resume` training. A file whose hash does not match its
+        manifest is refused before its contents are judged, so a parse
+        failure first hashes the rest of the file."""
         path = Path(path)
         with open(path, "rb") as fh:
             manifest_path = path.with_suffix(path.suffix + ".json")
@@ -141,7 +161,7 @@ class ParameterStore:
             reader = _HashingReader(fh)
             store = cls()
             try:
-                reader.read_into(store)
+                reader.read_into(store, resume)
                 problem = None
             except _Malformed as exc:
                 problem = exc
@@ -167,15 +187,53 @@ class _Malformed(Exception):
     them only once the whole file's hash has matched."""
 
 
+class Layout:
+    """The names and shapes, in order, that a model's builder registers.
+    The builder takes one in place of a ParameterStore; no initial value is
+    drawn."""
+
+    def __init__(self):
+        self.shapes: dict[str, tuple[int, ...]] = {}
+
+    def add(self, name: str, shape: tuple[int, ...],
+            scale: str | float = "auto") -> None:
+        del scale   # no values are drawn
+        self.shapes[name] = tuple(shape)
+
+    def check(self, store: ParameterStore, path) -> None:
+        """Refuse a loaded store whose names, order or shapes are not this
+        layout's, with a ValueError that names the checkpoint file."""
+        names, built = list(store.params), list(self.shapes)
+        extra = [n for n in names if n not in self.shapes]
+        missing = [n for n in built if n not in store.params]
+        if extra:
+            problem = f"it holds {extra[0]!r}, which its config does not build"
+        elif missing:
+            problem = f"it lacks {missing[0]!r}, which its config builds"
+        elif names != built:
+            i = next(i for i, (a, b) in enumerate(zip(names, built)) if a != b)
+            problem = (f"parameter {i} is {names[i]!r}, where its config "
+                       f"builds {built[i]!r}")
+        else:
+            problem = next(
+                (f"{n!r} has shape {store[n].shape}, its config builds "
+                 f"{self.shapes[n]}" for n in names
+                 if store[n].shape != self.shapes[n]), None)
+        if problem is not None:
+            raise ValueError(f"{path}: checkpoint does not fit its config: "
+                             f"{problem}")
+
+
 class _HashingReader:
     """One in-order pass over an open checkpoint that feeds every byte it
     reads to one sha256. It allocates no array larger than the bytes left
-    in the file."""
+    in the file; bytes it does not keep pass through one scratch buffer."""
 
     def __init__(self, fh):
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
         self.sha = hashlib.sha256()
+        self.scratch = memoryview(bytearray(HASH_CHUNK))
 
     def unpack(self, fmt: str, what: str) -> tuple:
         size = struct.calcsize(fmt)
@@ -185,12 +243,24 @@ class _HashingReader:
             raise _Malformed(f"malformed checkpoint: it ends inside {what}")
         return struct.unpack(fmt, raw)
 
-    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+    def _room(self, shape: tuple[int, ...], what: str) -> int:
+        """The byte size of a float64 array of `shape`, once the file is
+        known to have that many bytes left."""
         nbytes = 8 * math.prod(shape)
         left = self.size - self.fh.tell()
         if nbytes > left:
             raise _Malformed(f"malformed checkpoint: {what} of shape "
                              f"{shape} needs {nbytes} bytes, {left} are left")
+        return nbytes
+
+    def skip(self, shape: tuple[int, ...], what: str) -> None:
+        """Hash a float64 array of `shape` without keeping it."""
+        nbytes = self._room(shape, what)
+        if _hash_rest(self.fh, self.sha, self.scratch, nbytes) < nbytes:
+            raise _Malformed(f"malformed checkpoint: it ends inside {what}")
+
+    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        nbytes = self._room(shape, what)
         out = np.empty(shape, dtype="<f8")
         view = memoryview(out.reshape(-1).view(np.uint8))
         got = self.fh.readinto(view)
@@ -199,7 +269,7 @@ class _HashingReader:
             raise _Malformed(f"malformed checkpoint: it ends inside {what}")
         return out
 
-    def read_into(self, store: "ParameterStore") -> None:
+    def read_into(self, store: ParameterStore, resume: bool) -> None:
         magic = self.fh.read(len(_MAGIC))
         self.sha.update(magic)
         if magic != _MAGIC:
@@ -226,11 +296,13 @@ class _HashingReader:
                              f"flag is {has_state}, not 0 or 1")
         if has_state:
             (store.step_count,) = self.unpack("<Q", "the step count")
+            read = self.array if resume else self.skip
             for name, p in store.params.items():
-                store.moment1[name] = self.array(
-                    p.data.shape, f"the first moment of {name!r}")
-                store.moment2[name] = self.array(
-                    p.data.shape, f"the second moment of {name!r}")
+                m1 = read(p.data.shape, f"the first moment of {name!r}")
+                m2 = read(p.data.shape, f"the second moment of {name!r}")
+                if resume:
+                    store.moment1[name], store.moment2[name] = m1, m2
+            store.state_dropped = not resume
         left = self.size - self.fh.tell()
         if left:
             raise _Malformed(f"malformed checkpoint: {left} bytes follow "
@@ -238,7 +310,7 @@ class _HashingReader:
 
     def hexdigest(self) -> str:
         """The digest of the whole file, once the unread rest is hashed."""
-        _hash_rest(self.fh, self.sha)
+        _hash_rest(self.fh, self.sha, self.scratch)
         return self.sha.hexdigest()
 
 
@@ -253,6 +325,7 @@ def config_from(config_cls, config: dict, path):
 def adam_step(store: ParameterStore, lr: float = 3e-4) -> None:
     """Adaptive-moment update after WARMUP steps of linear warm-up;
     deterministic given gradient contents."""
+    store._require_state("take an optimizer step")
     store.step_count += 1
     t = store.step_count
     lr = lr * min(1.0, t / WARMUP)
@@ -302,12 +375,18 @@ def checkpoint_hash(path) -> str:
     """sha256 of a file, read HASH_CHUNK bytes at a time."""
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        _hash_rest(fh, sha)
+        _hash_rest(fh, sha, memoryview(bytearray(HASH_CHUNK)))
     return sha.hexdigest()
 
 
-def _hash_rest(fh, sha) -> None:
-    """Feed what is left of `fh` to `sha`, HASH_CHUNK bytes at a time."""
-    buf = memoryview(bytearray(HASH_CHUNK))
-    while n := fh.readinto(buf):
+def _hash_rest(fh, sha, buf: memoryview, nbytes: float = math.inf) -> int:
+    """Feed the next `nbytes` of `fh` (all that is left, by default) to `sha`
+    through `buf`, one buffer's worth at a time; the number of bytes fed."""
+    fed = 0
+    while fed < nbytes:
+        n = fh.readinto(buf[:min(len(buf), nbytes - fed)])
+        if not n:
+            break
         sha.update(buf[:n])
+        fed += n
+    return fed

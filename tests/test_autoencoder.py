@@ -372,7 +372,7 @@ def test_training_resume_is_deterministic(catalog, tmp_path):
 
     half_model, _ = train_autoencoder(asus, config, catalog, max_steps=10)
     half_model.save(tmp_path / "half.ckpt")
-    resumed = Autoencoder.load(tmp_path / "half.ckpt", catalog)
+    resumed = Autoencoder.load(tmp_path / "half.ckpt", catalog, resume=True)
     resumed_model, _ = train_autoencoder(
         asus, resumed.config, catalog, max_steps=20, model=resumed)
     for name in full_model.store.params:

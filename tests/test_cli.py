@@ -679,6 +679,18 @@ def test_sidecar_with_a_field_that_became_a_constant_is_refused(
     assert not (work / "gen").exists()
 
 
+@pytest.mark.parametrize("stage", ["ae", "fm"])
+def test_checkpoint_outside_its_config_layout_is_a_validation_failure(
+        trained_pair, tmp_path, capsys, stage):
+    work = _copy_pair(trained_pair, tmp_path)
+    ckpt = work / stage / f"{stage}.ckpt"
+    _add_config_key(ckpt.with_suffix(".ckpt.json"), "n_layers", 3)
+    assert _generate(work) == 2
+    assert (f"validation failure: {ckpt}: checkpoint does not fit its "
+            "config: it lacks" in capsys.readouterr().err)
+    assert not (work / "gen").exists()
+
+
 def test_generate_refuses_malformed_priors(trained_pair, tmp_path, capsys):
     work = _copy_pair(trained_pair, tmp_path)
     for i, priors in enumerate(["[1]", "{}",

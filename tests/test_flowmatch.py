@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -675,6 +676,87 @@ def test_checkpoint_hash_guard(catalog, tmp_path):
     den.save(tmp_path / "fm.ckpt")
     loaded = Denoiser.load(tmp_path / "fm.ckpt")
     assert loaded.ae_checkpoint_hash == ae_digest
+
+
+_SMALL = dict(d_latent=4, n_layers=1, d_model=32, n_heads=2)
+
+
+def _small_model(kind, catalog):
+    if kind == "ae":
+        return Autoencoder(AEConfig.desk(seed=1, **_SMALL), catalog)
+    return Denoiser(DenoiserConfig.desk(**_SMALL))
+
+
+def _load(kind, path, catalog):
+    return (Autoencoder.load(path, catalog) if kind == "ae"
+            else Denoiser.load(path))
+
+
+def _renamed(params, old, new):
+    return {new if name == old else name: p for name, p in params.items()}
+
+
+# each edits a small model's parameters before it is saved under its own
+# config; the file's hash then matches its sidecar
+_OFF_LAYOUT = {
+    "dropped": (lambda params, name: {n: p for n, p in params.items()
+                                      if n != name},
+                "it lacks {name!r}, which its config builds"),
+    "renamed": (lambda params, name: _renamed(params, name, name + "_old"),
+                "it holds {renamed!r}, which its config does not build"),
+    "reshaped": (lambda params, name: {
+        n: Tensor(p.data[:-1]) if n == name else p
+        for n, p in params.items()},
+                 "{name!r} has shape {short}, its config builds {shape}"),
+    "swapped": (lambda params, name: dict(reversed(params.items())),
+                "parameter 0 is {last!r}, where its config builds {first!r}"),
+}
+
+
+@pytest.mark.parametrize("kind", ["ae", "fm"])
+@pytest.mark.parametrize("case", list(_OFF_LAYOUT))
+def test_load_refuses_parameters_outside_the_config_layout(catalog, tmp_path,
+                                                           kind, case):
+    model = _small_model(kind, catalog)
+    name = "dec.up.w" if kind == "ae" else "time.w2"
+    shape = model.store[name].shape
+    names = list(model.store.params)
+    first, last = names[0], names[-1]
+    edit, problem = _OFF_LAYOUT[case]
+    model.store.params = edit(model.store.params, name)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: checkpoint does not fit its config: " + problem.format(
+                name=name, renamed=name + "_old", shape=shape,
+                short=(shape[0] - 1,) + shape[1:], first=first, last=last))
+    ) as info:
+        _load(kind, path, catalog)
+    assert not isinstance(info.value, CheckpointError)
+    # the hash is checked first
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="do not match"):
+        _load(kind, path, catalog)
+
+
+@pytest.mark.parametrize("kind", ["ae", "fm"])
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_load_refuses_a_config_with_another_layer_count(catalog, tmp_path,
+                                                        kind, n_layers):
+    model = _small_model(kind, catalog)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    assert _load(kind, path, catalog).store.checkpoint_hash
+    sidecar = path.with_suffix(".ckpt.json")
+    manifest = json.loads(sidecar.read_text())
+    manifest["config"]["n_layers"] = n_layers   # the hash still matches
+    sidecar.write_text(json.dumps(manifest))
+    block = "enc.block" if kind == "ae" else "block"
+    problem = (f"it holds '{block}0.wq'" if n_layers == 0
+               else f"it lacks '{block}1.wq'")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: checkpoint does not fit its config: {problem}")):
+        _load(kind, path, catalog)
 
 
 def test_check_pair_refuses_other_stage_one(catalog, tmp_path):

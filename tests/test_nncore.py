@@ -495,7 +495,8 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         p.grad = np.ones_like(p.data)
     adam_step(store, lr=1e-3)
     digest = store.save(tmp_path / "model.ckpt", config={"d": 4}, seed=3)
-    loaded, manifest = ParameterStore.load(tmp_path / "model.ckpt")
+    loaded, manifest = ParameterStore.load(tmp_path / "model.ckpt",
+                                           resume=True)
     assert manifest["hash"] == digest
     assert manifest["config"] == {"d": 4}
     assert list(loaded.params) == list(store.params)
@@ -578,7 +579,7 @@ def test_save_writes_the_documented_bytes(tmp_path):
 
 def test_load_reads_the_documented_bytes(tmp_path):
     path = _with_sidecar(tmp_path / "model.ckpt", _HAND_BUILT)
-    store, _ = ParameterStore.load(path)
+    store, _ = ParameterStore.load(path, resume=True)
     assert store.checkpoint_hash == hashlib.sha256(_HAND_BUILT).hexdigest()
     assert list(store.params) == ["w", "é"] and store.step_count == 3
     assert store["w"].data.tobytes() == _f64(1.5, -2.0)
@@ -629,7 +630,8 @@ def test_malformed_checkpoint_is_a_value_error_naming_the_file(tmp_path,
                                                                case):
     """Each raises once the whole file has hashed to its sidecar's hash, so
     the bytes after the fault are read too; the oversized shape (64 MiB in a
-    4 kB file) allocates nothing on the way."""
+    4 kB file) allocates nothing on the way. A load that resumes refuses
+    it with the same message."""
     path = _with_sidecar(tmp_path / "model.ckpt", _MALFORMED[case])
 
     def load():
@@ -642,6 +644,9 @@ def test_malformed_checkpoint_is_a_value_error_naming_the_file(tmp_path,
     assert "malformed checkpoint" in str(info.value)
     assert _PROBLEM.get(case, "") in str(info.value)
     assert peak < HASH_CHUNK + 2**20
+    with pytest.raises(ValueError) as resumed:
+        ParameterStore.load(path, resume=True)
+    assert str(resumed.value) == str(info.value)
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
@@ -677,7 +682,8 @@ def _traced_peak(fn):
 def test_load_holds_no_second_copy_of_the_file(tmp_path):
     path = tmp_path / "model.ckpt"
     _few_mb_store().save(path)
-    (store, _), peak = _traced_peak(lambda: ParameterStore.load(path))
+    (store, _), peak = _traced_peak(
+        lambda: ParameterStore.load(path, resume=True))
     resident = sum(a.nbytes for part in ([p.data for p in
                                           store.params.values()],
                                          store.moment1.values(),
@@ -685,6 +691,100 @@ def test_load_holds_no_second_copy_of_the_file(tmp_path):
                    for a in part)
     assert path.stat().st_size > resident > 6e6
     assert peak <= resident + 2**21
+
+
+def test_default_load_keeps_only_the_parameters(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _few_mb_store().save(path)
+    (store, _), peak = _traced_peak(lambda: ParameterStore.load(path))
+    params = sum(p.data.nbytes for p in store.params.values())
+    assert path.stat().st_size > 3 * params > 6e6
+    assert peak <= params + 2**21
+    assert store.moment1 == {} and store.moment2 == {}
+    assert store.step_count == 1 and store.state_dropped
+    resumed, _ = ParameterStore.load(path, resume=True)
+    assert not resumed.state_dropped
+    assert store.checkpoint_hash == resumed.checkpoint_hash
+    assert list(store.params) == list(resumed.params)
+    for name, p in store.params.items():
+        assert p.data.tobytes() == resumed[name].data.tobytes()
+        assert p.data.flags.owndata and p.data.flags.writeable
+
+
+def test_default_load_hashes_the_moments_it_drops(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _few_mb_store().save(path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01   # the last byte of the last second moment
+    path.write_bytes(bytes(raw))
+    for resume in (False, True):
+        with pytest.raises(CheckpointError, match="do not match"):
+            ParameterStore.load(path, resume=resume)
+
+
+def _train(store: ParameterStore, steps: int) -> None:
+    """`steps` optimizer steps on gradients drawn from the step count."""
+    for _ in range(steps):
+        store.zero_grad()
+        rng = np.random.default_rng(store.step_count)
+        for p in store.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        adam_step(store, lr=1e-2)
+
+
+def _small_trained_store(steps: int) -> ParameterStore:
+    store = ParameterStore(seed=4)
+    store.add("w", (3, 4))
+    store.add("b", (4,))
+    _train(store, steps)
+    return store
+
+
+def test_store_loaded_without_its_state_refuses_to_train_or_save(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _small_trained_store(3).save(path)
+    store, _ = ParameterStore.load(path)
+    before = {name: p.data.tobytes() for name, p in store.params.items()}
+    for p in store.params.values():
+        p.grad = np.ones_like(p.data)
+    with pytest.raises(ValueError, match="loaded without its optimizer "
+                                         "state"):
+        adam_step(store)
+    assert store.step_count == 3 and store.moment1 == {}
+    assert {name: p.data.tobytes()
+            for name, p in store.params.items()} == before
+    copy = tmp_path / "copy.ckpt"
+    with pytest.raises(ValueError, match="loaded without its optimizer "
+                                         "state"):
+        store.save(copy)
+    assert sorted(tmp_path.iterdir()) == [path, path.with_suffix(".ckpt.json")]
+
+
+def test_file_without_state_loads_trains_and_saves(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _small_trained_store(0).save(path)
+    store, _ = ParameterStore.load(path)
+    assert not store.state_dropped and store.step_count == 0
+    _train(store, 2)
+    store.save(tmp_path / "trained.ckpt")
+    assert ParameterStore.load(tmp_path / "trained.ckpt")[0].step_count == 2
+
+
+def test_resumed_load_replays_training_and_saves_the_same_bytes(tmp_path):
+    full = _small_trained_store(6)
+    path = tmp_path / "half.ckpt"
+    _small_trained_store(3).save(path, config={"d": 4}, seed=4)
+    resumed, _ = ParameterStore.load(path, resume=True)
+    again = tmp_path / "again.ckpt"
+    resumed.save(again, config={"d": 4}, seed=4)
+    assert again.read_bytes() == path.read_bytes()
+    assert (again.with_suffix(".ckpt.json").read_bytes()
+            == path.with_suffix(".ckpt.json").read_bytes())
+    _train(resumed, 3)
+    for name, p in full.params.items():
+        assert resumed[name].data.tobytes() == p.data.tobytes()
+        assert resumed.moment1[name].tobytes() == full.moment1[name].tobytes()
+        assert resumed.moment2[name].tobytes() == full.moment2[name].tobytes()
 
 
 def test_save_holds_no_copy_of_the_file(tmp_path):
