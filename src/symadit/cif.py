@@ -100,6 +100,9 @@ def _strip_esd(token: str) -> float:
 def read_cif(text: str) -> FullCrystal:
     """Parse a minimal CIF: cell parameters plus a fractional site loop.
 
+    Each site's element is read from `_atom_site_type_symbol`, or from
+    `_atom_site_label` when the loop has no type column.
+
     A space-group tag of `?` or `.` (CIF's unknown and inapplicable) counts
     as absent; any other value must be an integer in 1..230."""
     cell: dict[str, float] = {}
@@ -147,13 +150,14 @@ def read_cif(text: str) -> FullCrystal:
                     i += 1
                 continue
             try:
-                col_sym = next(
-                    k for k, h in enumerate(headers)
-                    if h in ("_atom_site_type_symbol", "_atom_site_label"))
+                col_sym = headers.index(
+                    "_atom_site_type_symbol"
+                    if "_atom_site_type_symbol" in headers
+                    else "_atom_site_label")
                 col_x = headers.index("_atom_site_fract_x")
                 col_y = headers.index("_atom_site_fract_y")
                 col_z = headers.index("_atom_site_fract_z")
-            except (StopIteration, ValueError) as exc:
+            except ValueError as exc:
                 raise CifError(
                     "atom_site loop lacks symbol or fractional columns", i
                 ) from exc

@@ -8,10 +8,12 @@ deterministic Euler sampler. The conditioning depends on (t, label) only:
 `Denoiser.condition` computes it apart from the latent trunk, once per
 training step and once per sampled trajectory.
 
-Training runs the trunk on the tape (`Denoiser.forward`). Sampling runs it
-as `FrozenTrunk`, one array-level pass per Euler step with no tape, bitwise
-the tape's forward: the same block function, each block's q/k/v products
-as one, and batch rows folded into one GEMM where that keeps the bits. It
+Training runs the trunk on the tape (`Denoiser.forward`), each block the
+composition of the layer nodes (`nncore.attention_block`). Sampling runs
+it as `FrozenTrunk`, one array-level pass per Euler step with no tape,
+bitwise the tape's forward: each block is `nncore.layers.block_forward`,
+the layers' forward helpers straight through, with its q/k/v products as
+one and batch rows folded into one GEMM where that keeps the bits. It
 packs the weights once per trajectory, never caching them on the Denoiser,
 whose weights training updates in place.
 """
@@ -42,8 +44,9 @@ from .nncore import (
 )
 # perfbench/layers.py traces these names here
 from .nncore import adaln, mhsa  # noqa: F401
-from .nncore.layers import (Modulation, _layer_norm_fwd, _linear_fwd,
-                            _padding, block_forward)
+from .nncore.layers import (SAME_BITS_MAX_K, Modulation, _folded_matmul,
+                            _layer_norm_fwd, _linear_fwd, _padding,
+                            block_forward)
 from .nncore.params import Layout, config_from
 from .symcat import N_GROUPS
 
@@ -69,13 +72,6 @@ CONDITION_BLOCK_BYTES = 8 * 2**20
 # Per row, every block's ln1/ln2 modulations: a list over blocks of pairs of
 # (gain, shift), each (R, 1, d_model).
 Conditioning = list[tuple[Modulation, Modulation]]
-
-# Inner dimensions up to which OpenBLAS (0.3.31, Haswell kernels) gives a
-# product's rows the same bits whatever its row and column counts. Past
-# it, a folded (B*N, K) GEMM or a packed [wq | wk | wv] product rounds
-# differently from the batched products of `Denoiser.forward` at some
-# shapes (K = 512 at d_model 512, for one).
-SAME_BITS_MAX_K = 256
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +338,6 @@ class Denoiser:
             raise CheckpointError("latent dimension mismatch between stages")
 
 
-def _folded_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (B, N, K) @ w, bitwise. At N >= 2 and K <= SAME_BITS_MAX_K it runs
-    as one (B*N, K) GEMM, which streams w once instead of once per row of
-    B. At N = 1 numpy runs each row as a matrix-vector product, whose bits
-    a GEMM does not reproduce, so the batched product stays."""
-    b, n, k = x.shape
-    if n < 2 or k > SAME_BITS_MAX_K:
-        return x @ w
-    return (x.reshape(b * n, k) @ w).reshape(b, n, w.shape[-1])
-
-
 class FrozenTrunk:
     """`Denoiser.forward` under no_grad as one array-level pass: no tape
     and no Tensor, bitwise the same prediction.
@@ -396,8 +381,8 @@ class FrozenTrunk:
                         self.b_in, _folded_matmul)
         for weights, block in zip(self.blocks, cond):
             norms = [m.data[rows] for mod in block for m in mod]
-            h, _ = block_forward(h, norms, weights, self.n_heads, key_bias,
-                                 row_mask, _folded_matmul)
+            h = block_forward(h, norms, weights, self.n_heads, key_bias,
+                              row_mask)
         h, _ = _layer_norm_fwd(h, self.gamma_out, self.beta_out)
         out = _linear_fwd(h, self.w_out, self.b_out, _folded_matmul)
         return out * row_mask if padded else out

@@ -11,10 +11,11 @@ Checkpoint layout (little-endian):
             second-moment arrays (same order and shapes as the parameters)
 
 A JSON manifest (same path + ".json") records config, seed and the sha256
-of the checkpoint bytes; a load requires it and refuses bytes that do not
-match it. Bytes that match it but do not follow the layout (a truncated
-field, a name given twice, a state flag other than 0 or 1, bytes after
-the last field) are refused next, as malformed.
+of the checkpoint bytes; a load requires it to be an object with a config
+object and refuses bytes that do not match it. Bytes that match it but do
+not follow the layout (a truncated field, a name given twice, a state flag
+other than 0 or 1, bytes after the last field) are refused next, as
+malformed.
 
 Saves and loads stream: each field and each array's buffer is hashed as it
 is written or as it lands in its own array, so neither holds the file's
@@ -59,8 +60,9 @@ ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
-    """A checkpoint lacks its manifest, does not match the hash the manifest
-    records, or belongs to another stage-1 model."""
+    """A checkpoint lacks its manifest or has a malformed one, does not
+    match the hash the manifest records, or belongs to another stage-1
+    model."""
 
 
 class ParameterStore:
@@ -157,7 +159,7 @@ class ParameterStore:
             if not manifest_path.exists():
                 raise CheckpointError(
                     f"{path}: manifest {manifest_path} is missing")
-            manifest = json.loads(manifest_path.read_text())
+            manifest = _read_manifest(path, manifest_path)
             reader = _HashingReader(fh)
             store = cls()
             try:
@@ -173,6 +175,19 @@ class ParameterStore:
             raise ValueError(f"{path}: {problem}")
         store.checkpoint_hash = digest
         return store, manifest
+
+
+def _read_manifest(path: Path, manifest_path: Path) -> dict:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:       # not UTF-8, or not JSON
+        raise CheckpointError(
+            f"{path}: manifest {manifest_path} does not parse: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("config"), dict)):
+        raise CheckpointError(f"{path}: manifest {manifest_path} is not an "
+                              "object with a config object")
+    return manifest
 
 
 def _bytes_of(a: np.ndarray) -> memoryview:

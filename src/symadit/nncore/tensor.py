@@ -66,31 +66,10 @@ def matmul_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
         b._accumulate(gb)
 
 
-def add_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
-    """Accumulate the gradients of a.data + b.data into a, then b."""
-    if a.requires_grad:
-        a._accumulate(_unbroadcast(g, a.shape))
-    if b.requires_grad:
-        b._accumulate(_unbroadcast(g, b.shape))
-
-
-def mul_backward(a: "Tensor", b: "Tensor", g: np.ndarray) -> None:
-    """Accumulate the gradients of a.data * b.data into a, then b."""
-    if a.requires_grad:
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-    if b.requires_grad:
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-
 def silu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x * sigmoid(x), and the sigmoid its backward reads."""
     sig = 1.0 / (1.0 + np.exp(-x))
     return x * sig, sig
-
-
-def silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of silu at x for the output gradient g."""
-    return g * (sig + x * sig * (1.0 - sig))
 
 
 class Tensor:
@@ -175,8 +154,14 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Tensor._make(self.data + other.data, (self, other),
-                            lambda g: add_backward(self, other, g))
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.shape))
+
+        return Tensor._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -194,8 +179,14 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return Tensor._make(self.data * other.data, (self, other),
-                            lambda g: mul_backward(self, other, g))
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.shape))
+
+        return Tensor._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -291,7 +282,7 @@ class Tensor:
     def silu(self):
         out_data, sig = silu_forward(self.data)
         return Tensor._make(out_data, (self,), lambda g: self._accumulate(
-            silu_grad(self.data, sig, g)))
+            g * (sig + self.data * sig * (1.0 - sig))))
 
     def cos(self):
         def backward(g):

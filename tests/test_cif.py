@@ -158,6 +158,33 @@ def test_reader_ignores_unknown_tags():
     assert full.frac[0][0] == pytest.approx(0.25)
 
 
+def _cell_and_sites(headers, rows):
+    return "\n".join(["data_x"] + [
+        f"_cell_{tag} {value}" for tag, value in (
+            ("length_a", 5.6), ("length_b", 5.6), ("length_c", 5.6),
+            ("angle_alpha", 90), ("angle_beta", 90), ("angle_gamma", 90))]
+        + ["loop_"] + headers + rows)
+
+
+def test_reader_takes_the_element_from_the_type_symbol_column():
+    coords = ["_atom_site_fract_x", "_atom_site_fract_y",
+              "_atom_site_fract_z"]
+    for headers, rows in (
+            (["_atom_site_label", "_atom_site_type_symbol", *coords],
+             ["Na1a Na 0.0 0.0 0.0", "Cl_b Cl 0.5 0.5 0.5"]),
+            (["_atom_site_type_symbol", "_atom_site_label", *coords],
+             ["Na Na1a 0.0 0.0 0.0", "Cl Cl_b 0.5 0.5 0.5"])):
+        full = read_cif(_cell_and_sites(headers, rows))
+        assert full.elements.tolist() == [11, 17], headers
+    # without the type column, the label names the element
+    full = read_cif(_cell_and_sites(
+        ["_atom_site_label", *coords], ["Na1 0.0 0.0 0.0", "Cl2 0.5 0.5 0.5"]))
+    assert full.elements.tolist() == [11, 17]
+    with pytest.raises(CifError, match="Na1a"):
+        read_cif(_cell_and_sites(["_atom_site_label", *coords],
+                                 ["Na1a 0.0 0.0 0.0"]))
+
+
 def test_reader_space_group_tag(catalog, nacl):
     text = write_cif(cr.expand_asu(nacl, catalog))
     tag = "_symmetry_Int_Tables_number      225"

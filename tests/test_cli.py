@@ -691,6 +691,20 @@ def test_checkpoint_outside_its_config_layout_is_a_validation_failure(
     assert not (work / "gen").exists()
 
 
+@pytest.mark.parametrize("stage", ["ae", "fm"])
+def test_malformed_manifest_is_a_validation_failure_naming_it(
+        trained_pair, tmp_path, capsys, stage):
+    work = _copy_pair(trained_pair, tmp_path)
+    sidecar = work / stage / f"{stage}.ckpt.json"
+    digest = json.loads(sidecar.read_text())["hash"]
+    for text in ("[]", "{", json.dumps({"hash": digest})):
+        sidecar.write_text(text)
+        assert _generate(work) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and str(sidecar) in err
+    assert not (work / "gen").exists()
+
+
 def test_generate_refuses_malformed_priors(trained_pair, tmp_path, capsys):
     work = _copy_pair(trained_pair, tmp_path)
     for i, priors in enumerate(["[1]", "{}",

@@ -24,7 +24,6 @@ from symadit.nncore import (
     layer_norm,
     linear,
     mhsa,
-    no_grad,
     run_steps,
     silu_mlp,
 )
@@ -534,6 +533,29 @@ def test_checkpoint_load_requires_matching_sidecar(tmp_path):
         ParameterStore.load(tmp_path / "absent.ckpt")
 
 
+def _manifests(digest: str) -> dict[str, str | bytes]:
+    """Manifests that are not an object with a config object, the last two
+    recording the file's true hash."""
+    return {"not JSON": "{", "not UTF-8": b"\xff{}", "a list": "[]",
+            "without config": json.dumps({"hash": digest, "seed": None}),
+            "config a list": json.dumps({"hash": digest, "config": []})}
+
+
+@pytest.mark.parametrize("case", list(_manifests("")))
+def test_malformed_manifest_is_a_checkpoint_error_naming_it(tmp_path, case):
+    den = flowmatch.Denoiser(flowmatch.DenoiserConfig.desk(n_layers=0))
+    path = tmp_path / "fm.ckpt"
+    sidecar = tmp_path / "fm.ckpt.json"
+    text = _manifests(den.save(path))[case]
+    if isinstance(text, bytes):
+        sidecar.write_bytes(text)
+    else:
+        sidecar.write_text(text)
+    for load in (ParameterStore.load, flowmatch.Denoiser.load):
+        with pytest.raises(CheckpointError, match=re.escape(str(sidecar))):
+            load(path)
+
+
 def _f64(*values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -1028,11 +1050,16 @@ def _always_masked_block(x, params, prefix, n_heads, pad_mask=None,
     return h
 
 
-def chain_attention_block(x, params, prefix, n_heads, pad_mask=None,
-                          cond=None):
-    if pad_mask is not None and np.all(pad_mask):
-        pad_mask = None
-    return _always_masked_block(x, params, prefix, n_heads, pad_mask, cond)
+def _use_layer_chains(monkeypatch):
+    """Route every layer node of `layers` back through its chain of
+    elementary ops; attention_block, mhsa and silu_mlp look them up there."""
+    for name, chain in (("linear", chain_linear),
+                        ("layer_norm", chain_layer_norm),
+                        ("_split_heads", chain_split_heads),
+                        ("_scores", chain_scores),
+                        ("_token_softmax", chain_token_softmax),
+                        ("_merge_heads", chain_merge_heads)):
+        monkeypatch.setattr(layers, name, chain)
 
 
 BLOCK_WEIGHTS = ("wq", "wk", "wv", "wo", "ff1.w", "ff1.b", "ff2.w", "ff2.b")
@@ -1073,9 +1100,16 @@ def test_attention_block_node_is_the_chain_bitwise(b, n, hd, adaptive):
                          "blk", HEADS, mask, cond)
         return fn
 
+    def chained(fn):
+        def run_chained(*tensors):
+            with pytest.MonkeyPatch.context() as m:
+                _use_layer_chains(m)
+                return fn(*tensors)
+        return run_chained
+
     for mask in (None, padded):
         assert_bitwise(run(attention_block, mask),
-                       run(chain_attention_block, mask),
+                       chained(run(attention_block, mask)),
                        list(arrays.values()), rng,
                        patterns=_block_patterns(len(names)))
 
@@ -1105,15 +1139,8 @@ def test_attention_block_permutation_equivariance_bitwise(adaptive):
 
 def _use_chains(monkeypatch):
     """Route every fused layer back through its chain of elementary ops."""
+    _use_layer_chains(monkeypatch)
     for module, name, chain in (
-            (autoencoder, "attention_block", chain_attention_block),
-            (flowmatch, "attention_block", chain_attention_block),
-            (layers, "linear", chain_linear),
-            (layers, "layer_norm", chain_layer_norm),
-            (layers, "_split_heads", chain_split_heads),
-            (layers, "_scores", chain_scores),
-            (layers, "_token_softmax", chain_token_softmax),
-            (layers, "_merge_heads", chain_merge_heads),
             (autoencoder, "linear", chain_linear),
             (flowmatch, "linear", chain_linear),
             (flowmatch, "layer_norm", chain_layer_norm)):
@@ -1238,29 +1265,6 @@ def test_all_true_mask_is_no_mask_in_denoiser_forward(monkeypatch):
                   * Tensor(mask[:, :, None].astype(float)))
         masked = run()
     assert shortcut == masked
-
-
-@pytest.mark.parametrize("padded", [False, True])
-def test_desk_denoiser_forward_builds_few_tape_nodes(padded, monkeypatch):
-    rng = np.random.default_rng(13)
-    den, z, prev, cond_idx = _desk_denoiser_inputs(2, 3, rng)
-    mask = np.ones((2, 3), dtype=bool)
-    mask[1, 2] = not padded
-    cond = den.condition(np.array([0.2, 0.4]), cond_idx)
-    made = []
-    make = Tensor._make
-
-    def counting(data, parents, backward):
-        made.append(1)
-        return make(data, parents, backward)
-
-    monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
-    with no_grad():
-        den.forward(Tensor(z), cond, mask, Tensor(prev))
-    # concat, input map, one per block, the output norm's gain + 1, the
-    # output norm and map, and the mask when padded
-    assert den.config.n_layers == 2
-    assert len(made) == (8 if padded else 7)
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,6 @@ UNSET_DEFAULTS_ALLOWED = {
         "needs is a download, so nothing in the repository can pass one yet",
     "Tensor.*":
         "Tensor's elementary ops, which the test oracles compose",
-    "mhsa.pad_mask":
-        "attention_block, the one caller that passed a mask, is now one tape "
-        "node; mhsa stays as the chain of layer nodes that the block's "
-        "oracle, chain_attention_block, composes with a mask",
 }
 
 
@@ -649,9 +645,12 @@ def test_benchmark_calls_bind_to_the_package_signatures():
     assert unbound == []
 
 
-def test_benchmark_reaches_the_layers_in_the_shapes_it_traces():
+def test_benchmark_reaches_the_layers_in_the_shapes_it_traces(monkeypatch):
+    import numpy as np
+
     from symadit.flowmatch import Denoiser
-    from symadit.nncore import adaln, attention_block
+    from symadit.nncore import (ParameterStore, Tensor, adaln,
+                                add_attention_block, attention_block, layers)
 
     inspect.signature(adaln).bind("x", "cond", "w", "b")
     inspect.signature(attention_block).bind("x", "params", "prefix",
@@ -659,3 +658,13 @@ def test_benchmark_reaches_the_layers_in_the_shapes_it_traces():
     # perfbench counts a forward's rows from its first argument after self
     params = list(inspect.signature(Denoiser.forward).parameters)
     assert params[:2] == ["self", "z_t"]
+    # its `nncore.mhsa` span wraps nncore.layers.mhsa, which every block's
+    # attention must pass through
+    seen, mhsa = [], layers.mhsa
+    monkeypatch.setattr(layers, "mhsa",
+                        lambda *a: seen.append(a[-1]) or mhsa(*a))
+    store = ParameterStore(seed=0)
+    add_attention_block(store, "blk", 4)
+    mask = np.array([[True, False]])
+    attention_block(Tensor(np.ones((1, 2, 4))), store, "blk", 2, mask)
+    assert len(seen) == 1 and seen[0] is mask
